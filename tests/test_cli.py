@@ -232,3 +232,46 @@ def test_byte_determinism(capsys):
     _, out_a = run(capsys, "series", "--gf", "G", "--p", "2", "--order", "5")
     _, out_b = run(capsys, "series", "--gf", "G", "--p", "2", "--order", "5")
     assert out_a == out_b
+
+
+# (p, order, k) that `verify --suite <name>` resolves when no --p, --order or
+# --k is given; k is None for suites that take no repetition bound.
+VERIFY_DEFAULTS = {
+    **{f"oracle_{g}": (2, 6, 2) for g in ("G", "G1_full", "G1_u", "A", "R", "H", "maxk")},
+    **{name: (2, 10, None) for name in (
+        "kernel_G", "kernel_H", "rel16", "H_gives_A", "primitive_substitution",
+        "cancellation", "maxk_boundary", "fishburn_p1",
+    )},
+    "psi": (2, 20, None),
+    "jelinek": (1, 30, None),
+    "delta_gamma_calculus": (2, 12, None),
+    **{name: (2, 8, None) for name in (
+        "patterns_01", "patterns_10", "patterns_00", "patterns_012",
+        "vincular_212", "bijection_10_012", "embed_roundtrip",
+    )},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_DEFAULTS))
+def test_verify_defaults(capsys, monkeypatch, suite):
+    from pascent import verify
+
+    every_suite = (
+        {f"oracle_{g}" for g in verify.ORACLE_GF_NAMES}
+        | set(verify.IDENTITY_NAMES) | set(verify.PATTERN_SUITE_NAMES)
+    )
+    assert set(VERIFY_DEFAULTS) == every_suite
+    calls = []
+
+    def recorder(prefix):
+        def check(name, p, n_max, k=None):
+            calls.append((prefix + name, p, n_max, k))
+            return verify.CheckReport(prefix + name, {}, "pass")
+        return check
+
+    monkeypatch.setattr(verify, "check_oracle_vs", recorder("oracle_"))
+    monkeypatch.setattr(verify, "check_identity", recorder(""))
+    monkeypatch.setattr(verify, "check_pattern", recorder(""))
+    code, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert calls == [(suite, *VERIFY_DEFAULTS[suite])]
