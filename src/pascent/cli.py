@@ -2,7 +2,8 @@
 verification suites, and OEIS-style b-file output.
 
 Exit codes: 0 on success (all checks pass), 1 on a verification failure,
-2 on a usage error.  All output is byte-deterministic for fixed flags.
+2 on a usage error or an enumeration over the node budget.  All output is
+byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -235,30 +236,14 @@ def _cmd_bfile(args, out) -> int:
 
 
 def _suite_reports(args) -> list[verify.CheckReport]:
-    name = args.suite
-    if name == "all":
+    if args.suite == "all":
         return verify.run_all(args.budget)
-    order = args.order
-    if name in verify.IDENTITY_NAMES:
-        defaults = {"psi": 20, "jelinek": 30, "delta_gamma_calculus": 12}
-        if order is None:
-            order = defaults.get(name, 10)
-        p = args.p if args.p is not None else (1 if name == "jelinek" else 2)
-        return [verify.check_identity(name, p, order)]
-    if name.startswith("oracle_"):
-        gf_name = name[len("oracle_"):]
-        if gf_name not in verify.ORACLE_GF_NAMES:
-            raise _UsageError(f"unknown suite {name!r}")
-        return [
-            verify.check_oracle_vs(
-                gf_name, args.p if args.p is not None else 2,
-                order if order is not None else 6, args.k or 2,
-            )
-        ]
-    if name in verify.PATTERN_SUITE_NAMES:
-        p = args.p if args.p is not None else 2
-        return [verify.check_pattern(name, p, order if order is not None else 8)]
-    raise _UsageError(f"unknown suite {name!r}")
+    suite = verify.SUITES.get(args.suite)
+    if suite is None:
+        raise _UsageError(f"unknown suite {args.suite!r}")
+    p = suite.default_p if args.p is None else args.p
+    order = suite.default_order if args.order is None else args.order
+    return [verify.run_suite(args.suite, p, order, args.k or 2)]
 
 
 def _cmd_verify(args, out) -> int:
@@ -370,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"pascent: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, verify.BudgetExceededError) as exc:
         print(f"pascent: {exc}", file=sys.stderr)
         return 2
 

@@ -98,24 +98,6 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     return result.u_truncate(bound)
 
 
-def eval_G1_u_bar(p: int, order: int, u_bound: int | None = None) -> TSeries:
-    """eval_G1_u with u replaced by uv, summed directly from the barred kernels."""
-    _check_p(p)
-    bound = order if u_bound is None else u_bound
-    result = TSeries.zero(order)
-    gamma_inv = TSeries.one(order)
-    prev_pow = TSeries.one(order)
-    prev_inv = TSeries.one(order)
-    for k in range(1, bound + 1):
-        gamma_inv = gamma_inv * gamma_bar(k, order).invert()
-        cur_pow = delta_bar(k, order) ** p
-        cur_inv = cur_pow.invert()
-        term = (prev_pow - cur_pow) * gamma_inv * prev_inv * cur_inv
-        result = result + term.shift(1) * MultiPoly.monomial((k, k, 1, 0))
-        prev_pow, prev_inv = cur_pow, cur_inv
-    return result.u_truncate(bound)
-
-
 def eval_G1_full(p: int, order: int) -> TSeries:
     """Series over sequences starting 0-then-nonzero, by length/ascents/last/zeros.
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from math import comb
 
 from . import gf, patterns
@@ -28,29 +30,8 @@ class BudgetExceededError(RuntimeError):
 # hard ceiling on the number of sequences any one suite may enumerate
 _MAX_NODES = 60_000_000
 
-ORACLE_GF_NAMES = ("G", "G1_full", "G1_u", "A", "R", "H", "maxk")
-IDENTITY_NAMES = (
-    "kernel_G",
-    "kernel_H",
-    "rel16",
-    "psi",
-    "jelinek",
-    "H_gives_A",
-    "primitive_substitution",
-    "delta_gamma_calculus",
-    "cancellation",
-    "maxk_boundary",
-    "fishburn_p1",
-)
-PATTERN_SUITE_NAMES = (
-    "patterns_01",
-    "patterns_10",
-    "patterns_00",
-    "patterns_012",
-    "vincular_212",
-    "bijection_10_012",
-    "embed_roundtrip",
-)
+# depth of the psi check (m = 0..6) and of the kernel calculus (s, k = 1..6)
+_DEPTH = 6
 
 
 @dataclass
@@ -121,9 +102,11 @@ def _enumeration_nodes(p: int, n_max: int) -> int:
 
 
 def _guard_budget(p: int, n_max: int) -> None:
-    if _enumeration_nodes(p, n_max) > _MAX_NODES:
+    nodes = _enumeration_nodes(p, n_max)
+    if nodes > _MAX_NODES:
         raise BudgetExceededError(
-            f"enumerating p={p} sequences up to length {n_max} exceeds the node budget"
+            f"enumerating p={p} sequences up to length {n_max} would walk {nodes} nodes, "
+            f"over the node budget of {_MAX_NODES}"
         )
 
 
@@ -134,48 +117,19 @@ def _bundle(p: int, n_max: int) -> TSeries:
     return oracle_table(p, n_max)
 
 
-def _counts_series(counts: list[int]) -> TSeries:
-    return TSeries([MultiPoly.const(c) for c in counts])
+def _counts(p: int, n_max: int, **options) -> TSeries:
+    """Oracle counts by length (see count_by_length) as a scalar series."""
+    _guard_budget(p, n_max)
+    return TSeries([MultiPoly.const(c) for c in count_by_length(p, n_max, **options)])
 
 
-def check_oracle_vs(gf_name: str, p: int, n_max: int, k: int = 2) -> CheckReport:
-    """Compare one closed-form evaluator against the enumeration oracle."""
-    if gf_name not in ORACLE_GF_NAMES:
-        raise ValueError(f"unknown generating function {gf_name!r}")
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    params: dict = {"p": p, "N": n_max}
-    if gf_name == "maxk":
-        params["k"] = k
-    if gf_name in ("G1_u", "H"):
-        params["D"] = n_max
+def _against(oracle: TSeries, closed_form: TSeries) -> dict | None:
+    """First discrepancy of a closed form from the oracle.
 
-    if gf_name == "R":
-        _guard_budget(p, n_max)
-        expected = gf.eval_R(p, n_max)
-        actual = _counts_series(count_by_length(p, n_max, primitive_only=True))
-    elif gf_name == "maxk":
-        _guard_budget(p, n_max)
-        expected = gf.eval_maxk(p, k, n_max)
-        actual = _counts_series(count_by_length(p, n_max, max_repeat=k))
-    else:
-        table = _bundle(p, n_max)
-        if gf_name == "G":
-            expected = gf.eval_G(p, n_max)
-            actual = table
-        elif gf_name == "G1_full":
-            expected = gf.eval_G1_full(p, n_max)
-            actual = table.coefficient_of_var("x", 1)
-        elif gf_name == "G1_u":
-            expected = gf.eval_G1_u(p, n_max)
-            actual = table.coefficient_of_var("x", 1).specialize({"v": 1})
-        elif gf_name == "A":
-            expected = gf.eval_A(p, n_max)
-            actual = table.specialize({"u": 1, "v": 1, "x": 1})
-        else:  # H
-            expected = gf.eval_H(p, n_max)
-            actual = table.specialize({"v": 1, "x": 1}) - 1
-    return _report(f"oracle_{gf_name}", params, _series_discrepancy(expected, actual))
+    Callers build the oracle argument first, so its budget guard runs before
+    the closed form is evaluated.
+    """
+    return _series_discrepancy(closed_form, oracle)
 
 
 def _check_kernel_G(p: int, n_max: int) -> dict | None:
@@ -225,17 +179,17 @@ def _check_rel16(p: int, n_max: int) -> dict | None:
     slice_1 = table.coefficient_of_var("x", 1)
     z = MultiPoly.variable("z")
     for r in range(2, min(3, n_max) + 1):
-        expected = slice_1.shift(r - 1) * z ** (r - 1)
         actual = table.coefficient_of_var("x", r)
-        disc = _series_discrepancy(expected, actual)
-        if disc is not None:
-            disc["r"] = r
-            return disc
+        for expected in (slice_1.shift(r - 1) * z ** (r - 1), gf.eval_Gr(p, r, n_max)):
+            disc = _series_discrepancy(expected, actual)
+            if disc is not None:
+                disc["r"] = r
+                return disc
     return None
 
 
-def _check_psi(n_max: int, m_max: int = 6) -> dict | None:
-    for m in range(m_max + 1):
+def _check_psi(n_max: int) -> dict | None:
+    for m in range(_DEPTH + 1):
         lhs, rhs = gf.psi(m, n_max)
         disc = _series_discrepancy(rhs, lhs)
         if disc is not None:
@@ -244,16 +198,16 @@ def _check_psi(n_max: int, m_max: int = 6) -> dict | None:
     return None
 
 
-def _check_delta_gamma(n_max: int, s_max: int = 6, k_max: int = 6) -> dict | None:
+def _check_delta_gamma(n_max: int) -> dict | None:
     u_poly = MultiPoly.variable("u")
     u_series = TSeries.from_poly(n_max, u_poly)
     u_minus_1 = TSeries.from_poly(n_max, u_poly - 1)
-    for k in range(1, k_max + 1):
+    for k in range(1, _DEPTH + 1):
         d_k = gf.delta(k, n_max)
         repl = u_series * d_k.invert()
         onemt_k = gf.one_minus_t(n_max) ** k
         checks = [(u_minus_1.subst_u(repl) * d_k, onemt_k * u_minus_1)]
-        for s in range(1, s_max + 1):
+        for s in range(1, _DEPTH + 1):
             checks.append((gf.delta(s, n_max).subst_u(repl) * d_k, gf.delta(s + k, n_max)))
             checks.append((gf.gamma(s, n_max).subst_u(repl) * d_k, gf.gamma(s + k, n_max)))
             u_over_ds = u_series * gf.delta(s, n_max).invert()
@@ -285,55 +239,21 @@ def _check_cancellation(p: int, n_max: int) -> dict | None:
     return None
 
 
-_P_FREE_IDENTITIES = ("psi", "delta_gamma_calculus", "fishburn_p1")
+def _check_primitive_substitution(p: int, n_max: int) -> dict | None:
+    t_over_1mt = TSeries.from_poly(n_max, MultiPoly.const(1), 1) * gf.one_minus_t(n_max).invert()
+    return _series_discrepancy(
+        gf.eval_A(p, n_max).specialize({"z": 1}),
+        gf.eval_R(p, n_max).compose_t(t_over_1mt),
+    )
 
 
-def check_identity(name: str, p: int | None, n_max: int) -> CheckReport:
-    """Verify one algebraic identity as a zero residual through t^n_max."""
-    if name not in IDENTITY_NAMES:
-        raise ValueError(f"unknown identity {name!r}")
-    if name not in _P_FREE_IDENTITIES and (p is None or p < 1):
-        raise ValueError(f"identity {name!r} needs a positive p")
-    params: dict = {"p": p, "N": n_max}
-    if name == "kernel_G":
-        disc = _check_kernel_G(p, n_max)
-    elif name == "kernel_H":
-        disc = _check_kernel_H(p, n_max)
-    elif name == "rel16":
-        disc = _check_rel16(p, n_max)
-    elif name == "psi":
-        params = {"p": None, "N": n_max, "D": n_max, "m_max": 6}
-        disc = _check_psi(n_max)
-    elif name == "jelinek":
-        if p != 1:
-            raise ValueError("the zeros product identity is only available for p = 1")
-        disc = _series_discrepancy(gf.eval_A1_product_form(n_max), gf.eval_A(1, n_max))
-    elif name == "H_gives_A":
+def _check_maxk_boundary(p: int, n_max: int) -> dict | None:
+    disc = _series_discrepancy(gf.eval_R(p, n_max), gf.eval_maxk(p, 1, n_max))
+    if disc is None and n_max >= 1:
         disc = _series_discrepancy(
-            gf.eval_A(p, n_max), 1 + gf.eval_H(p, n_max).specialize({"u": 1})
+            gf.eval_A(p, n_max).specialize({"z": 1}), gf.eval_maxk(p, n_max, n_max)
         )
-    elif name == "primitive_substitution":
-        t_over_1mt = TSeries.from_poly(n_max, MultiPoly.const(1), 1) * gf.one_minus_t(n_max).invert()
-        disc = _series_discrepancy(
-            gf.eval_A(p, n_max).specialize({"z": 1}),
-            gf.eval_R(p, n_max).compose_t(t_over_1mt),
-        )
-    elif name == "delta_gamma_calculus":
-        params = {"p": None, "N": n_max, "s_max": 6, "k_max": 6}
-        disc = _check_delta_gamma(n_max)
-    elif name == "cancellation":
-        params["D"] = n_max
-        disc = _check_cancellation(p, n_max)
-    elif name == "maxk_boundary":
-        disc = _series_discrepancy(gf.eval_R(p, n_max), gf.eval_maxk(p, 1, n_max))
-        if disc is None and n_max >= 1:
-            disc = _series_discrepancy(
-                gf.eval_A(p, n_max).specialize({"z": 1}), gf.eval_maxk(p, n_max, n_max)
-            )
-    else:  # fishburn_p1
-        params = {"p": 1, "N": n_max}
-        disc = _series_discrepancy(gf.eval_A(1, n_max).specialize({"z": 1}), gf.eval_P(n_max))
-    return _report(name, params, disc)
+    return disc
 
 
 def _pattern_sources(p: int, pat: Pattern, n_max: int, primitive_only: bool):
@@ -436,135 +356,211 @@ def _check_embed(p: int, n_max: int) -> dict | None:
     return None
 
 
-def check_pattern(name: str, p: int | None, n_max: int) -> CheckReport:
-    """Run one pattern-module suite (closed forms, bijections, cross-checks)."""
-    if name not in PATTERN_SUITE_NAMES:
-        raise ValueError(f"unknown pattern suite {name!r}")
-    if name.startswith("patterns_") or name == "embed_roundtrip":
-        if p is None or p < 1:
-            raise ValueError(f"pattern suite {name!r} needs a positive p")
-    params: dict = {"p": p, "N": n_max}
-    if name == "patterns_01":
-        disc = _check_pattern_family(p, "01", n_max)
-    elif name == "patterns_10":
-        disc = _check_pattern_family(p, "10", n_max)
-    elif name == "patterns_00":
-        disc = _check_pattern_family(p, "00", n_max)
-    elif name == "patterns_012":
-        disc = _check_pattern_family(p, "012", n_max)
-    elif name == "vincular_212":
-        params = {"p": 3, "N": n_max}
-        disc = _check_vincular(n_max)
-    elif name == "bijection_10_012":
-        params = {"p": 2, "N": n_max}
-        disc = _check_bijection(n_max)
-    else:  # embed_roundtrip
-        disc = _check_embed(p, n_max)
-    return _report(name, params, disc)
+@dataclass(frozen=True)
+class Suite:
+    """How one named suite checks, reports its parameters, and is run.
+
+    check(p, N, k) returns the first discrepancy, or None when the suite
+    passes.  A suite that does not need p runs at, and reports, forced_p; one
+    that needs p and has a forced_p accepts no other p.  The report's
+    parameters are p, N and then the keys in extra.  run_all runs the suite at
+    each p in ps with N = order(budget); the CLI runs it at default_p and
+    default_order unless --p or --order is given.
+    """
+
+    kind: str  # "oracle", "identity" or "pattern"
+    check: Callable[[int | None, int, int], dict | None]
+    ps: tuple[int | None, ...] = (1, 2, 3, 4)
+    order: Callable[[int], int] = lambda budget: budget
+    needs_p: bool = True
+    forced_p: int | None = None
+    extra: tuple[str, ...] = ()
+    default_order: int = 10
+    default_p: int = 2
 
 
-# Which suites exercise which public evaluators and closed forms.  run_all
-# refuses to start if anything in the required list is left uncovered.
-SUITE_COVERAGE = {
-    "oracle_G": ("eval_G", "oracle_table"),
-    "oracle_G1_full": ("eval_G1_full",),
-    "oracle_G1_u": ("eval_G1_u",),
-    "oracle_A": ("eval_A",),
-    "oracle_R": ("eval_R",),
-    "oracle_H": ("eval_H",),
-    "oracle_maxk": ("eval_maxk",),
-    "kernel_G": ("oracle_table",),
-    "kernel_H": ("oracle_table",),
-    "rel16": ("eval_Gr", "oracle_table"),
-    "psi": ("psi",),
-    "jelinek": ("eval_A1_product_form", "eval_A"),
-    "H_gives_A": ("eval_H", "eval_A"),
-    "primitive_substitution": ("eval_R", "eval_A"),
-    "delta_gamma_calculus": ("delta", "gamma", "delta_bar", "gamma_bar"),
-    "cancellation": ("eval_G1_u", "eval_H"),
-    "maxk_boundary": ("eval_maxk", "eval_R", "eval_A"),
-    "fishburn_p1": ("eval_P", "eval_A"),
-    "patterns_01": ("count_avoiders", "closed_count", "gf_avoiders"),
-    "patterns_10": ("count_avoiders", "closed_count", "gf_avoiders"),
-    "patterns_00": ("count_avoiders", "closed_count", "gf_avoiders"),
-    "patterns_012": ("count_avoiders", "closed_count"),
-    "vincular_212": ("count_vincular_212_ternary", "count_avoiders"),
-    "bijection_10_012": ("bijection_10_to_012", "bijection_012_to_10"),
-    "embed_roundtrip": ("embed", "project"),
+# In report order.  Adjacent suites with the same ps interleave in run_all,
+# p outermost (all oracle suites at p = 1, then all at p = 2, ...).
+SUITES: dict[str, Suite] = {
+    "oracle_G": Suite(
+        "oracle", lambda p, n, k: _against(_bundle(p, n), gf.eval_G(p, n)), default_order=6,
+    ),
+    "oracle_G1_full": Suite(
+        "oracle",
+        lambda p, n, k: _against(_bundle(p, n).coefficient_of_var("x", 1), gf.eval_G1_full(p, n)),
+        default_order=6,
+    ),
+    "oracle_G1_u": Suite(
+        "oracle",
+        lambda p, n, k: _against(
+            _bundle(p, n).coefficient_of_var("x", 1).specialize({"v": 1}), gf.eval_G1_u(p, n)
+        ),
+        extra=("D",), default_order=6,
+    ),
+    "oracle_A": Suite(
+        "oracle",
+        lambda p, n, k: _against(
+            _bundle(p, n).specialize({"u": 1, "v": 1, "x": 1}), gf.eval_A(p, n)
+        ),
+        default_order=6,
+    ),
+    "oracle_R": Suite(
+        "oracle",
+        lambda p, n, k: _against(_counts(p, n, primitive_only=True), gf.eval_R(p, n)),
+        default_order=6,
+    ),
+    "oracle_H": Suite(
+        "oracle",
+        lambda p, n, k: _against(_bundle(p, n).specialize({"v": 1, "x": 1}) - 1, gf.eval_H(p, n)),
+        extra=("D",), default_order=6,
+    ),
+    "oracle_maxk": Suite(
+        "oracle",
+        lambda p, n, k: _against(_counts(p, n, max_repeat=k), gf.eval_maxk(p, k, n)),
+        extra=("k",), default_order=6,
+    ),
+    "kernel_G": Suite("identity", lambda p, n, k: _check_kernel_G(p, n), ps=(1, 2, 3)),
+    "kernel_H": Suite("identity", lambda p, n, k: _check_kernel_H(p, n), ps=(1, 2, 3)),
+    "rel16": Suite("identity", lambda p, n, k: _check_rel16(p, n)),
+    "psi": Suite(
+        "identity", lambda p, n, k: _check_psi(n), ps=(None,),
+        order=lambda budget: min(20, 2 * budget + 4), needs_p=False, extra=("D", "m_max"),
+        default_order=20,
+    ),
+    "jelinek": Suite(
+        "identity",
+        lambda p, n, k: _series_discrepancy(gf.eval_A1_product_form(n), gf.eval_A(p, n)),
+        ps=(1,), order=lambda budget: min(30, 3 * budget + 6), forced_p=1,
+        default_order=30, default_p=1,
+    ),
+    "H_gives_A": Suite(
+        "identity",
+        lambda p, n, k: _series_discrepancy(
+            gf.eval_A(p, n), 1 + gf.eval_H(p, n).specialize({"u": 1})
+        ),
+        order=lambda budget: budget + 4,
+    ),
+    "primitive_substitution": Suite(
+        "identity", lambda p, n, k: _check_primitive_substitution(p, n),
+        order=lambda budget: budget + 4,
+    ),
+    "delta_gamma_calculus": Suite(
+        "identity", lambda p, n, k: _check_delta_gamma(n), ps=(None,),
+        order=lambda budget: budget + 4, needs_p=False, extra=("s_max", "k_max"),
+        default_order=12,
+    ),
+    "cancellation": Suite(
+        "identity", lambda p, n, k: _check_cancellation(p, n),
+        order=lambda budget: budget + 4, extra=("D",),
+    ),
+    "maxk_boundary": Suite(
+        "identity", lambda p, n, k: _check_maxk_boundary(p, n), ps=(1, 2, 3),
+        order=lambda budget: budget + 2,
+    ),
+    "fishburn_p1": Suite(
+        "identity",
+        lambda p, n, k: _series_discrepancy(
+            gf.eval_A(p, n).specialize({"z": 1}), gf.eval_P(n)
+        ),
+        ps=(None,), order=lambda budget: budget + 4, needs_p=False, forced_p=1,
+    ),
+    "patterns_01": Suite(
+        "pattern", lambda p, n, k: _check_pattern_family(p, "01", n), default_order=8,
+    ),
+    "patterns_10": Suite(
+        "pattern", lambda p, n, k: _check_pattern_family(p, "10", n), default_order=8,
+    ),
+    "patterns_00": Suite(
+        "pattern", lambda p, n, k: _check_pattern_family(p, "00", n), ps=(2, 3),
+        default_order=8,
+    ),
+    "patterns_012": Suite(
+        "pattern", lambda p, n, k: _check_pattern_family(p, "012", n), ps=(2, 3, 4, 5),
+        default_order=8,
+    ),
+    "vincular_212": Suite(
+        "pattern", lambda p, n, k: _check_vincular(n), ps=(3,),
+        order=lambda budget: min(budget + 2, 10), needs_p=False, forced_p=3, default_order=8,
+    ),
+    "bijection_10_012": Suite(
+        "pattern", lambda p, n, k: _check_bijection(n), ps=(2,),
+        order=lambda budget: min(budget + 4, 12), needs_p=False, forced_p=2, default_order=8,
+    ),
+    "embed_roundtrip": Suite(
+        "pattern", lambda p, n, k: _check_embed(p, n),
+        order=lambda budget: min(budget, 8), default_order=8,
+    ),
 }
 
-_REQUIRED_COVERED = frozenset(
-    name
-    for name in (
-        "delta", "gamma", "delta_bar", "gamma_bar",
-        "eval_G1_u", "eval_G1_full", "eval_Gr", "eval_G",
-        "eval_H", "eval_A", "eval_P", "eval_R", "eval_maxk",
-        "psi", "eval_A1_product_form", "oracle_table",
-        "count_avoiders", "closed_count", "gf_avoiders",
-        "count_vincular_212_ternary",
-        "bijection_10_to_012", "bijection_012_to_10",
-        "embed", "project",
-    )
+ORACLE_GF_NAMES = tuple(
+    name[len("oracle_"):] for name, suite in SUITES.items() if suite.kind == "oracle"
 )
+IDENTITY_NAMES = tuple(name for name, suite in SUITES.items() if suite.kind == "identity")
+PATTERN_SUITE_NAMES = tuple(name for name, suite in SUITES.items() if suite.kind == "pattern")
 
 
-def assert_registry_complete() -> None:
-    """Every evaluator and closed form must be exercised by at least one suite."""
-    covered = {fn for fns in SUITE_COVERAGE.values() for fn in fns}
-    # eval_Gr is implemented through eval_G1_full; rel16 checks the shift law
-    missing = _REQUIRED_COVERED - covered
-    if missing:
-        raise AssertionError(f"verification suites do not cover: {sorted(missing)}")
+def _run(kind: str, name: str, p: int | None, n_max: int, k: int | None = None) -> CheckReport:
+    suite = SUITES.get(name)
+    if suite is None or suite.kind != kind:
+        raise ValueError(f"unknown {kind} suite {name!r}")
+    if not suite.needs_p:
+        p = suite.forced_p
+    elif p is None or p < 1:
+        raise ValueError(f"suite {name!r} needs a positive p")
+    elif suite.forced_p not in (None, p):
+        raise ValueError(f"suite {name!r} is only available for p = {suite.forced_p}")
+    values = {"p": p, "N": n_max, "k": k, "D": n_max,
+              "m_max": _DEPTH, "s_max": _DEPTH, "k_max": _DEPTH}
+    params = {key: values[key] for key in ("p", "N", *suite.extra)}
+    return _report(name, params, suite.check(p, n_max, k))
+
+
+def check_oracle_vs(gf_name: str, p: int, n_max: int, k: int = 2) -> CheckReport:
+    """Compare one closed-form evaluator against the enumeration oracle."""
+    return _run("oracle", f"oracle_{gf_name}", p, n_max, k)
+
+
+def check_identity(name: str, p: int | None, n_max: int) -> CheckReport:
+    """Verify one algebraic identity as a zero residual through t^n_max."""
+    return _run("identity", name, p, n_max)
+
+
+def check_pattern(name: str, p: int | None, n_max: int) -> CheckReport:
+    """Run one pattern-module suite (closed forms, bijections, cross-checks)."""
+    return _run("pattern", name, p, n_max)
+
+
+def run_suite(name: str, p: int | None, n_max: int, k: int = 2) -> CheckReport:
+    """Run the suite of this report name through its kind's check function."""
+    kind = SUITES[name].kind
+    if kind == "oracle":
+        return check_oracle_vs(name[len("oracle_"):], p, n_max, k)
+    if kind == "identity":
+        return check_identity(name, p, n_max)
+    return check_pattern(name, p, n_max)
 
 
 def _task_matrix(budget: int) -> list[tuple]:
-    psi_n = min(20, 2 * budget + 4)
-    jelinek_n = min(30, 3 * budget + 6)
-    eval_n = budget + 4
     tasks: list[tuple] = []
-    for p in (1, 2, 3, 4):
-        for name in ORACLE_GF_NAMES:
-            tasks.append(("oracle", name, p, budget, 2))
-    for p in (1, 2, 3):
-        tasks.append(("identity", "kernel_G", p, budget))
-        tasks.append(("identity", "kernel_H", p, budget))
-    for p in (1, 2, 3, 4):
-        tasks.append(("identity", "rel16", p, budget))
-    tasks.append(("identity", "psi", None, psi_n))
-    tasks.append(("identity", "jelinek", 1, jelinek_n))
-    for p in (1, 2, 3, 4):
-        tasks.append(("identity", "H_gives_A", p, eval_n))
-        tasks.append(("identity", "primitive_substitution", p, eval_n))
-    tasks.append(("identity", "delta_gamma_calculus", None, eval_n))
-    for p in (1, 2, 3, 4):
-        tasks.append(("identity", "cancellation", p, eval_n))
-    for p in (1, 2, 3):
-        tasks.append(("identity", "maxk_boundary", p, budget + 2))
-    tasks.append(("identity", "fishburn_p1", None, eval_n))
-    for p in (1, 2, 3, 4):
-        tasks.append(("pattern", "patterns_01", p, budget))
-        tasks.append(("pattern", "patterns_10", p, budget))
-    for p in (2, 3):
-        tasks.append(("pattern", "patterns_00", p, budget))
-    for p in (2, 3, 4, 5):
-        tasks.append(("pattern", "patterns_012", p, budget))
-    tasks.append(("pattern", "vincular_212", 3, min(budget + 2, 10)))
-    tasks.append(("pattern", "bijection_10_012", 2, min(budget + 4, 12)))
-    for p in (1, 2, 3, 4):
-        tasks.append(("pattern", "embed_roundtrip", p, min(budget, 8)))
+    for ps, group in groupby(SUITES.items(), key=lambda item: item[1].ps):
+        group = list(group)
+        for p in ps:
+            tasks.extend((name, p, suite.order(budget)) for name, suite in group)
     return tasks
 
 
-def _execute(task: tuple) -> CheckReport:
-    kind = task[0]
-    if kind == "oracle":
-        _kind, name, p, n_max, k = task
-        return check_oracle_vs(name, p, n_max, k)
-    if kind == "identity":
-        _kind, name, p, n_max = task
-        return check_identity(name, p, n_max)
-    _kind, name, p, n_max = task
-    return check_pattern(name, p, n_max)
+def _jobs(text: str | None) -> int:
+    """Worker count from PASCENT_JOBS: 1 when unset or empty, else a positive
+    integer, capped at the number of CPUs."""
+    if not text:
+        return 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"PASCENT_JOBS must be a positive integer, not {text!r}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def run_all(budget: int) -> list[CheckReport]:
@@ -572,16 +568,15 @@ def run_all(budget: int) -> list[CheckReport]:
 
     budget caps the length of every enumeration-backed comparison; the pure
     series identities run at fixed desk scales.  Set PASCENT_JOBS > 1 to run
-    independent suites in worker processes (reports keep registry order).
+    independent suites in worker processes (reports keep SUITES order).
     """
     if budget < 4:
         raise ValueError("budget must be at least 4")
-    assert_registry_complete()
     tasks = _task_matrix(budget)
-    jobs = int(os.environ.get("PASCENT_JOBS", "1") or "1")
+    jobs = _jobs(os.environ.get("PASCENT_JOBS"))
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            return pool.map(_execute, tasks)
-    return [_execute(task) for task in tasks]
+            return pool.starmap(run_suite, tasks)
+    return [run_suite(*task) for task in tasks]

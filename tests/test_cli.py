@@ -1,9 +1,12 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
+from pascent import verify
 from pascent.cli import main
 
 
@@ -208,6 +211,24 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_over_node_budget(capsys):
+    code = main(["verify", "--suite", "oracle_A", "--p", "4", "--order", "25"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    message = captured.err.splitlines()
+    assert len(message) == 1 and message[0].startswith("pascent: ")
+    assert "nodes" in message[0] and str(verify._MAX_NODES) in message[0]
+
+
+def test_python_m_pascent(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pascent", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("pascent", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pascent")
+
+
 def test_verify_all_small_budget(capsys):
     code, out = run(capsys, "verify", "--suite", "all", "--budget", "4")
     assert code == 0
@@ -254,8 +275,6 @@ VERIFY_DEFAULTS = {
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_DEFAULTS))
 def test_verify_defaults(capsys, monkeypatch, suite):
-    from pascent import verify
-
     every_suite = (
         {f"oracle_{g}" for g in verify.ORACLE_GF_NAMES}
         | set(verify.IDENTITY_NAMES) | set(verify.PATTERN_SUITE_NAMES)

@@ -32,11 +32,6 @@ def test_G1_u_printed(p, table):
     assert gold.series_terms_through(series, 5) == gold.as_terms(table, "uz")
 
 
-def test_G1_u_bar_agrees_with_substitution():
-    for p in (1, 2, 3):
-        assert gf.eval_G1_u_bar(p, 6) == gf.eval_G1_u(p, 6).subst_u_to_uv()
-
-
 @pytest.mark.parametrize(
     "p,table", [(2, gold.G2_1_FULL), (3, gold.G3_1_FULL)]
 )

@@ -1,10 +1,12 @@
-"""Verification suites: wiring, determinism, negative control, registry."""
+"""Verification suites: wiring, determinism, negative control, coverage."""
 
+import inspect
 import json
+import os
 
 import pytest
 
-from pascent import gf, verify
+from pascent import gf, patterns, verify
 from pascent.series import MultiPoly, TSeries
 
 
@@ -101,12 +103,44 @@ def test_determinism():
     assert a.to_json() == b.to_json()
 
 
-def test_registry_complete():
-    verify.assert_registry_complete()
+# Every evaluator, kernel family and closed form that run_all must call.
+REQUIRED_COVERED = (
+    "delta", "gamma", "delta_bar", "gamma_bar",
+    "eval_G1_u", "eval_G1_full", "eval_Gr", "eval_G",
+    "eval_H", "eval_A", "eval_P", "eval_R", "eval_maxk",
+    "psi", "eval_A1_product_form", "oracle_table",
+    "count_avoiders", "closed_count", "gf_avoiders",
+    "count_vincular_212_ternary",
+    "bijection_10_to_012", "bijection_012_to_10",
+    "embed", "project",
+)
 
 
-def test_run_all_budget_4():
+def _record_calls(monkeypatch, called):
+    """Wrap the public functions of gf and patterns, and verify's oracle_table;
+    each call adds the function's name to called."""
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "oracle_table", recording("oracle_table", verify.oracle_table))
+    for module in (gf, patterns):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and not name.startswith("_") \
+                    and fn.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, recording(name, fn))
+
+
+def test_run_all_budget_4(monkeypatch):
+    called = set()
+    _record_calls(monkeypatch, called)
+    monkeypatch.delenv("PASCENT_JOBS", raising=False)
+    verify._bundle.cache_clear()   # earlier tests may have cached the oracle tables
     reports = verify.run_all(4)
+    assert sorted(set(REQUIRED_COVERED) - called) == []
     assert len(reports) >= 40
     failures = [r.to_json() for r in reports if not r.passed]
     assert failures == []
@@ -118,3 +152,14 @@ def test_run_all_budget_4():
 def test_run_all_validates_budget():
     with pytest.raises(ValueError):
         verify.run_all(3)
+
+
+@pytest.mark.parametrize("text", ["abc", "0", "-3", "1.5"])
+def test_jobs_rejects_non_positive(text):
+    with pytest.raises(ValueError, match="PASCENT_JOBS"):
+        verify._jobs(text)
+
+
+def test_jobs_capped_at_cpu_count():
+    assert verify._jobs(None) == verify._jobs("") == verify._jobs("1") == 1
+    assert verify._jobs(str(10**9)) == (os.cpu_count() or 1)
