@@ -237,13 +237,24 @@ def _cmd_bfile(args, out) -> int:
 
 def _suite_reports(args) -> list[verify.CheckReport]:
     if args.suite == "all":
+        if (args.p, args.order, args.k) != (None, None, None):
+            raise _UsageError("--suite all takes no --p, --order or --k; --budget sizes it")
         return verify.run_all(args.budget)
     suite = verify.SUITES.get(args.suite)
     if suite is None:
         raise _UsageError(f"unknown suite {args.suite!r}")
+    if not suite.needs_p and args.p not in (None, suite.forced_p):
+        if suite.forced_p is None:
+            raise _UsageError(f"suite {args.suite!r} takes no --p")
+        raise _UsageError(f"suite {args.suite!r} is only available for p = {suite.forced_p}")
+    if args.k is not None:
+        if "k" not in suite.extra:
+            raise _UsageError(f"suite {args.suite!r} takes no --k")
+        if args.k < 1:
+            raise _UsageError("--k must be at least 1")
     p = suite.default_p if args.p is None else args.p
     order = suite.default_order if args.order is None else args.order
-    return [verify.run_suite(args.suite, p, order, args.k or 2)]
+    return [verify.run_suite(args.suite, p, order, 2 if args.k is None else args.k)]
 
 
 def _cmd_verify(args, out) -> int:

@@ -1,9 +1,11 @@
-"""p-ascent sequences: validation, statistics, and exhaustive enumeration.
+"""p-ascent sequences: validation, statistics, enumeration and counting.
 
 A p-ascent sequence is a word of nonnegative integers whose first letter is
 0 and in which every later letter is at most p plus the number of ascents
-of the preceding prefix.  The enumeration here is the ground truth that the
-closed-form evaluators in gf and patterns are checked against.
+of the preceding prefix.  These words form a generating tree, walked word by
+word by _grow (the exhaustive enumeration) and counted level by level by
+_levels (the oracle that the closed-form evaluators in gf are checked
+against; tests check it against the enumeration).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .series import MultiPoly, TSeries
+from .series import _MAX_EXP, MultiPoly, TSeries, _pack
 
 STAT_NAMES = ("ascents", "last", "zeros", "run")
 
@@ -110,6 +112,65 @@ def stats(seq: PAscentSequence) -> StatProfile:
     )
 
 
+def _grow(
+    p: int,
+    n_max: int,
+    word: Sequence[int] = (),
+    keep: Callable[[tuple[int, ...]], bool] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield word and each extension of it up to length n_max, as tuples.
+
+    The order is lexicographic pre-order.  The empty word's one child is (0,);
+    a child of a nonempty word with a ascents appends a letter c <= p + a.  A
+    word that keep rejects is skipped together with its extensions.
+    """
+    stack = [(tuple(word), asc(word))] if len(word) <= n_max else []
+    while stack:
+        w, a = stack.pop()
+        if keep is not None and not keep(w):
+            continue
+        yield w
+        if len(w) < n_max:
+            last, top = (w[-1], p + a) if w else (0, 0)
+            stack.extend((w + (c,), a + (c > last)) for c in range(top, -1, -1))
+
+
+def _levels(
+    p: int,
+    n_max: int,
+    zeros: bool = False,
+    run: bool = False,
+    max_repeat: int | None = None,
+) -> list[dict[tuple[int, int, int, int, int], int]]:
+    """Count the p-ascent words of each length 1..n_max by state, level by level.
+
+    Entry m-1 maps (ascents, last, zeros, run, repeat) to the number of words
+    of length m with those statistics; repeat is the length of the final block
+    of equal letters, at most max_repeat.  Fields not asked for stay 0.  A
+    word is all 0s exactly while it has no ascent, so run needs no flag.
+    """
+    zstep = 1 if zeros else 0
+    rstep = 1 if max_repeat else 0
+    levels = [{(0, 0, zstep, 0, rstep): 1}] if n_max >= 1 else []
+    while len(levels) < n_max:
+        m = len(levels)
+        first_run = m if run else 0
+        level: dict[tuple[int, int, int, int, int], int] = {}
+        for (a, last, z, r, rep), count in levels[-1].items():
+            for c in range(p + a + 1):
+                if c > last:
+                    key = (a + 1, c, z, r if a else first_run, rstep)
+                elif c < last:
+                    key = (a, c, z + zstep if c == 0 else z, r, rstep)
+                elif rep == max_repeat:
+                    continue
+                else:
+                    key = (a, c, z + zstep if c == 0 else z, r, rep + rstep)
+                level[key] = level.get(key, 0) + count
+        levels.append(level)
+    return levels
+
+
 def enumerate_sequences(
     p: int,
     n: int,
@@ -129,33 +190,11 @@ def enumerate_sequences(
     start = tuple(prefix) if prefix is not None else ()
     if not is_p_ascent(start, p):
         raise ValueError(f"prefix {start} is not a {p}-ascent sequence")
-    if len(start) > n:
-        return
-    if n == 0:
-        seq = PAscentSequence(p, ())
-        if pred is None or pred(seq):
-            yield seq
-        return
-    if not start:
-        start = (0,)
-        if n == 0:
-            return
-
-    word = list(start)
-
-    def walk(ascents: int) -> Iterator[PAscentSequence]:
+    for word in _grow(p, n, start):
         if len(word) == n:
-            seq = PAscentSequence(p, tuple(word))
+            seq = PAscentSequence(p, word)
             if pred is None or pred(seq):
                 yield seq
-            return
-        last = word[-1]
-        for c in range(p + ascents + 1):
-            word.append(c)
-            yield from walk(ascents + (1 if c > last else 0))
-            word.pop()
-
-    yield from walk(asc(start))
 
 
 def count_by_length(
@@ -168,8 +207,6 @@ def count_by_length(
 
     primitive_only keeps only sequences with no equal adjacent letters;
     max_repeat bounds the length of any block of equal consecutive letters.
-    Both restrictions are closed under taking prefixes, so the search tree
-    is pruned exactly.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -177,27 +214,9 @@ def count_by_length(
         raise ValueError("n_max must be nonnegative")
     if max_repeat is not None and max_repeat < 1:
         raise ValueError("max_repeat must be at least 1")
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    if n_max == 0:
-        return counts
-
-    def rec(m: int, ascents: int, last: int, repeat: int) -> None:
-        counts[m] += 1
-        if m == n_max:
-            return
-        for c in range(p + ascents + 1):
-            if c == last:
-                if primitive_only:
-                    continue
-                if max_repeat is not None and repeat >= max_repeat:
-                    continue
-                rec(m + 1, ascents, c, repeat + 1)
-            else:
-                rec(m + 1, ascents + (1 if c > last else 0), c, 1)
-
-    rec(1, 0, 0, 1)
-    return counts
+    if primitive_only:
+        max_repeat = 1
+    return [1] + [sum(level.values()) for level in _levels(p, n_max, max_repeat=max_repeat)]
 
 
 def oracle_table(
@@ -205,12 +224,13 @@ def oracle_table(
     n_max: int,
     stat_selector: Sequence[str] = STAT_NAMES,
 ) -> TSeries:
-    """Exhaustive generating-function table for sequences of length <= n_max.
+    """Generating-function table of the sequences of length <= n_max.
 
     Each sequence w contributes t^len * u^ascents * v^last * z^zeros * x^run;
     the empty sequence contributes 1.  Statistics absent from stat_selector
-    are specialized to 1 (exponent dropped).  Aggregation is incremental, so
-    memory stays proportional to the number of distinct monomials.
+    are specialized to 1 (exponent dropped).  The table is counted level by
+    level over the generating tree (see _levels), so its cost grows with the
+    number of distinct states, not of sequences.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -220,37 +240,19 @@ def oracle_table(
     unknown = sel.difference(STAT_NAMES)
     if unknown:
         raise ValueError(f"unknown statistics {sorted(unknown)}; choose from {STAT_NAMES}")
+    largest = (n_max - 1, p + n_max - 2 if n_max > 1 else 0, n_max, n_max - 1)
+    for name, exponent in zip(STAT_NAMES, largest):
+        if name in sel and exponent > _MAX_EXP:
+            raise ValueError(
+                f"{name} reaches exponent {exponent} > {_MAX_EXP} at p={p}, n_max={n_max}"
+            )
     keep_u = "ascents" in sel
     keep_v = "last" in sel
-    keep_z = "zeros" in sel
-    keep_x = "run" in sel
-
-    acc: list[dict[int, int]] = [dict() for _ in range(n_max + 1)]
-    acc[0][0] = 1
-
-    def rec(m: int, ascents: int, last: int, zeros: int, run: int, allzero: bool) -> None:
-        key = 0
-        if keep_u:
-            key |= ascents << 24
-        if keep_v:
-            key |= last << 16
-        if keep_z:
-            key |= zeros << 8
-        if keep_x:
-            key |= run
-        level = acc[m]
-        level[key] = level.get(key, 0) + 1
-        if m == n_max:
-            return
-        m1 = m + 1
-        rec(m1, ascents, 0, zeros + 1, run, allzero)
-        if allzero:
-            for c in range(1, p + ascents + 1):
-                rec(m1, ascents + 1, c, zeros, m, False)
-        else:
-            for c in range(1, p + ascents + 1):
-                rec(m1, ascents + (1 if c > last else 0), c, zeros, run, False)
-
-    if n_max >= 1:
-        rec(1, 0, 0, 1, 0, True)
-    return TSeries([MultiPoly(level) for level in acc])
+    acc: list[dict[int, int]] = [{0: 1}]
+    for level in _levels(p, n_max, "zeros" in sel, "run" in sel):
+        poly: dict[int, int] = {}
+        for (a, last, z, r, _), count in level.items():
+            key = _pack((a if keep_u else 0, last if keep_v else 0, z, r))
+            poly[key] = poly.get(key, 0) + count
+        acc.append(poly)
+    return TSeries([MultiPoly(poly) for poly in acc])

@@ -15,7 +15,7 @@ from itertools import product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import PAscentSequence, is_p_ascent
+from .core import PAscentSequence, _grow
 from .series import MultiPoly, TSeries
 
 
@@ -135,6 +135,18 @@ def _occurs_ending_at_last(pat: Pattern, w: Sequence[int]) -> bool:
     return place(0, 0, [])
 
 
+def _avoiding(pat: Pattern, primitive_only: bool):
+    """keep predicate for core._grow: the word's last letter completes no
+    occurrence of pat and, under primitive_only, differs from the one before."""
+
+    def keep(w: tuple[int, ...]) -> bool:
+        if primitive_only and len(w) > 1 and w[-1] == w[-2]:
+            return False
+        return not _occurs_ending_at_last(pat, w)
+
+    return keep
+
+
 def avoider_counts(
     p: int,
     pat: Pattern,
@@ -152,27 +164,8 @@ def avoider_counts(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     counts = [0] * (n_max + 1)
-    counts[0] = 1
-    if n_max == 0:
-        return counts
-    word = [0]
-    if _occurs_ending_at_last(pat, word):
-        return counts
-
-    def rec(m: int, ascents: int) -> None:
-        counts[m] += 1
-        if m == n_max:
-            return
-        last = word[-1]
-        for c in range(p + ascents + 1):
-            if primitive_only and c == last:
-                continue
-            word.append(c)
-            if not _occurs_ending_at_last(pat, word):
-                rec(m + 1, ascents + (1 if c > last else 0))
-            word.pop()
-
-    rec(1, 0)
+    for word in _grow(p, n_max, keep=_avoiding(pat, primitive_only)):
+        counts[len(word)] += 1
     return counts
 
 
@@ -192,27 +185,9 @@ def iter_avoiders(
         raise ValueError("p must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield PAscentSequence(p, ())
-        return
-    word = [0]
-    if _occurs_ending_at_last(pat, word):
-        return
-
-    def rec(m: int, ascents: int) -> Iterator[PAscentSequence]:
-        if m == n:
-            yield PAscentSequence(p, tuple(word))
-            return
-        last = word[-1]
-        for c in range(p + ascents + 1):
-            if primitive_only and c == last:
-                continue
-            word.append(c)
-            if not _occurs_ending_at_last(pat, word):
-                yield from rec(m + 1, ascents + (1 if c > last else 0))
-            word.pop()
-
-    yield from rec(1, 0)
+    for word in _grow(p, n, keep=_avoiding(pat, primitive_only)):
+        if len(word) == n:
+            yield PAscentSequence(p, word)
 
 
 @lru_cache(maxsize=None)

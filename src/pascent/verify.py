@@ -1,10 +1,11 @@
 """Machine verification suites: oracle comparisons and identity residuals.
 
 Every closed-form evaluator is compared coefficientwise against the
-exhaustive enumeration oracle, and every algebraic identity is checked as a
-zero residual of exact series arithmetic.  Comparisons are exact equality
-of canonical forms; there are no tolerances anywhere.  Suites are pure
-functions of their parameters, so reports are deterministic.
+level-by-level count of core.oracle_table and core.count_by_length (itself
+tested against exhaustive enumeration), and every algebraic identity is
+checked as a zero residual of exact series arithmetic.  Comparisons are exact
+equality of canonical forms; there are no tolerances anywhere.  Suites are
+pure functions of their parameters, so reports are deterministic.
 """
 
 from __future__ import annotations

@@ -237,6 +237,40 @@ def test_verify_all_small_budget(capsys):
     assert all(json.loads(line)["status"] == "pass" for line in lines)
 
 
+def test_verify_k_is_used(capsys):
+    code, out = run(capsys, "verify", "--suite", "oracle_maxk", "--k", "3", "--order", "5")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"p": 2, "N": 5, "k": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "oracle_maxk", "--k", "0", "--order", "5"],
+    ["--suite", "oracle_maxk", "--k", "-1"],
+    ["--suite", "rel16", "--k", "7"],
+    ["--suite", "vincular_212", "--p", "5"],
+    ["--suite", "fishburn_p1", "--p", "2"],
+    ["--suite", "psi", "--p", "3"],
+    ["--suite", "delta_gamma_calculus", "--p", "1"],
+    ["--suite", "jelinek", "--p", "2"],
+    ["--suite", "all", "--p", "2"],
+    ["--suite", "all", "--order", "5"],
+    ["--suite", "all", "--k", "2"],
+])
+def test_verify_rejects_flags_a_suite_would_drop(capsys, argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    message = captured.err.splitlines()
+    assert len(message) == 1 and message[0].startswith("pascent: ")
+
+
+def test_verify_accepts_the_forced_p(capsys):
+    code, out = run(capsys, "verify", "--suite", "vincular_212", "--p", "3", "--order", "5")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"p": 3, "N": 5}
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--p", "0", "--n", "2"])

@@ -1,8 +1,12 @@
 """Sequence validation, statistics, enumeration, and the oracle table."""
 
+from collections import Counter
+from itertools import combinations, groupby
+
 import pytest
 
 from pascent.core import (
+    STAT_NAMES,
     PAscentSequence,
     asc,
     count_by_length,
@@ -11,7 +15,7 @@ from pascent.core import (
     oracle_table,
     stats,
 )
-from pascent.series import MultiPoly
+from pascent.series import _MAX_EXP, MultiPoly
 
 
 def test_asc():
@@ -179,3 +183,52 @@ def test_count_by_length():
     assert prim == [1, 1, 2, 6, 21, 87]
     capped = count_by_length(1, 3, max_repeat=2)
     assert capped[3] == 4  # every length-3 ascent sequence except 000
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_oracle_table_equals_enumeration(p):
+    # (length, ascents, last, zeros, run) of every sequence, from stats
+    rows = [
+        (n, s.ascents, s.last or 0, s.zeros, s.run)
+        for n in range(7)
+        for s in map(stats, enumerate_sequences(p, n))
+    ]
+    for size in range(len(STAT_NAMES) + 1):
+        for selector in combinations(STAT_NAMES, size):
+            brute = Counter(
+                (n, *(v if name in selector else 0 for name, v in zip(STAT_NAMES, values)))
+                for n, *values in rows
+            )
+            assert oracle_table(p, 6, selector).terms() == dict(brute), selector
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_count_by_length_equals_enumeration(p):
+    words = [[s.letters for s in enumerate_sequences(p, n)] for n in range(7)]
+    assert count_by_length(p, 6) == [len(level) for level in words]
+    assert count_by_length(p, 6, primitive_only=True) == [
+        sum(1 for w in level if stats(PAscentSequence(p, w)).primitive) for level in words
+    ]
+    for k in (1, 2, 3):
+        assert count_by_length(p, 6, max_repeat=k) == [
+            sum(1 for w in level if all(len(list(block)) <= k for _, block in groupby(w)))
+            for level in words
+        ]
+
+
+def test_oracle_exponent_bound():
+    # every selected statistic must fit the packed exponent fields
+    with pytest.raises(ValueError, match="last"):
+        oracle_table(300, 2, stat_selector=("last",))
+    with pytest.raises(ValueError, match="last"):
+        oracle_table(_MAX_EXP, 3, stat_selector=("last",))
+    for name in ("ascents", "zeros", "run"):
+        with pytest.raises(ValueError, match=name):
+            oracle_table(2, _MAX_EXP + 2, stat_selector=(name,))
+    # at the bound itself the table is exact: 0, c, 100 for c = 1..99 end in 100
+    top = oracle_table(_MAX_EXP - 1, 3, stat_selector=("last",)).coefficient(3)
+    assert top.terms()[(0, _MAX_EXP, 0, 0)] == _MAX_EXP - 1
+    # a statistic left out of the selector is not bounded
+    assert oracle_table(300, 2, stat_selector=("zeros",)).coefficient(2) == (
+        300 * MultiPoly.variable("z") + MultiPoly.variable("z") ** 2
+    )

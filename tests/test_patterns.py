@@ -107,6 +107,25 @@ def test_printed_avoiders_3_00_bruteforce_range():
     assert avoider_counts(3, P00, 10)[1:] == gold.AVOID_3_00[:10]
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_pruned_avoiders_match_unpruned_occurs(p):
+    # the pruned walk tests only occurrences ending at the newest letter;
+    # the full occurrence test over every word must select the same words
+    words = [[s.letters for s in enumerate_sequences(p, n)] for n in range(7)]
+    for text in ("01", "10", "00", "012", "10-1", "21-2"):
+        pat = Pattern.parse(text)
+        for primitive_only in (False, True):
+            expected = [
+                [w for w in level if not occurs(pat, w)
+                 and not (primitive_only and any(a == b for a, b in zip(w, w[1:])))]
+                for level in words
+            ]
+            assert avoider_counts(p, pat, 6, primitive_only) == [len(e) for e in expected]
+            for n, level in enumerate(expected):
+                listed = [s.letters for s in iter_avoiders(p, pat, n, primitive_only)]
+                assert listed == level, (text, primitive_only, n)
+
+
 def test_avoid_01_is_all_zero_words():
     for p in (1, 2, 4):
         assert avoider_counts(p, P01, 6) == [1] * 7
