@@ -10,22 +10,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import gf, patterns, verify
 from .core import PAscentSequence, enumerate_sequences, stats
 from .patterns import Pattern
 from .series import TSeries, scalar_coefficients
 
-GF_NAMES = ("A", "R", "P", "G1u", "G1", "G", "H", "maxk")
+class _GF(NamedTuple):
+    build: Callable[[argparse.Namespace], TSeries]
+    first: int  # b-file index of the first emitted term
+    needs: tuple[str, ...]  # of --p, --k, --udeg: the flags the series needs
+    takes: tuple[str, ...] = ()  # and the ones it also reads
 
-# b-file index of the first emitted term, per generating function.  The
-# sequence-counting series start at length 1 (their constant term is the
-# empty-sequence convention); the Fishburn series P and the five-variable G
-# are emitted from their t^0 term; the run-1 series G1 starts at t^2.
-BFILE_FIRST_INDEX = {
-    "A": 1, "R": 1, "H": 1, "maxk": 1,
-    "P": 0, "G": 0,
-    "G1": 2, "G1u": 2,
+
+# The sequence-counting series start their b-files at length 1 (their
+# constant term is the empty-sequence convention); the Fishburn series P and
+# the five-variable G are emitted from their t^0 term; the run-1 series G1
+# starts at t^2.
+GFS = {
+    "A": _GF(lambda a: gf.eval_A(a.p, a.order), 1, ("p",)),
+    "R": _GF(lambda a: gf.eval_R(a.p, a.order), 1, ("p",)),
+    "P": _GF(lambda a: gf.eval_P(a.order), 0, ()),
+    "G1u": _GF(lambda a: gf.eval_G1_u(a.p, a.order, a.udeg), 2, ("p",), ("udeg",)),
+    "G1": _GF(lambda a: gf.eval_G1_full(a.p, a.order), 2, ("p",)),
+    "G": _GF(lambda a: gf.eval_G(a.p, a.order), 0, ("p",)),
+    "H": _GF(lambda a: gf.eval_H(a.p, a.order, a.udeg), 1, ("p",), ("udeg",)),
+    "maxk": _GF(lambda a: gf.eval_maxk(a.p, a.k, a.order), 1, ("p", "k")),
 }
 
 
@@ -98,29 +109,21 @@ def _cmd_count(args, out) -> int:
     return 0
 
 
+def _reject(args, context: str, flags) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value is not False:
+            raise _UsageError(f"{context} takes no --{flag}")
+
+
 def _build_series(args) -> TSeries:
-    name = args.gf
-    order = args.order
-    if name != "P" and args.p is None:
-        raise _UsageError(f"--gf {name} requires --p")
-    if name == "A":
-        series = gf.eval_A(args.p, order)
-    elif name == "R":
-        series = gf.eval_R(args.p, order)
-    elif name == "P":
-        series = gf.eval_P(order)
-    elif name == "G1u":
-        series = gf.eval_G1_u(args.p, order, args.udeg)
-    elif name == "G1":
-        series = gf.eval_G1_full(args.p, order)
-    elif name == "G":
-        series = gf.eval_G(args.p, order)
-    elif name == "H":
-        series = gf.eval_H(args.p, order, args.udeg)
-    else:  # maxk
-        if args.k is None:
-            raise _UsageError("--gf maxk requires --k")
-        series = gf.eval_maxk(args.p, args.k, order)
+    entry = GFS[args.gf]
+    for flag in entry.needs:
+        if getattr(args, flag) is None:
+            raise _UsageError(f"--gf {args.gf} requires --{flag}")
+    unread = [f for f in ("p", "k", "udeg") if f not in entry.needs + entry.takes]
+    _reject(args, f"--gf {args.gf}", unread)
+    series = entry.build(args)
     if args.set:
         series = series.specialize(_parse_assignments(args.set))
     return series
@@ -202,18 +205,21 @@ def _cmd_bfile(args, out) -> int:
     if args.gf is not None and args.avoid:
         raise _UsageError("choose one of --gf and --avoid")
     if args.gf is not None:
+        _reject(args, "bfile --gf", ("n", "pattern", "primitive", "closed", "oracle"))
+        if args.order is None:
+            raise _UsageError("bfile --gf requires --order")
         series = _build_series(args)
         try:
             values = scalar_coefficients(series)
         except ValueError as exc:
             raise _UsageError(f"{exc}; specialize all variables with --set") from exc
-        first = BFILE_FIRST_INDEX[args.gf]
-        for n in range(first, len(values)):
+        for n in range(GFS[args.gf].first, len(values)):
             out.write(f"{n} {values[n]}\n")
         return 0
     if args.avoid:
-        if args.pattern is None or args.n is None:
-            raise _UsageError("--avoid requires --pattern and --n")
+        _reject(args, "bfile --avoid", ("order", "k", "udeg", "set"))
+        if args.p is None or args.pattern is None or args.n is None:
+            raise _UsageError("--avoid requires --p, --pattern and --n")
         pat = Pattern.parse(args.pattern)
         use_closed = args.closed
         if not args.closed and not args.oracle:
@@ -239,10 +245,12 @@ def _suite_reports(args) -> list[verify.CheckReport]:
     if args.suite == "all":
         if (args.p, args.order, args.k) != (None, None, None):
             raise _UsageError("--suite all takes no --p, --order or --k; --budget sizes it")
-        return verify.run_all(args.budget)
+        return verify.run_all(6 if args.budget is None else args.budget)
     suite = verify.SUITES.get(args.suite)
     if suite is None:
         raise _UsageError(f"unknown suite {args.suite!r}")
+    if args.budget is not None:
+        raise _UsageError(f"suite {args.suite!r} takes no --budget; --order sizes it")
     if not suite.needs_p and args.p not in (None, suite.forced_p):
         if suite.forced_p is None:
             raise _UsageError(f"suite {args.suite!r} takes no --p")
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--updown", action="store_true")
 
     sp = sub.add_parser("series", help="emit a generating function as JSON")
-    sp.add_argument("--gf", choices=GF_NAMES, required=True)
+    sp.add_argument("--gf", choices=GFS, required=True)
     sp.add_argument("--p", type=int)
     sp.add_argument("--order", type=int, required=True, help="truncation order N")
     sp.add_argument("--k", type=int, help="repetition bound (maxk only)")
@@ -321,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int)
     sp.add_argument("--order", type=int)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--budget", type=int, default=6, help="max enumeration length for --suite all")
+    sp.add_argument("--budget", type=int, help="max enumeration length for --suite all (default 6)")
 
     sp = sub.add_parser("bfile", help="OEIS b-file lines 'n a(n)'")
-    sp.add_argument("--gf", choices=GF_NAMES)
+    sp.add_argument("--gf", choices=GFS)
     sp.add_argument("--avoid", action="store_true")
     sp.add_argument("--p", type=int)
     sp.add_argument("--order", type=int, help="truncation order (with --gf)")

@@ -159,6 +159,8 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     bound = order if u_bound is None else u_bound
+    if bound < 0:
+        raise ValueError("u_bound must be nonnegative")
     result = TSeries.zero(order)
     lead = TSeries.from_poly(order, _Z * (MultiPoly.const(1) - _U), 1)
     onemt = one_minus_t(order)
@@ -300,6 +302,8 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     if order < 0:
         raise ValueError("order must be nonnegative")
     bound = order if u_bound is None else u_bound
+    if bound < 0:
+        raise ValueError("u_bound must be nonnegative")
 
     onemt = one_minus_t(order)
     onemzt = one_minus_zt(order)

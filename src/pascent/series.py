@@ -9,7 +9,9 @@ exact polynomial division by (v - 1).
 
 Internally an exponent vector (e_u, e_v, e_z, e_x) is packed into a single
 int (8 bits per variable) so that monomial products reduce to integer
-addition; the public accessors speak plain tuples.
+addition, in the one loop that every product runs through, ``_scatter``.
+Exponent vectors from outside are checked against the field bound; the
+public accessors speak plain tuples.
 """
 
 from __future__ import annotations
@@ -29,8 +31,48 @@ def _pack(exps: Iterable[int]) -> int:
     return (eu << 24) | (ev << 16) | (ez << 8) | ex
 
 
+def _pack_checked(exps: Iterable[int]) -> int:
+    exps = tuple(exps)
+    if len(exps) != 4:
+        raise ValueError(f"exponent vector must have 4 entries (u, v, z, x): {exps}")
+    if any(e < 0 or e > _MAX_EXP for e in exps):
+        raise ValueError(f"exponents must lie in [0, {_MAX_EXP}]: {exps}")
+    return _pack(exps)
+
+
 def _unpack(key: int) -> tuple[int, int, int, int]:
     return (key >> 24) & _MASK, (key >> 16) & _MASK, (key >> 8) & _MASK, key & _MASK
+
+
+def _scatter(accs, a: dict[int, int], bs) -> None:
+    """Add a * bs[j] into accs[j] for each j (up to the shorter sequence).
+
+    An empty bs[j] is skipped and sums that reach zero are dropped.  The
+    inner loop runs over bs[j], so callers pass the larger map there."""
+    for acc, b in zip(accs, bs):
+        if not b:
+            continue
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                s = acc.get(k, 0) + c1 * c2
+                if s:
+                    acc[k] = s
+                elif k in acc:
+                    del acc[k]
+
+
+def _power(base, n: int, one):
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class MultiPoly:
@@ -54,13 +96,9 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "MultiPoly":
-        exps = tuple(exps)
-        if len(exps) != 4:
-            raise ValueError("exponent vector must have 4 entries (u, v, z, x)")
-        if any(e < 0 or e > _MAX_EXP for e in exps):
-            raise ValueError(f"exponents must lie in [0, {_MAX_EXP}]: {exps}")
+        key = _pack_checked(exps)
         coeff = int(coeff)
-        return cls({_pack(exps): coeff} if coeff else {})
+        return cls({key: coeff} if coeff else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -70,11 +108,9 @@ class MultiPoly:
 
     @classmethod
     def from_terms(cls, terms: Mapping[tuple[int, int, int, int], int]) -> "MultiPoly":
-        out: dict[int, int] = {}
-        for exps, c in terms.items():
-            if c:
-                out[_pack(exps)] = out.get(_pack(exps), 0) + int(c)
-        return cls({k: v for k, v in out.items() if v})
+        # in-range exponents pack one-to-one, so distinct keys stay distinct
+        out = {_pack_checked(exps): int(c) for exps, c in terms.items()}
+        return cls({k: c for k, c in out.items() if c})
 
     # -- queries ----------------------------------------------------------
 
@@ -150,30 +186,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out: dict[int, int] = {}
-        for k1, c1 in self._t.items():
-            for k2, c2 in other._t.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+        _scatter((out,), self._t, (other._t,))
         return MultiPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, MultiPoly.const(1))
 
     # -- substitutions ----------------------------------------------------
 
@@ -315,7 +334,7 @@ class TSeries:
 
     def monomial_coefficient(self, exp: tuple[int, int, int, int, int]) -> int:
         n, *rest = exp
-        return self.coefficient(n)._t.get(_pack(rest), 0)
+        return self.coefficient(n)._t.get(_pack_checked(rest), 0)
 
     def terms(self) -> dict[tuple[int, int, int, int, int], int]:
         out = {}
@@ -383,39 +402,17 @@ class TSeries:
             return NotImplemented
         n = min(self.order, other.order)
         out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
+        b = [p._t for p in other.coeffs[: n + 1]]
         for i in range(n + 1):
             ai = self.coeffs[i]._t
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = other.coeffs[j]._t
-                if not bj:
-                    continue
-                acc = out[i + j]
-                for k1, c1 in ai.items():
-                    for k2, c2 in bj.items():
-                        k = k1 + k2
-                        s = acc.get(k, 0) + c1 * c2
-                        if s:
-                            acc[k] = s
-                        elif k in acc:
-                            del acc[k]
+            if ai:
+                _scatter(out[i:], ai, b)
         return TSeries([MultiPoly(d) for d in out])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = TSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, TSeries.one(self.order))
 
     def shift(self, k: int) -> "TSeries":
         """Multiply by t^k, keeping the truncation order."""
@@ -439,19 +436,8 @@ class TSeries:
             acc: dict[int, int] = {}
             for k in range(1, n + 1):
                 ak = self.coeffs[k]._t
-                if not ak:
-                    continue
-                bk = out[n - k]._t
-                if not bk:
-                    continue
-                for k1, c1 in ak.items():
-                    for k2, c2 in bk.items():
-                        key = k1 + k2
-                        s = acc.get(key, 0) + c1 * c2
-                        if s:
-                            acc[key] = s
-                        elif key in acc:
-                            del acc[key]
+                if ak:
+                    _scatter((acc,), ak, (out[n - k]._t,))
             out.append(MultiPoly({k: -inv0 * c for k, c in acc.items()}))
         return TSeries(out)
 
@@ -489,22 +475,12 @@ class TSeries:
         powers = [TSeries.one(n)]
         for _ in range(max_deg):
             powers.append(powers[-1] * repl)
+        rows = [[p._t for p in pw.coeffs] for pw in powers]
         out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
         clear_u = ~(_MASK << 24)
         for i in range(n + 1):
             for k, c in self.coeffs[i]._t.items():
-                eu = (k >> 24) & _MASK
-                rest = k & clear_u
-                pw = powers[eu]
-                for j in range(n + 1 - i):
-                    for k2, c2 in pw.coeffs[j]._t.items():
-                        key = k2 + rest
-                        acc = out[i + j]
-                        s = acc.get(key, 0) + c * c2
-                        if s:
-                            acc[key] = s
-                        elif key in acc:
-                            del acc[key]
+                _scatter(out[i:], {k & clear_u: c}, rows[(k >> 24) & _MASK])
         return TSeries([MultiPoly(d) for d in out])
 
     def u_truncate(self, bound: int) -> "TSeries":
@@ -540,12 +516,16 @@ class TSeries:
         order = int(obj["order"])
         coeffs = [dict() for _ in range(order + 1)]
         for entry in obj["terms"]:
-            n, eu, ev, ez, ex = entry["exp"]
+            exp = entry["exp"]
+            if len(exp) != 5:
+                raise ValueError(f"exponent vector must have 5 entries (t, u, v, z, x): {exp}")
+            n = exp[0]
             if not 0 <= n <= order:
                 raise ValueError(f"t-exponent {n} outside order {order}")
+            key = _pack_checked(exp[1:])
             c = int(entry["coeff"])
             if c:
-                coeffs[n][_pack((eu, ev, ez, ex))] = c
+                coeffs[n][key] = c
         return cls([MultiPoly(d) for d in coeffs])
 
     @classmethod

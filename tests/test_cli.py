@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pascent import verify
+from pascent import gf, verify
 from pascent.cli import main
 
 
@@ -152,6 +152,47 @@ def test_bijection_invalid_input(capsys):
     assert code == 2
 
 
+def test_series_udeg_is_used(capsys):
+    for name, evaluate in (("G1u", gf.eval_G1_u), ("H", gf.eval_H)):
+        code, out = run(capsys, "series", "--gf", name, "--p", "2", "--order", "5",
+                        "--udeg", "1")
+        assert code == 0
+        assert out == evaluate(2, 5, 1).to_json() + "\n"
+
+
+BFILE_A = ["bfile", "--gf", "A", "--p", "2", "--order", "5", "--set", "all=1"]
+BFILE_AVOID = ["bfile", "--avoid", "--p", "2", "--pattern", "10", "--n", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--gf", "A", "--p", "2", "--order", "2", "--k", "5"],
+    ["series", "--gf", "A", "--p", "2", "--order", "2", "--udeg", "1"],
+    ["series", "--gf", "P", "--p", "7", "--order", "3"],
+    ["series", "--gf", "G", "--p", "2", "--order", "3", "--udeg", "1"],
+    ["series", "--gf", "maxk", "--p", "2", "--k", "2", "--order", "3", "--udeg", "1"],
+    ["series", "--gf", "H", "--p", "2", "--order", "4", "--udeg", "-1"],
+    ["bfile", "--gf", "P", "--order", "5", "--p", "1"],
+    [*BFILE_A, "--primitive"],
+    [*BFILE_A, "--n", "5"],
+    [*BFILE_A, "--pattern", "10"],
+    [*BFILE_A, "--closed"],
+    [*BFILE_A, "--oracle"],
+    ["bfile", "--gf", "A", "--p", "2", "--set", "all=1"],
+    [*BFILE_AVOID, "--order", "4"],
+    [*BFILE_AVOID, "--k", "2"],
+    [*BFILE_AVOID, "--udeg", "2"],
+    [*BFILE_AVOID, "--set", "all=1"],
+    ["bfile", "--avoid", "--pattern", "10", "--n", "4"],
+])
+def test_series_and_bfile_usage_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    message = captured.err.splitlines()
+    assert len(message) == 1 and message[0].startswith("pascent: ")
+
+
 def test_bfile_A_z1(capsys):
     code, out = run(capsys, "bfile", "--gf", "A", "--p", "2", "--order", "4",
                     "--set", "z=1")
@@ -255,6 +296,7 @@ def test_verify_k_is_used(capsys):
     ["--suite", "all", "--p", "2"],
     ["--suite", "all", "--order", "5"],
     ["--suite", "all", "--k", "2"],
+    ["--suite", "oracle_A", "--budget", "9"],
 ])
 def test_verify_rejects_flags_a_suite_would_drop(capsys, argv):
     code = main(["verify", *argv])
@@ -263,6 +305,13 @@ def test_verify_rejects_flags_a_suite_would_drop(capsys, argv):
     assert captured.out == ""
     message = captured.err.splitlines()
     assert len(message) == 1 and message[0].startswith("pascent: ")
+
+
+def test_verify_all_budget_defaults_to_6(capsys, monkeypatch):
+    budgets = []
+    monkeypatch.setattr(verify, "run_all", lambda budget: budgets.append(budget) or [])
+    assert run(capsys, "verify", "--suite", "all") == (0, "")
+    assert budgets == [6]
 
 
 def test_verify_accepts_the_forced_p(capsys):

@@ -187,3 +187,15 @@ def test_parameter_validation():
         gf.eval_maxk(2, 0, 4)
     with pytest.raises(ValueError):
         gf.delta(-1, 4)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda bound: gf.eval_G1_u(2, 6, u_bound=bound),
+    lambda bound: gf.eval_H(2, 6, u_bound=bound),
+    lambda bound: gf.psi(2, 6, u_bound=bound),
+], ids=["eval_G1_u", "eval_H", "psi"])
+def test_negative_u_bound_rejected(evaluate):
+    # a negative cut would drop every monomial, and psi's two sides would
+    # then agree vacuously as zero series
+    with pytest.raises(ValueError, match="u_bound"):
+        evaluate(-1)

@@ -1,7 +1,7 @@
 """Ring arithmetic of MultiPoly and TSeries, including the algebraic laws."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascent.series import MultiPoly, TSeries, scalar_coefficients
@@ -172,6 +172,31 @@ def test_json_round_trip_and_sorting():
     assert TSeries.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize("exp", [
+    [1, 0, 0, 0, -1],          # packed as u = v = z = 255 and x = 255
+    [1, 0, 0, 0, 256],         # carried into z
+    [1, 0, 0, 0],
+    [1, 0, 0, 0, 0, 0],
+])
+def test_from_json_rejects_bad_exponents(exp):
+    obj = {"order": 2, "vars": ["t", "u", "v", "z", "x"],
+           "terms": [{"exp": exp, "coeff": "1"}]}
+    with pytest.raises(ValueError, match="exponent"):
+        TSeries.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("exps", [(0, 0, 0, 300), (0, -1, 0, 0), (1, 2, 3), (1, 0, 0, 0, 0)])
+def test_from_terms_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError, match="exponent"):
+        MultiPoly.from_terms({exps: 1})
+
+
+def test_monomial_coefficient_rejects_bad_exponents():
+    s = TSeries.from_poly(2, V, 1)
+    with pytest.raises(ValueError, match="exponent"):
+        s.monomial_coefficient((1, 256, 0, 0, 0))    # would read v^1
+
+
 # -- algebraic laws on random small operands --------------------------------
 
 exponents = st.tuples(*[st.integers(0, 2)] * 4)
@@ -225,3 +250,95 @@ def test_subst_then_v_one_commutes(a):
 @given(series())
 def test_json_round_trip_random(a):
     assert TSeries.from_json(a.to_json()) == a
+
+
+# -- products against a naive reference over terms() tuples -------------------
+
+def naive_mul(a, b, order=None):
+    """Product of two exponent-tuple maps; with an order, the first entry is
+    the t-exponent and is cut above it."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if order is None or e[0] <= order:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_invert(terms, order):
+    # 1/(a0 + r) = a0 * sum_k (-a0 r)^k for a0 = +-1, finite since r = O(t)
+    a0 = terms[(0, 0, 0, 0, 0)]
+    step = {e: -a0 * c for e, c in terms.items() if e[0] > 0}
+    power = total = {(0, 0, 0, 0, 0): a0}
+    for _ in range(order):
+        power = naive_mul(power, step, order)
+        total = naive_add(total, power)
+    return total
+
+
+def naive_subst_u(terms, repl, order):
+    out = {}
+    for (n, eu, ev, ez, ex), c in terms.items():
+        if n <= order:
+            term = {(n, 0, ev, ez, ex): c}
+            for _ in range(eu):
+                term = naive_mul(term, repl, order)
+            out = naive_add(out, term)
+    return out
+
+
+# multi-term coefficients whose small integer coefficients often cancel in a
+# product, and up to two leading zero coefficients
+wide_polys = st.dictionaries(exponents, st.integers(-2, 2), max_size=4).map(
+    MultiPoly.from_terms
+)
+
+
+def sparse_series(order):
+    return st.tuples(
+        st.integers(0, 2), st.lists(wide_polys, min_size=order + 1, max_size=order + 1)
+    ).map(lambda lead: TSeries([MultiPoly()] * lead[0] + lead[1][lead[0]:]))
+
+
+any_series = st.integers(0, 4).flatmap(sparse_series)
+one_plus_u = MultiPoly.from_terms({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
+one_minus_u = MultiPoly.from_terms({(0, 0, 0, 0): 1, (1, 0, 0, 0): -1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, wide_polys)
+@example(one_plus_u, one_minus_u)                      # the u terms cancel
+def test_poly_product_matches_naive(a, b):
+    assert (a * b).terms() == naive_mul(a.terms(), b.terms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_series, any_series)
+@example(TSeries([MultiPoly.const(1), U]), TSeries([MultiPoly.const(1), -U]))
+def test_series_product_matches_naive(a, b):
+    order = min(a.order, b.order)
+    assert (a * b).terms() == naive_mul(a.terms(), b.terms(), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_series, st.sampled_from([1, -1]))
+@example(TSeries([MultiPoly.const(1), U, U**2]), 1)     # t^2 cancels in the inverse
+def test_invert_matches_naive(a, unit):
+    a = TSeries([MultiPoly.const(unit)] + a.coeffs[1:])
+    assert a.invert().terms() == naive_invert(a.terms(), a.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_series, any_series)
+@example(TSeries([U - V, MultiPoly()]), TSeries([V, MultiPoly()]))   # u -> v gives 0
+def test_subst_u_matches_naive(a, repl):
+    order = min(a.order, repl.order)
+    assert a.subst_u(repl).terms() == naive_subst_u(a.terms(), repl.terms(), order)
