@@ -185,6 +185,8 @@ def _cmd_avoid(args, out) -> int:
 
 def _cmd_bijection(args, out) -> int:
     letters = _parse_seq(args.seq)
+    if args.map in ("10-to-012", "012-to-10") and args.p not in (None, 2):
+        raise _UsageError(f"--map {args.map} is only available for p = 2")
     if args.map == "10-to-012":
         result = patterns.bijection_10_to_012(PAscentSequence(2, letters))
     elif args.map == "012-to-10":

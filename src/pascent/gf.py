@@ -13,11 +13,22 @@ two families:
   monomials above the bound; with the default bound u_bound = order the
   result is the exact truncated series, because a sequence of length n has
   at most n - 1 ascents.
+
+Every sum is built from lazy chains, each written once: _powers, _vanishing
+(prod (1 - f_i), stopping at n = order or at a zero product), _gamma_inverses
+and _delta_inverses.  _binomial_sum is the t-graded sum of eval_A and eval_R;
+_u_sum multiplies term k by u^k, stops at k = u_bound and makes the u-cut.
+A factor with u-powers applied after it (the (1-u) of eval_H, psi's
+prefactor) is cut again.  Both cuts are exact: u_truncate is reduction
+modulo u^(u_bound+1), and every factor here is a polynomial in u.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, count, islice, pairwise, repeat, takewhile
 from math import comb
+from operator import mul
+from typing import Iterable, Iterator
 
 from .series import MultiPoly, TSeries
 
@@ -30,6 +41,19 @@ _X = MultiPoly.variable("x")
 def _check_p(p: int) -> None:
     if p < 1:
         raise ValueError("p must be a positive integer")
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
+def _u_bound(order: int, u_bound: int | None) -> int:
+    _check_order(order)
+    bound = order if u_bound is None else u_bound
+    if bound < 0:
+        raise ValueError("u_bound must be nonnegative")
+    return bound
 
 
 def one_minus_t(order: int) -> TSeries:
@@ -70,32 +94,66 @@ def gamma_bar(k: int, order: int) -> TSeries:
     return gamma(k, order).subst_u_to_uv()
 
 
+def _powers(base: TSeries, first: TSeries) -> Iterator[TSeries]:
+    """first, first*base, first*base^2, ... (each product made when asked for)."""
+    return accumulate(repeat(base), mul, initial=first)
+
+
+def _vanishing(factors: Iterable[TSeries], order: int) -> Iterator[TSeries]:
+    """prod_{i=1..n}(1 - f_i) for n = 0, 1, ..., up to n = order.
+
+    Every 1 - f_i passed here has t-valuation at least 1, so the products
+    past n = order are zero, and so is everything after a zero product."""
+    one = TSeries.one(order)
+    prods = accumulate((one - f for f in factors), mul, initial=one)
+    return takewhile(lambda s: not s.is_zero(), islice(prods, order + 1))
+
+
+def _gamma_inverses(order: int) -> Iterator[TSeries]:
+    """1/(gamma_1..gamma_k) for k = 1, 2, ..."""
+    return accumulate((gamma(k, order).invert() for k in count(1)), mul)
+
+
+def _delta_inverses(p: int, order: int) -> Iterator[TSeries]:
+    """delta_k^-p for k = 0, 1, 2, ... (delta_0 = 1)."""
+    later = ((delta(k, order) ** p).invert() for k in count(1))
+    return chain([TSeries.one(order)], later)
+
+
+def _u_sum(bound: int, terms: Iterable[TSeries]) -> TSeries:
+    """Sum of u^k terms[k] over k <= bound, monomials above u^bound dropped.
+
+    Each term is a polynomial in u, so terms past k = bound only add
+    monomials above the cut."""
+    powers = (MultiPoly.monomial((k, 0, 0, 0)) for k in range(bound + 1))
+    return sum(term * u_k for u_k, term in zip(powers, terms)).u_truncate(bound)
+
+
+def _binomial_sum(p: int, ratio: TSeries, base: TSeries) -> TSeries:
+    """Sum over n of C(p-1+n, n) ratio^n prod_{i=1..n}(1 - base^i), to n = order."""
+    one = TSeries.one(ratio.order)
+    prods = _vanishing(_powers(base, base), ratio.order)
+    return sum(
+        comb(p - 1 + n, n) * r * prod
+        for n, (prod, r) in enumerate(zip(prods, _powers(ratio, one)))
+    )
+
+
 def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """Series over sequences starting 0-then-nonzero, by length/ascents/zeros.
 
     This is the kernel-method fixed point: the sum over k >= 1 of
     t z u^k (delta_{k-1}^p - delta_k^p) / (gamma_1..gamma_k delta_{k-1}^p delta_k^p),
+    that is t z u^k (delta_k^-p - delta_{k-1}^-p) / (gamma_1..gamma_k),
     cut at k = u_bound (default: order).  Monomials with u-exponent above
     the bound are dropped; the retained ones are exact.
     """
     _check_p(p)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    bound = order if u_bound is None else u_bound
-    if bound < 0:
-        raise ValueError("u_bound must be nonnegative")
-    result = TSeries.zero(order)
-    gamma_inv = TSeries.one(order)
-    prev_pow = TSeries.one(order)       # delta_{k-1}^p
-    prev_inv = TSeries.one(order)
-    for k in range(1, bound + 1):
-        gamma_inv = gamma_inv * gamma(k, order).invert()
-        cur_pow = delta(k, order) ** p
-        cur_inv = cur_pow.invert()
-        term = (prev_pow - cur_pow) * gamma_inv * prev_inv * cur_inv
-        result = result + term.shift(1) * MultiPoly.monomial((k, 0, 1, 0))
-        prev_pow, prev_inv = cur_pow, cur_inv
-    return result.u_truncate(bound)
+    bound = _u_bound(order, u_bound)
+    steps = (cur - prev for prev, cur in pairwise(_delta_inverses(p, order)))
+    terms = (step * g for step, g in zip(steps, _gamma_inverses(order)))
+    # the k = 0 term is zero
+    return _u_sum(bound, chain([TSeries.zero(order)], terms)).shift(1) * _Z
 
 
 def eval_G1_full(p: int, order: int) -> TSeries:
@@ -108,8 +166,7 @@ def eval_G1_full(p: int, order: int) -> TSeries:
     genuine power series.
     """
     _check_p(p)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(order)
     s1 = eval_G1_u(p, order)
     s2 = s1.subst_u_to_uv()
     numer = (
@@ -144,6 +201,7 @@ def eval_Gr(p: int, r: int, order: int) -> TSeries:
 def eval_G(p: int, order: int) -> TSeries:
     """Five-variable series over all p-ascent sequences (x marks the initial run)."""
     _check_p(p)
+    _check_order(order)
     all_zero = one_minus_zt(order).invert()
     zx_part = (TSeries.one(order) - TSeries.from_poly(order, _Z * _X, 1)).invert()
     return all_zero + zx_part * TSeries.from_poly(order, _X) * eval_G1_full(p, order)
@@ -156,23 +214,14 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     cut at n = u_bound (default: order); exact for u-exponents <= u_bound.
     """
     _check_p(p)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    bound = order if u_bound is None else u_bound
-    if bound < 0:
-        raise ValueError("u_bound must be nonnegative")
-    result = TSeries.zero(order)
-    lead = TSeries.from_poly(order, _Z * (MultiPoly.const(1) - _U), 1)
-    onemt = one_minus_t(order)
-    onemt_pow = TSeries.one(order)
-    gamma_inv = gamma(1, order).invert()
-    for n in range(bound + 1):
-        if n > 0:
-            onemt_pow = onemt_pow * onemt
-            gamma_inv = gamma_inv * gamma(n + 1, order).invert()
-        term = lead * onemt_pow * gamma_inv * (delta(n, order) ** p).invert()
-        result = result + term * MultiPoly.monomial((n, 0, 0, 0))
-    return result.u_truncate(bound)
+    bound = _u_bound(order, u_bound)
+    factors = zip(
+        _powers(one_minus_t(order), TSeries.one(order)),
+        _delta_inverses(p, order),
+        _gamma_inverses(order),
+    )
+    total = _u_sum(bound, (w * d * g for w, d, g in factors))
+    return (total.shift(1) * (_Z - _Z * _U)).u_truncate(bound)
 
 
 def eval_A(p: int, order: int) -> TSeries:
@@ -182,42 +231,17 @@ def eval_A(p: int, order: int) -> TSeries:
     the n-th product has t-valuation n, so the cutoff at n = order is exact.
     """
     _check_p(p)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    result = TSeries.one(order)
-    zt = TSeries.from_poly(order, _Z, 1)
+    _check_order(order)
     inv_1mzt = one_minus_zt(order).invert()
-    inv_pow = inv_1mzt
-    onemt = one_minus_t(order)
-    onemt_pow = TSeries.one(order)
-    prod = TSeries.one(order)
-    for n in range(order + 1):
-        if n > 0:
-            onemt_pow = onemt_pow * onemt
-            prod = prod * (TSeries.one(order) - onemt_pow)
-            if prod.is_zero():
-                break
-            inv_pow = inv_pow * inv_1mzt
-        result = result + comb(p - 1 + n, n) * zt * inv_pow * prod
-    return result
+    total = _binomial_sum(p, inv_1mzt, one_minus_t(order))
+    return 1 + TSeries.from_poly(order, _Z, 1) * inv_1mzt * total
 
 
 def eval_P(order: int) -> TSeries:
     """Series counting 1-ascent sequences by length: sum of prod_{i=1..n}(1-(1-t)^i)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    result = TSeries.zero(order)
+    _check_order(order)
     onemt = one_minus_t(order)
-    onemt_pow = TSeries.one(order)
-    prod = TSeries.one(order)
-    for n in range(order + 1):
-        if n > 0:
-            onemt_pow = onemt_pow * onemt
-            prod = prod * (TSeries.one(order) - onemt_pow)
-            if prod.is_zero():
-                break
-        result = result + prod
-    return result
+    return sum(_vanishing(_powers(onemt, onemt), order))
 
 
 def eval_R(p: int, order: int) -> TSeries:
@@ -227,23 +251,9 @@ def eval_R(p: int, order: int) -> TSeries:
     the n-th summand has t-valuation n+1, so the cutoff at n = order is exact.
     """
     _check_p(p)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    result = TSeries.one(order)
+    _check_order(order)
     one_plus_t = TSeries.one(order) + TSeries.from_poly(order, MultiPoly.const(1), 1)
-    inv_1pt = one_plus_t.invert()
-    opt_pow = TSeries.one(order)
-    inv_pow = TSeries.one(order)
-    prod = TSeries.one(order)
-    for n in range(order + 1):
-        if n > 0:
-            opt_pow = opt_pow * one_plus_t
-            inv_pow = inv_pow * inv_1pt
-            prod = prod * (TSeries.one(order) - inv_pow)
-            if prod.is_zero():
-                break
-        result = result + (comb(p - 1 + n, n) * opt_pow * prod).shift(1)
-    return result
+    return 1 + _binomial_sum(p, one_plus_t, one_plus_t.invert()).shift(1)
 
 
 def eval_maxk(p: int, k: int, order: int) -> TSeries:
@@ -257,8 +267,7 @@ def eval_maxk(p: int, k: int, order: int) -> TSeries:
     _check_p(p)
     if k < 1:
         raise ValueError("k must be at least 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(order)
     coeffs = [MultiPoly()] + [
         MultiPoly.const(1) if 1 <= n <= k else MultiPoly() for n in range(1, order + 1)
     ]
@@ -271,20 +280,8 @@ def eval_A1_product_form(order: int) -> TSeries:
     1 + sum over m >= 1 of prod_{i=1..m}(1 - (1-t)^(i-1)(1-zt)); the m-th
     product has t-valuation m, so the cutoff at m = order is exact.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    result = TSeries.one(order)
-    onemt = one_minus_t(order)
-    onemzt = one_minus_zt(order)
-    onemt_pow = TSeries.one(order)   # (1-t)^(i-1) for the next factor
-    prod = TSeries.one(order)
-    for _m in range(1, order + 1):
-        prod = prod * (TSeries.one(order) - onemt_pow * onemzt)
-        if prod.is_zero():
-            break
-        onemt_pow = onemt_pow * onemt
-        result = result + prod
-    return result
+    _check_order(order)
+    return sum(_vanishing(_powers(one_minus_t(order), one_minus_zt(order)), order))
 
 
 def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSeries]:
@@ -299,37 +296,19 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    bound = order if u_bound is None else u_bound
-    if bound < 0:
-        raise ValueError("u_bound must be nonnegative")
-
+    bound = _u_bound(order, u_bound)
+    one = TSeries.one(order)
     onemt = one_minus_t(order)
-    onemzt = one_minus_zt(order)
+    uz = TSeries.from_poly(order, _U - 1) * one_minus_zt(order)
+    uz_pows = list(islice(_powers(uz, one), m + 2))  # ((u-1)(1-zt))^j, j = 0..m+1
+    onemt_pows = list(islice(_powers(onemt, onemt), m + 1))  # (1-t)^i, i = 1..m+1
 
-    prefactor = (TSeries.from_poly(order, _U - 1) * onemzt) ** (m + 1)
-    step = onemt ** (m + 1)
-    gamma_inv = gamma(1, order).invert()
-    pw = TSeries.one(order)
-    inner = TSeries.zero(order)
-    for k in range(bound + 1):
-        if k > 0:
-            pw = pw * step
-            gamma_inv = gamma_inv * gamma(k + 1, order).invert()
-        inner = inner + pw * gamma_inv * MultiPoly.monomial((k, 0, 0, 0))
-    lhs = (prefactor * inner).u_truncate(bound)
+    steps = _powers(onemt_pows[m], one)
+    inner = _u_sum(bound, (w * g for w, g in zip(steps, _gamma_inverses(order))))
+    lhs = (uz_pows[m + 1] * inner).u_truncate(bound)
 
-    rhs = TSeries.zero(order)
-    onemzt_j = TSeries.one(order)    # ((u-1)(1-zt))^j
-    uj_factor = TSeries.from_poly(order, _U - 1) * onemzt
-    for j in range(m + 1):
-        prod = TSeries.one(order)
-        onemt_pow = onemt**j
-        for i in range(j + 1, m + 1):
-            onemt_pow = onemt_pow * onemt
-            prod = prod * (TSeries.one(order) - onemt_pow)
-        term = onemzt_j * prod * MultiPoly.monomial((m - j, 0, 0, 0))
-        rhs = rhs + term
-        onemzt_j = onemzt_j * uj_factor
-    return lhs, (-rhs).u_truncate(bound)
+    # j runs down from m, so prod_{i=j+1..m} gains one factor, 1-(1-t)^(j+1),
+    # per step; the term of index j carries u^(m-j).
+    prods = _vanishing(reversed(onemt_pows[:m]), order)
+    rhs = _u_sum(bound, (uz_pows[j] * prod for j, prod in zip(range(m, -1, -1), prods)))
+    return lhs, -rhs

@@ -10,20 +10,25 @@ exact polynomial division by (v - 1).
 Internally an exponent vector (e_u, e_v, e_z, e_x) is packed into a single
 int (8 bits per variable) so that monomial products reduce to integer
 addition, in the one loop that every product runs through, ``_scatter``.
-Exponent vectors from outside are checked against the field bound; the
+Exponent vectors from outside are checked against the field bound, and every
+product's output is checked once for an exponent that reached 128; the
 public accessors speak plain tuples.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, Mapping
 
 VARS = ("u", "v", "z", "x")
 
 _SHIFT = {"u": 24, "v": 16, "z": 8, "x": 0}
 _MASK = 0xFF
-_MAX_EXP = 100  # per-variable bound; keeps packed fields from ever carrying
+_MAX_EXP = 100  # bound on exponents that arrive from outside
+_CARRY = 0x80808080  # top bit of each field: products stop at 127, so no field carries
 
 
 def _pack(exps: Iterable[int]) -> int:
@@ -60,6 +65,12 @@ def _scatter(accs, a: dict[int, int], bs) -> None:
                     acc[k] = s
                 elif k in acc:
                     del acc[k]
+
+
+def _check_carry(maps) -> None:
+    """Refuse product maps in which any exponent reached 128."""
+    if reduce(or_, chain.from_iterable(maps), 0) & _CARRY:
+        raise ValueError("exponent overflow: a product has an exponent of 128 or more")
 
 
 def _power(base, n: int, one):
@@ -187,6 +198,7 @@ class MultiPoly:
             return NotImplemented
         out: dict[int, int] = {}
         _scatter((out,), self._t, (other._t,))
+        _check_carry((out,))
         return MultiPoly(out)
 
     __rmul__ = __mul__
@@ -308,18 +320,20 @@ class TSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TSeries":
-        return cls([_P_ZERO] * (order + 1))
+        return cls.from_poly(order, _P_ZERO)
 
     @classmethod
     def one(cls, order: int) -> "TSeries":
-        return cls([_P_ONE] + [_P_ZERO] * order)
+        return cls.from_poly(order, _P_ONE)
 
     @classmethod
     def const(cls, order: int, value: int) -> "TSeries":
-        return cls([MultiPoly.const(value)] + [_P_ZERO] * order)
+        return cls.from_poly(order, MultiPoly.const(value))
 
     @classmethod
     def from_poly(cls, order: int, poly: MultiPoly, t_power: int = 0) -> "TSeries":
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         coeffs = [_P_ZERO] * (order + 1)
         if 0 <= t_power <= order:
             coeffs[t_power] = poly
@@ -407,6 +421,7 @@ class TSeries:
             ai = self.coeffs[i]._t
             if ai:
                 _scatter(out[i:], ai, b)
+        _check_carry(out)
         return TSeries([MultiPoly(d) for d in out])
 
     __rmul__ = __mul__
@@ -438,6 +453,7 @@ class TSeries:
                 ak = self.coeffs[k]._t
                 if ak:
                     _scatter((acc,), ak, (out[n - k]._t,))
+            _check_carry((acc,))
             out.append(MultiPoly({k: -inv0 * c for k, c in acc.items()}))
         return TSeries(out)
 
@@ -481,6 +497,7 @@ class TSeries:
         for i in range(n + 1):
             for k, c in self.coeffs[i]._t.items():
                 _scatter(out[i:], {k & clear_u: c}, rows[(k >> 24) & _MASK])
+        _check_carry(out)
         return TSeries([MultiPoly(d) for d in out])
 
     def u_truncate(self, bound: int) -> "TSeries":

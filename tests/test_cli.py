@@ -152,6 +152,16 @@ def test_bijection_invalid_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bijection", ["10-to-012", "012-to-10"])
+def test_bijection_rejects_p_other_than_2(capsys, bijection):
+    code = main(["bijection", "--map", bijection, "--seq", "0,1,1", "--p", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pascent: --map {bijection} is only available for p = 2\n"
+    code, out = run(capsys, "bijection", "--map", bijection, "--seq", "0,1,1", "--p", "2")
+    assert code == 0 and out
+
+
 def test_series_udeg_is_used(capsys):
     for name, evaluate in (("G1u", gf.eval_G1_u), ("H", gf.eval_H)):
         code, out = run(capsys, "series", "--gf", name, "--p", "2", "--order", "5",
@@ -183,6 +193,7 @@ BFILE_AVOID = ["bfile", "--avoid", "--p", "2", "--pattern", "10", "--n", "4"]
     [*BFILE_AVOID, "--udeg", "2"],
     [*BFILE_AVOID, "--set", "all=1"],
     ["bfile", "--avoid", "--pattern", "10", "--n", "4"],
+    ["series", "--gf", "A", "--p", "1", "--order", "257"],   # z^256 carried into v
 ])
 def test_series_and_bfile_usage_errors(capsys, argv):
     code = main(argv)

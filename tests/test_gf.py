@@ -199,3 +199,64 @@ def test_negative_u_bound_rejected(evaluate):
     # then agree vacuously as zero series
     with pytest.raises(ValueError, match="u_bound"):
         evaluate(-1)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: gf.one_minus_t(-1),
+    lambda: gf.delta(2, -1),
+    lambda: gf.gamma(2, -1),
+    lambda: gf.eval_G(2, -1),
+    lambda: gf.eval_G1_full(2, -1),
+    lambda: gf.eval_G1_u(2, -1),
+    lambda: gf.eval_H(2, -1),
+    lambda: gf.eval_A(2, -1),
+    lambda: gf.eval_P(-1),
+    lambda: gf.eval_R(2, -1),
+    lambda: gf.eval_maxk(2, 2, -1),
+    lambda: gf.eval_A1_product_form(-1),
+    lambda: gf.psi(1, -1),
+], ids=["one_minus_t", "delta", "gamma", "eval_G", "eval_G1_full", "eval_G1_u",
+        "eval_H", "eval_A", "eval_P", "eval_R", "eval_maxk", "eval_A1_product_form",
+        "psi"])
+def test_negative_order_rejected(evaluate):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        evaluate()
+
+
+def test_u_bound_cut_is_exact():
+    """A cut at u_bound b equals the full series with u_truncate(b) applied."""
+    n = 7
+    for p in (1, 2, 3):
+        for evaluate in (gf.eval_G1_u, gf.eval_H):
+            full = evaluate(p, n)
+            for b in range(n + 1):
+                assert evaluate(p, n, b) == full.u_truncate(b)
+    for m in range(4):
+        full = gf.psi(m, n)
+        for b in range(n + 1):
+            assert gf.psi(m, n, b) == tuple(side.u_truncate(b) for side in full)
+
+
+def test_chains_at_orders_0_and_1():
+    one, u, t, zt, ut, uzt = ((0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
+                              (1, 0, 0, 1, 0), (1, 1, 0, 0, 0), (1, 1, 0, 1, 0))
+    for p in (1, 2, 3):
+        assert gf.eval_A(p, 0).terms() == gf.eval_R(p, 0).terms() == {one: 1}
+        assert gf.eval_A(p, 1).terms() == {one: 1, zt: 1}
+        assert gf.eval_R(p, 1).terms() == {one: 1, t: 1}
+        for order in (0, 1):
+            assert gf.eval_G1_u(p, order).is_zero()
+        assert gf.eval_H(p, 0).is_zero()
+        assert gf.eval_H(p, 1).terms() == gf.eval_H(p, 1, 0).terms() == {zt: 1}
+    assert gf.eval_P(0).terms() == gf.eval_A1_product_form(0).terms() == {one: 1}
+    assert gf.eval_P(1).terms() == {one: 1, t: 1}
+    assert gf.eval_A1_product_form(1).terms() == {one: 1, zt: 1}
+    for m in range(4):
+        # both sides of psi(m, 1): (-1)^(m+1) ((1 - m u) + (m^2 uz - m z - m u) t)
+        s = (-1) ** (m + 1)
+        full = {one: s, u: -s * m, zt: -s * m, ut: -s * m, uzt: s * m * m}
+        expected = {k: c for k, c in full.items() if c}
+        assert [side.terms() for side in gf.psi(m, 0)] == [{one: s}] * 2
+        assert [side.terms() for side in gf.psi(m, 1)] == [expected] * 2
+        u_free = {k: c for k, c in expected.items() if k[1] == 0}
+        assert [side.terms() for side in gf.psi(m, 1, 0)] == [u_free] * 2

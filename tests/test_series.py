@@ -197,6 +197,34 @@ def test_monomial_coefficient_rejects_bad_exponents():
         s.monomial_coefficient((1, 256, 0, 0, 0))    # would read v^1
 
 
+@pytest.mark.parametrize("product", [
+    lambda: MultiPoly.monomial((100, 0, 0, 0)) ** 3,    # stored u^300, read back as u^44
+    lambda: X ** 256,                                    # carried into z
+    lambda: TSeries.from_poly(1, X ** 100) * TSeries.from_poly(1, X ** 28),
+    lambda: (TSeries.one(130) - TSeries.from_poly(130, Z, 1)).invert(),
+    lambda: TSeries.from_poly(1, U * Z ** 100).subst_u(TSeries.from_poly(1, Z ** 100)),
+], ids=["poly_pow", "poly_carry", "series_mul", "invert", "subst_u"])
+def test_products_refuse_exponent_overflow(product):
+    with pytest.raises(ValueError, match="exponent overflow"):
+        product()
+
+
+def test_products_keep_exponent_127():
+    assert (X ** 127).terms() == {(0, 0, 0, 127): 1}
+    assert str(U ** 127) == "u^127"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TSeries.zero(-1),
+    lambda: TSeries.one(-3),
+    lambda: TSeries.const(-2, 7),
+    lambda: TSeries.from_poly(-1, Z),
+], ids=["zero", "one", "const", "from_poly"])
+def test_constructors_reject_negative_order(make):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        make()
+
+
 # -- algebraic laws on random small operands --------------------------------
 
 exponents = st.tuples(*[st.integers(0, 2)] * 4)
