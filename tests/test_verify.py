@@ -176,3 +176,104 @@ def test_jobs_rejects_non_positive(text):
 def test_jobs_capped_at_cpu_count():
     assert verify._jobs(None) == verify._jobs("") == verify._jobs("1") == 1
     assert verify._jobs(str(10**9)) == (os.cpu_count() or 1)
+
+
+def _bump(real, poly, power, when=lambda *args: True):
+    """real, plus poly t^power in its result whenever when(*args) holds."""
+    def corrupted(*args):
+        out = real(*args)
+        if not when(*args):
+            return out
+        return out + TSeries.from_poly(out.order, poly, power)
+    return corrupted
+
+
+def _corrupt_psi(real):
+    def corrupted(m, order):
+        lhs, rhs = real(m, order)
+        return lhs, (rhs + TSeries.from_poly(order, MultiPoly.variable("z"), 3) if m == 2 else rhs)
+    return corrupted
+
+
+def _corrupt_closed_count(real):
+    def corrupted(p, pat, n, primitive_only=False):
+        return real(p, pat, n, primitive_only) + (n == 3 and not primitive_only)
+    return corrupted
+
+
+def _corrupt_comb(real):
+    return lambda n, k: real(n, k) + ((n, k) == (2, 1))
+
+
+def _swap_result(real, letters, replacement):
+    """real, returning replacement letters where it would return letters."""
+    def corrupted(*args):
+        out = real(*args)
+        return type(out)(out.p, replacement) if out.letters == letters else out
+    return corrupted
+
+
+_XZ = MultiPoly.monomial((0, 0, 2, 2))
+_U3 = MultiPoly.monomial((3, 0, 0, 0))
+
+# (case id, module, function name, corruption, check function, its arguments,
+#  the first_discrepancy it reports)
+FAILURE_RECORDS = [
+    ("rel16", gf, "eval_Gr", lambda f: _bump(f, MultiPoly.variable("z"), 3),
+     verify.check_identity, ("rel16", 2, 6),
+     {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "r": 2}),
+    ("psi", gf, "psi", _corrupt_psi,
+     verify.check_identity, ("psi", None, 6),
+     {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "m": 2}),
+    ("delta_gamma_calculus", gf, "delta",
+     lambda f: _bump(f, MultiPoly.variable("u"), 2, lambda k, order: k == 3),
+     verify.check_identity, ("delta_gamma_calculus", None, 6),
+     {"t_order": 2, "monomial": [1, 0, 0, 0], "expected": "-2", "actual": "-3", "k": 1}),
+    ("kernel_G", verify, "oracle_table", lambda f: _bump(f, _XZ, 4),
+     verify.check_identity, ("kernel_G", 2, 6),
+     {"t_order": 4, "monomial": [0, 0, 2, 0], "expected": "-1", "actual": "0", "r": 2}),
+    ("maxk_boundary", gf, "eval_maxk",
+     lambda f: _bump(f, MultiPoly.const(1), 4, lambda p, k, order: k > 1),
+     verify.check_identity, ("maxk_boundary", 2, 6),
+     {"t_order": 4, "monomial": [0, 0, 0, 0], "expected": "46", "actual": "47"}),
+    ("cancellation", gf, "eval_G1_u", lambda f: _bump(f, _U3, 2),
+     verify.check_identity, ("cancellation", 2, 6),
+     {"t_order": 2, "monomial": [3, 0, 0, 0], "expected": "0", "actual": "1 (in G1_u)"}),
+    ("patterns_10_closed", patterns, "closed_count", _corrupt_closed_count,
+     verify.check_pattern, ("patterns_10", 2, 6),
+     {"t_order": 3, "monomial": [0, 0, 0, 0], "expected": "8 (brute)", "actual": "9 (closed)"}),
+    ("patterns_10_refinement", verify, "comb", _corrupt_comb,
+     verify.check_pattern, ("patterns_10", 2, 6),
+     {"t_order": 3, "monomial": [0, 0, 0, 0], "expected": "8",
+      "actual": "10 (repetition refinement)"}),
+    ("vincular_212", patterns, "count_vincular_212_ternary",
+     lambda f: lambda n: f(n) + (n == 4),
+     verify.check_pattern, ("vincular_212", 3, 6),
+     {"t_order": 4, "monomial": [0, 0, 0, 0], "expected": "24", "actual": "25"}),
+    ("bijection_10_012", patterns, "bijection_012_to_10",
+     lambda f: _swap_result(f, (0, 1), (0, 0)),
+     verify.check_pattern, ("bijection_10_012", 2, 6),
+     {"t_order": 2, "monomial": [0, 0, 0, 0], "expected": "(0, 1)", "actual": "round trip failed"}),
+    ("embed_roundtrip", patterns, "project",
+     lambda f: _swap_result(f, (0, 1), (0, 0)),
+     verify.check_pattern, ("embed_roundtrip", 2, 5),
+     {"t_order": 2, "monomial": [0, 0, 0, 0], "expected": "(0, 1)", "actual": "round trip failed"}),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, corrupt, check, args, expected",
+    [case[1:] for case in FAILURE_RECORDS],
+    ids=[case[0] for case in FAILURE_RECORDS],
+)
+def test_failure_records(monkeypatch, module, name, corrupt, check, args, expected):
+    """Each corrupted function makes its suite fail with exactly this record."""
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    verify._bundle.cache_clear()
+    try:
+        report = check(*args)
+    finally:
+        verify._bundle.cache_clear()
+    assert report.status == "fail"
+    # the same keys, in the same order, with the same values
+    assert list(report.first_discrepancy.items()) == list(expected.items())
