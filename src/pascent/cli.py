@@ -373,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--order must be nonnegative")
     try:
         return _COMMANDS[args.command](args, sys.stdout)
-    except _UsageError as exc:
-        print(f"pascent: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, verify.BudgetExceededError) as exc:
+    except (_UsageError, ValueError, verify.BudgetExceededError) as exc:
         print(f"pascent: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ two families:
   u-exponent <= u_bound exact.  Those evaluators drop the (inexact)
   monomials above the bound; with the default bound u_bound = order the
   result is the exact truncated series, because a sequence of length n has
-  at most n - 1 ascents.
+  at most n - 1 ascents.  For the same reason eval_G1_u and eval_H lower a
+  larger bound to order; psi does not, as its sides have higher u-degrees.
 
 Every sum is built from lazy chains, each written once: _powers, _vanishing
 (prod (1 - f_i), stopping at n = order or at a zero product), _gamma_inverses
@@ -145,11 +146,11 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     This is the kernel-method fixed point: the sum over k >= 1 of
     t z u^k (delta_{k-1}^p - delta_k^p) / (gamma_1..gamma_k delta_{k-1}^p delta_k^p),
     that is t z u^k (delta_k^-p - delta_{k-1}^-p) / (gamma_1..gamma_k),
-    cut at k = u_bound (default: order).  Monomials with u-exponent above
-    the bound are dropped; the retained ones are exact.
+    cut at k = u_bound (default and cap: order).  Monomials with u-exponent
+    above the bound are dropped; the retained ones are exact.
     """
     _check_p(p)
-    bound = _u_bound(order, u_bound)
+    bound = min(_u_bound(order, u_bound), order)
     steps = (cur - prev for prev, cur in pairwise(_delta_inverses(p, order)))
     terms = (step * g for step, g in zip(steps, _gamma_inverses(order)))
     # the k = 0 term is zero
@@ -211,10 +212,10 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """Series over nonempty sequences by length/ascents/zeros (last letter dropped).
 
     Sum over n >= 0 of z t (1-u) u^n (1-t)^n / (delta_n^p gamma_1..gamma_{n+1}),
-    cut at n = u_bound (default: order); exact for u-exponents <= u_bound.
+    cut at n = u_bound (default and cap: order); exact for u-exponents <= u_bound.
     """
     _check_p(p)
-    bound = _u_bound(order, u_bound)
+    bound = min(_u_bound(order, u_bound), order)
     factors = zip(
         _powers(one_minus_t(order), TSeries.one(order)),
         _delta_inverses(p, order),

@@ -6,13 +6,20 @@ tested against exhaustive enumeration), and every algebraic identity is
 checked as a zero residual of exact series arithmetic.  Comparisons are exact
 equality of canonical forms; there are no tolerances anywhere.  Suites are
 pure functions of their parameters, so reports are deterministic.
+
+A failing suite reports its first discrepancy as one record, built by
+_mismatch: t_order, monomial (the u, v, z, x exponents), expected and actual,
+then the suite's tag when it compares a family: r for kernel_G and rel16, m
+for psi, k for delta_gamma_calculus.  A suite that compares a family of
+series yields (tags, expected, actual) triples, and _first builds them one at
+a time until one differs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
@@ -33,6 +40,10 @@ _MAX_NODES = 60_000_000
 
 # depth of the psi check (m = 0..6) and of the kernel calculus (s, k = 1..6)
 _DEPTH = 6
+
+_U, _V, _Z = (MultiPoly.variable(name) for name in "uvz")
+
+Comparisons = Iterator[tuple[dict, TSeries, TSeries]]
 
 
 @dataclass
@@ -58,52 +69,39 @@ class CheckReport:
         return json.dumps(obj)
 
 
+def _mismatch(n: int, expected, actual, monomial=(0, 0, 0, 0), **tags) -> dict:
+    """The first_discrepancy record of a failing suite."""
+    return {"t_order": n, "monomial": list(monomial), "expected": str(expected),
+            "actual": str(actual), **tags}
+
+
 def _series_discrepancy(expected: TSeries, actual: TSeries) -> dict | None:
-    n_max = min(expected.order, actual.order)
-    for n in range(n_max + 1):
-        pe = expected.coeffs[n]
-        pa = actual.coeffs[n]
+    for n, (pe, pa) in enumerate(zip(expected.coeffs, actual.coeffs)):
         if pe == pa:
             continue
-        exps = sorted(set(pe.terms()) | set(pa.terms()))
-        for exp in exps:
-            ce = pe.terms().get(exp, 0)
-            ca = pa.terms().get(exp, 0)
-            if ce != ca:
-                return {
-                    "t_order": n,
-                    "monomial": list(exp),
-                    "expected": str(ce),
-                    "actual": str(ca),
-                }
+        te, ta = pe.terms(), pa.terms()
+        for exp in sorted(te.keys() | ta.keys()):
+            if te.get(exp, 0) != ta.get(exp, 0):
+                return _mismatch(n, te.get(exp, 0), ta.get(exp, 0), exp)
     return None
 
 
 def _count_discrepancy(expected: list[int], actual: list[int], offset: int = 0) -> dict | None:
-    for i, (e, a) in enumerate(zip(expected, actual)):
-        if e != a:
-            return {
-                "t_order": offset + i,
-                "monomial": [0, 0, 0, 0],
-                "expected": str(e),
-                "actual": str(a),
-            }
+    pairs = enumerate(zip(expected, actual), offset)
+    return next((_mismatch(n, e, a) for n, (e, a) in pairs if e != a), None)
+
+
+def _first(comparisons: Comparisons) -> dict | None:
+    """First discrepancy among (tags, expected, actual) comparisons, tags added."""
+    for tags, expected, actual in comparisons:
+        disc = _series_discrepancy(expected, actual)
+        if disc is not None:
+            return {**disc, **tags}
     return None
 
 
-def _report(suite: str, parameters: dict, discrepancy: dict | None) -> CheckReport:
-    status = "pass" if discrepancy is None else "fail"
-    return CheckReport(suite=suite, parameters=parameters, status=status,
-                       first_discrepancy=discrepancy)
-
-
-def _enumeration_nodes(p: int, n_max: int) -> int:
-    counts = scalar_coefficients(gf.eval_A(p, n_max).specialize({"z": 1}))
-    return sum(counts)
-
-
 def _guard_budget(p: int, n_max: int) -> None:
-    nodes = _enumeration_nodes(p, n_max)
+    nodes = sum(count_by_length(p, n_max))
     if nodes > _MAX_NODES:
         raise BudgetExceededError(
             f"enumerating p={p} sequences up to length {n_max} would walk {nodes} nodes, "
@@ -133,110 +131,75 @@ def _against(oracle: TSeries, closed_form: TSeries) -> dict | None:
     return _series_discrepancy(closed_form, oracle)
 
 
-def _check_kernel_G(p: int, n_max: int) -> dict | None:
+def _check_kernel_G(p: int, n_max: int) -> Comparisons:
     table = _bundle(p, n_max)
-    lhs_factor = (
-        TSeries.from_poly(n_max, MultiPoly.variable("v") - 1)
-        - TSeries.from_poly(
-            n_max, MultiPoly.variable("v") * (MultiPoly.const(1) - MultiPoly.variable("u")), 1
-        )
-    )
-    u = MultiPoly.variable("u")
-    v = MultiPoly.variable("v")
-    z = MultiPoly.variable("z")
+    lhs_factor = TSeries.from_poly(n_max, _V - 1) - TSeries.from_poly(n_max, _V * (1 - _U), 1)
     for r in range(1, min(3, n_max) + 1):
         g_r = table.coefficient_of_var("x", r)
         g_r_v1 = g_r.specialize({"v": 1})
         rhs = (
-            TSeries.from_poly(n_max, u * v * (v**p - 1) * z**r, r + 1)
-            + TSeries.from_poly(n_max, (v - 1) * z - v, 1) * g_r_v1
-            + TSeries.from_poly(n_max, u * v ** (p + 1), 1) * g_r_v1.subst_u_to_uv()
+            TSeries.from_poly(n_max, _U * _V * (_V**p - 1) * _Z**r, r + 1)
+            + TSeries.from_poly(n_max, (_V - 1) * _Z - _V, 1) * g_r_v1
+            + TSeries.from_poly(n_max, _U * _V ** (p + 1), 1) * g_r_v1.subst_u_to_uv()
         )
-        disc = _series_discrepancy(lhs_factor * g_r, rhs)
-        if disc is not None:
-            disc["r"] = r
-            return disc
-    return None
+        yield {"r": r}, lhs_factor * g_r, rhs
 
 
 def _check_kernel_H(p: int, n_max: int) -> dict | None:
     table = _bundle(p, n_max)
     h = table.specialize({"x": 1}) - 1
     h_v1 = h.specialize({"v": 1})
-    u = MultiPoly.variable("u")
-    v = MultiPoly.variable("v")
-    z = MultiPoly.variable("z")
-    lhs_factor = TSeries.from_poly(n_max, v - 1) + TSeries.from_poly(n_max, v * (u - 1), 1)
+    lhs_factor = TSeries.from_poly(n_max, _V - 1) + TSeries.from_poly(n_max, _V * (_U - 1), 1)
     rhs = (
-        TSeries.from_poly(n_max, (v - 1) * z, 1)
-        + TSeries.from_poly(n_max, (v - 1) * z - v, 1) * h_v1
-        + TSeries.from_poly(n_max, u * v ** (p + 1), 1) * h_v1.subst_u_to_uv()
+        TSeries.from_poly(n_max, (_V - 1) * _Z, 1)
+        + TSeries.from_poly(n_max, (_V - 1) * _Z - _V, 1) * h_v1
+        + TSeries.from_poly(n_max, _U * _V ** (p + 1), 1) * h_v1.subst_u_to_uv()
     )
     return _series_discrepancy(lhs_factor * h, rhs)
 
 
-def _check_rel16(p: int, n_max: int) -> dict | None:
+def _check_rel16(p: int, n_max: int) -> Comparisons:
     table = _bundle(p, n_max)
     slice_1 = table.coefficient_of_var("x", 1)
-    z = MultiPoly.variable("z")
     for r in range(2, min(3, n_max) + 1):
         actual = table.coefficient_of_var("x", r)
-        for expected in (slice_1.shift(r - 1) * z ** (r - 1), gf.eval_Gr(p, r, n_max)):
-            disc = _series_discrepancy(expected, actual)
-            if disc is not None:
-                disc["r"] = r
-                return disc
-    return None
+        yield {"r": r}, slice_1.shift(r - 1) * _Z ** (r - 1), actual
+        yield {"r": r}, gf.eval_Gr(p, r, n_max), actual
 
 
-def _check_psi(n_max: int) -> dict | None:
+def _check_psi(n_max: int) -> Comparisons:
     for m in range(_DEPTH + 1):
         lhs, rhs = gf.psi(m, n_max)
-        disc = _series_discrepancy(rhs, lhs)
-        if disc is not None:
-            disc["m"] = m
-            return disc
-    return None
+        yield {"m": m}, rhs, lhs
 
 
-def _check_delta_gamma(n_max: int) -> dict | None:
-    u_poly = MultiPoly.variable("u")
-    u_series = TSeries.from_poly(n_max, u_poly)
-    u_minus_1 = TSeries.from_poly(n_max, u_poly - 1)
+def _check_delta_gamma(n_max: int) -> Comparisons:
+    uv = _U * _V
+    u_series = TSeries.from_poly(n_max, _U)
+    uv_series = TSeries.from_poly(n_max, uv)
+    u_minus_1 = TSeries.from_poly(n_max, _U - 1)
     for k in range(1, _DEPTH + 1):
+        tag = {"k": k}
         d_k = gf.delta(k, n_max)
         repl = u_series * d_k.invert()
         onemt_k = gf.one_minus_t(n_max) ** k
-        checks = [(u_minus_1.subst_u(repl) * d_k, onemt_k * u_minus_1)]
+        yield tag, onemt_k * u_minus_1, u_minus_1.subst_u(repl) * d_k
         for s in range(1, _DEPTH + 1):
-            checks.append((gf.delta(s, n_max).subst_u(repl) * d_k, gf.delta(s + k, n_max)))
-            checks.append((gf.gamma(s, n_max).subst_u(repl) * d_k, gf.gamma(s + k, n_max)))
+            yield tag, gf.delta(s + k, n_max), gf.delta(s, n_max).subst_u(repl) * d_k
+            yield tag, gf.gamma(s + k, n_max), gf.gamma(s, n_max).subst_u(repl) * d_k
             u_over_ds = u_series * gf.delta(s, n_max).invert()
-            checks.append((u_over_ds.subst_u(repl), u_series * gf.delta(s + k, n_max).invert()))
-        for actual, expected in checks:
-            disc = _series_discrepancy(expected, actual)
-            if disc is not None:
-                disc["k"] = k
-                return disc
-        if gf.delta_bar(k, n_max) != gf.delta(k, n_max).subst_u_to_uv():
-            return {"t_order": 0, "monomial": [0, 0, 0, 0], "k": k,
-                    "expected": "delta_bar = delta|u->uv", "actual": "mismatch"}
-        if gf.gamma_bar(k, n_max) != gf.gamma(k, n_max).subst_u_to_uv():
-            return {"t_order": 0, "monomial": [0, 0, 0, 0], "k": k,
-                    "expected": "gamma_bar = gamma|u->uv", "actual": "mismatch"}
-    return None
+            yield tag, u_series * gf.delta(s + k, n_max).invert(), u_over_ds.subst_u(repl)
+        # delta_bar and gamma_bar against their formulas, written with uv
+        yield tag, uv_series - onemt_k * (uv - 1), gf.delta_bar(k, n_max)
+        onemzt_onemt = gf.one_minus_zt(n_max) * gf.one_minus_t(n_max) ** (k - 1)
+        yield tag, uv_series - onemzt_onemt * (uv - 1), gf.gamma_bar(k, n_max)
 
 
 def _check_cancellation(p: int, n_max: int) -> dict | None:
     for name, series in (("G1_u", gf.eval_G1_u(p, n_max)), ("H", gf.eval_H(p, n_max))):
-        for (n, eu, ev, ez, ex), c in sorted(series.terms().items()):
-            if eu >= n and c:
-                return {
-                    "t_order": n,
-                    "monomial": [eu, ev, ez, ex],
-                    "expected": "0",
-                    "actual": f"{c} (in {name})",
-                }
+        for (n, *exp), c in sorted(series.terms().items()):
+            if exp[0] >= n and c:
+                return _mismatch(n, 0, f"{c} (in {name})", exp)
     return None
 
 
@@ -248,13 +211,10 @@ def _check_primitive_substitution(p: int, n_max: int) -> dict | None:
     )
 
 
-def _check_maxk_boundary(p: int, n_max: int) -> dict | None:
-    disc = _series_discrepancy(gf.eval_R(p, n_max), gf.eval_maxk(p, 1, n_max))
-    if disc is None and n_max >= 1:
-        disc = _series_discrepancy(
-            gf.eval_A(p, n_max).specialize({"z": 1}), gf.eval_maxk(p, n_max, n_max)
-        )
-    return disc
+def _check_maxk_boundary(p: int, n_max: int) -> Comparisons:
+    yield {}, gf.eval_R(p, n_max), gf.eval_maxk(p, 1, n_max)
+    if n_max >= 1:
+        yield {}, gf.eval_A(p, n_max).specialize({"z": 1}), gf.eval_maxk(p, n_max, n_max)
 
 
 def _pattern_sources(p: int, pat: Pattern, n_max: int, primitive_only: bool):
@@ -277,29 +237,24 @@ def _pattern_sources(p: int, pat: Pattern, n_max: int, primitive_only: bool):
 def _check_pattern_family(p: int, pattern_text: str, n_max: int) -> dict | None:
     pat = Pattern.parse(pattern_text)
     for primitive_only in (False, True):
-        columns = _pattern_sources(p, pat, n_max, primitive_only)
-        name0, base = columns[0]
-        for name, col in columns[1:]:
-            disc = _count_discrepancy(base, col)
+        (_, brute), *others = _pattern_sources(p, pat, n_max, primitive_only)
+        if not primitive_only:
+            all_brute = brute   # reused by the refinement below
+        for name, col in others:
+            disc = _count_discrepancy(brute, col)
             if disc is not None:
-                disc["expected"] = f"{disc['expected']} ({name0})"
-                disc["actual"] = f"{disc['actual']} ({name})"
+                disc["expected"] += " (brute)"
+                disc["actual"] += f" ({name})"
                 return disc
     if pattern_text == "10":
         # refinement: avoiders arise from primitive avoiders by repeating letters
-        brute = patterns.avoider_counts(p, pat, n_max)
         for n in range(1, n_max + 1):
             total = sum(
                 comb(n - 1, s - 1) * patterns.closed_count(p, pat, s, primitive_only=True)
                 for s in range(1, n + 1)
             )
-            if total != brute[n]:
-                return {
-                    "t_order": n,
-                    "monomial": [0, 0, 0, 0],
-                    "expected": str(brute[n]),
-                    "actual": f"{total} (repetition refinement)",
-                }
+            if total != all_brute[n]:
+                return _mismatch(n, all_brute[n], f"{total} (repetition refinement)")
     return None
 
 
@@ -320,17 +275,13 @@ def _check_bijection(n_max: int) -> dict | None:
         for seq in source:
             image = patterns.bijection_10_to_012(seq)
             if patterns.bijection_012_to_10(image).letters != seq.letters:
-                return {"t_order": n, "monomial": [0, 0, 0, 0],
-                        "expected": str(seq.letters), "actual": "round trip failed"}
+                return _mismatch(n, seq.letters, "round trip failed")
             images.add(image.letters)
         if images != target:
-            return {"t_order": n, "monomial": [0, 0, 0, 0],
-                    "expected": f"{len(target)} images", "actual": f"{len(images)} images"}
-        size = len(source)
+            return _mismatch(n, f"{len(target)} images", f"{len(images)} images")
         closed = (n + 1) * 2 ** (n - 2) if n >= 2 else 1
-        if size != closed:
-            return {"t_order": n, "monomial": [0, 0, 0, 0],
-                    "expected": str(closed), "actual": str(size)}
+        if len(source) != closed:
+            return _mismatch(n, closed, len(source))
     return None
 
 
@@ -341,8 +292,7 @@ def _check_embed(p: int, n_max: int) -> dict | None:
         for seq in enumerate_sequences(p, n):
             image = patterns.embed(seq)   # constructor re-validates as 1-ascent
             if patterns.project(image, p).letters != seq.letters:
-                return {"t_order": n, "monomial": [0, 0, 0, 0],
-                        "expected": str(seq.letters), "actual": "round trip failed"}
+                return _mismatch(n, seq.letters, "round trip failed")
             forward += 1
         if n >= 1:
             # walk 1-ascent extensions of the forced prefix: each must project back
@@ -352,8 +302,7 @@ def _check_embed(p: int, n_max: int) -> dict | None:
                 patterns.project(seq, p)   # raises if not a valid preimage
                 backward += 1
             if backward != forward:
-                return {"t_order": n, "monomial": [0, 0, 0, 0],
-                        "expected": str(forward), "actual": str(backward)}
+                return _mismatch(n, forward, backward)
     return None
 
 
@@ -420,11 +369,11 @@ SUITES: dict[str, Suite] = {
         lambda p, n, k: _against(_counts(p, n, max_repeat=k), gf.eval_maxk(p, k, n)),
         extra=("k",), default_order=6,
     ),
-    "kernel_G": Suite("identity", lambda p, n, k: _check_kernel_G(p, n), ps=(1, 2, 3)),
+    "kernel_G": Suite("identity", lambda p, n, k: _first(_check_kernel_G(p, n)), ps=(1, 2, 3)),
     "kernel_H": Suite("identity", lambda p, n, k: _check_kernel_H(p, n), ps=(1, 2, 3)),
-    "rel16": Suite("identity", lambda p, n, k: _check_rel16(p, n)),
+    "rel16": Suite("identity", lambda p, n, k: _first(_check_rel16(p, n))),
     "psi": Suite(
-        "identity", lambda p, n, k: _check_psi(n), ps=(None,),
+        "identity", lambda p, n, k: _first(_check_psi(n)), ps=(None,),
         order=lambda budget: min(20, 2 * budget + 4), needs_p=False, extra=("D", "m_max"),
         default_order=20,
     ),
@@ -446,7 +395,7 @@ SUITES: dict[str, Suite] = {
         order=lambda budget: budget + 4,
     ),
     "delta_gamma_calculus": Suite(
-        "identity", lambda p, n, k: _check_delta_gamma(n), ps=(None,),
+        "identity", lambda p, n, k: _first(_check_delta_gamma(n)), ps=(None,),
         order=lambda budget: budget + 4, needs_p=False, extra=("s_max", "k_max"),
         default_order=12,
     ),
@@ -455,7 +404,7 @@ SUITES: dict[str, Suite] = {
         order=lambda budget: budget + 4, extra=("D",),
     ),
     "maxk_boundary": Suite(
-        "identity", lambda p, n, k: _check_maxk_boundary(p, n), ps=(1, 2, 3),
+        "identity", lambda p, n, k: _first(_check_maxk_boundary(p, n)), ps=(1, 2, 3),
         order=lambda budget: budget + 2,
     ),
     "fishburn_p1": Suite(
@@ -513,7 +462,8 @@ def _run(kind: str, name: str, p: int | None, n_max: int, k: int | None = None) 
     values = {"p": p, "N": n_max, "k": k, "D": n_max,
               "m_max": _DEPTH, "s_max": _DEPTH, "k_max": _DEPTH}
     params = {key: values[key] for key in ("p", "N", *suite.extra)}
-    return _report(name, params, suite.check(p, n_max, k))
+    disc = suite.check(p, n_max, k)
+    return CheckReport(name, params, "pass" if disc is None else "fail", disc)
 
 
 def check_oracle_vs(gf_name: str, p: int, n_max: int, k: int = 2) -> CheckReport:

@@ -170,6 +170,16 @@ def test_series_udeg_is_used(capsys):
         assert out == evaluate(2, 5, 1).to_json() + "\n"
 
 
+@pytest.mark.parametrize("name", ["G1u", "H"])
+def test_series_udeg_above_order(capsys, name):
+    """A u-bound above the order changes nothing: the t^n coefficient has
+    u-degree at most n - 1."""
+    argv = ["series", "--gf", name, "--p", "2", "--order", "3", "--udeg"]
+    code, out = run(capsys, *argv, "101")
+    assert code == 0
+    assert out == run(capsys, *argv, "3")[1]
+
+
 BFILE_A = ["bfile", "--gf", "A", "--p", "2", "--order", "5", "--set", "all=1"]
 BFILE_AVOID = ["bfile", "--avoid", "--p", "2", "--pattern", "10", "--n", "4"]
 

@@ -35,6 +35,16 @@ def test_budget_guard():
         verify.check_oracle_vs("A", 4, 25)
 
 
+def test_budget_guard_does_not_build_the_closed_form(monkeypatch):
+    """The node count comes from the oracle, not from the eval_A under test."""
+    def broken(*args):
+        raise ZeroDivisionError("eval_A was built")
+
+    monkeypatch.setattr(gf, "eval_A", broken)
+    with pytest.raises(verify.BudgetExceededError, match="7371945858621870049555660 nodes"):
+        verify.check_oracle_vs("R", 4, 25)
+
+
 def test_identity_suites_small():
     assert verify.check_identity("rel16", 2, 8).passed
     assert verify.check_identity("jelinek", 1, 12).passed
@@ -276,4 +286,18 @@ def test_failure_records(monkeypatch, module, name, corrupt, check, args, expect
         verify._bundle.cache_clear()
     assert report.status == "fail"
     # the same keys, in the same order, with the same values
+    assert list(report.first_discrepancy.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("module, name, fault, expected", [
+    (TSeries, "subst_u_to_uv", lambda self: self,
+     {"t_order": 1, "monomial": [1, 0, 0, 0], "expected": "0", "actual": "1", "k": 1}),
+    (gf, "gamma_bar", gf.gamma,
+     {"t_order": 1, "monomial": [1, 0, 1, 0], "expected": "0", "actual": "1", "k": 1}),
+], ids=["subst_u_to_uv", "gamma_bar"])
+def test_bar_families_checked_against_their_formulas(monkeypatch, module, name, fault, expected):
+    """delta_bar and gamma_bar are compared with uv - (1-t)^k (uv - 1) and
+    uv - (1-zt)(1-t)^(k-1) (uv - 1), not with the substitution that defines them."""
+    monkeypatch.setattr(module, name, fault)
+    report = verify.check_identity("delta_gamma_calculus", None, 8)
     assert list(report.first_discrepancy.items()) == list(expected.items())
