@@ -242,6 +242,9 @@ FAILURE_RECORDS = [
     ("kernel_G", verify, "oracle_table", lambda f: _bump(f, _XZ, 4),
      verify.check_identity, ("kernel_G", 2, 6),
      {"t_order": 4, "monomial": [0, 0, 2, 0], "expected": "-1", "actual": "0", "r": 2}),
+    ("kernel_H", verify, "oracle_table", lambda f: _bump(f, _XZ, 4),
+     verify.check_identity, ("kernel_H", 2, 6),
+     {"t_order": 4, "monomial": [0, 0, 2, 0], "expected": "-1", "actual": "0"}),
     ("maxk_boundary", gf, "eval_maxk",
      lambda f: _bump(f, MultiPoly.const(1), 4, lambda p, k, order: k > 1),
      verify.check_identity, ("maxk_boundary", 2, 6),
