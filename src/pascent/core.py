@@ -29,16 +29,15 @@ def is_p_ascent(word: Sequence[int], p: int) -> bool:
     if p < 1:
         raise ValueError("p must be a positive integer")
     w = tuple(word)
-    if not w:
-        return True
-    if w[0] != 0 or any(c < 0 for c in w):
+    if w and w[0] != 0:
         return False
-    ascents = 0
-    for i in range(1, len(w)):
-        if w[i] > p + ascents:
+    ascents = last = 0
+    for c in w[1:]:
+        if not 0 <= c <= p + ascents:
             return False
-        if w[i] > w[i - 1]:
+        if c > last:
             ascents += 1
+        last = c
     return True
 
 

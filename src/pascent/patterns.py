@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import comb
 from typing import Iterator, Sequence
 
@@ -315,16 +315,6 @@ def project(seq: PAscentSequence, p: int) -> PAscentSequence:
     return PAscentSequence(p, body[2 * p - 2 :])
 
 
-def _run_length_blocks(w: Sequence[int]) -> list[tuple[int, int]]:
-    blocks: list[tuple[int, int]] = []
-    for c in w:
-        if blocks and blocks[-1][0] == c:
-            blocks[-1] = (c, blocks[-1][1] + 1)
-        else:
-            blocks.append((c, 1))
-    return blocks
-
-
 def bijection_10_to_012(seq: PAscentSequence) -> PAscentSequence:
     """Block rewriting from 10-avoiding to 012-avoiding 2-ascent sequences.
 
@@ -341,7 +331,7 @@ def bijection_10_to_012(seq: PAscentSequence) -> PAscentSequence:
         return seq
     if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
         raise ValueError(f"{w} contains the pattern 10")
-    blocks = _run_length_blocks(w)
+    blocks = [(value, len(list(run))) for value, run in groupby(w)]
     values = [value for value, _count in blocks]
     gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     if any(g not in (1, 2) for g in gaps) or gaps.count(2) > 1:

@@ -7,6 +7,9 @@ checked as a zero residual of exact series arithmetic.  Comparisons are exact
 equality of canonical forms; there are no tolerances anywhere.  Suites are
 pure functions of their parameters, so reports are deterministic.
 
+The oracle is a level DP, so the oracle and kernel suites run at any order.
+Only embed_roundtrip walks every word, under a node budget of _MAX_NODES.
+
 A failing suite reports its first discrepancy as one record, built by
 _mismatch: t_order, monomial (the u, v, z, x exponents), expected and actual,
 then the suite's tag when it compares a family: r for kernel_G and rel16, m
@@ -21,7 +24,6 @@ import json
 import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import groupby
 from math import comb
 
@@ -32,10 +34,10 @@ from .series import MultiPoly, TSeries, scalar_coefficients
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised instead of silently truncating an infeasible enumeration."""
+    """Raised before embed_roundtrip would walk more than _MAX_NODES words."""
 
 
-# hard ceiling on the number of sequences any one suite may enumerate
+# hard ceiling on the number of sequences embed_roundtrip may walk
 _MAX_NODES = 60_000_000
 
 # depth of the psi check (m = 0..6) and of the kernel calculus (s, k = 1..6)
@@ -109,57 +111,36 @@ def _guard_budget(p: int, n_max: int) -> None:
         )
 
 
-@lru_cache(maxsize=8)
-def _bundle(p: int, n_max: int) -> TSeries:
-    """Full five-statistic oracle table, cached per (p, n_max)."""
-    _guard_budget(p, n_max)
-    return oracle_table(p, n_max)
-
-
 def _counts(p: int, n_max: int, **options) -> TSeries:
     """Oracle counts by length (see count_by_length) as a scalar series."""
-    _guard_budget(p, n_max)
     return TSeries([MultiPoly.const(c) for c in count_by_length(p, n_max, **options)])
 
 
-def _against(oracle: TSeries, closed_form: TSeries) -> dict | None:
-    """First discrepancy of a closed form from the oracle.
-
-    Callers build the oracle argument first, so its budget guard runs before
-    the closed form is evaluated.
-    """
-    return _series_discrepancy(closed_form, oracle)
+def _kernel_sides(p: int, f: TSeries, constant: TSeries) -> tuple[TSeries, TSeries]:
+    """Both sides of the kernel equation for F = f:
+    ((v-1) + tv(u-1)) F = constant + t((v-1)z - v) F|v=1 + tuv^(p+1) F|v=1,u->uv."""
+    n_max = f.order
+    f_v1 = f.specialize({"v": 1})
+    lhs = (TSeries.from_poly(n_max, _V - 1) + TSeries.from_poly(n_max, _V * (_U - 1), 1)) * f
+    rhs = (constant + TSeries.from_poly(n_max, (_V - 1) * _Z - _V, 1) * f_v1
+           + TSeries.from_poly(n_max, _U * _V ** (p + 1), 1) * f_v1.subst_u_to_uv())
+    return lhs, rhs
 
 
 def _check_kernel_G(p: int, n_max: int) -> Comparisons:
-    table = _bundle(p, n_max)
-    lhs_factor = TSeries.from_poly(n_max, _V - 1) - TSeries.from_poly(n_max, _V * (1 - _U), 1)
+    table = oracle_table(p, n_max)
     for r in range(1, min(3, n_max) + 1):
-        g_r = table.coefficient_of_var("x", r)
-        g_r_v1 = g_r.specialize({"v": 1})
-        rhs = (
-            TSeries.from_poly(n_max, _U * _V * (_V**p - 1) * _Z**r, r + 1)
-            + TSeries.from_poly(n_max, (_V - 1) * _Z - _V, 1) * g_r_v1
-            + TSeries.from_poly(n_max, _U * _V ** (p + 1), 1) * g_r_v1.subst_u_to_uv()
-        )
-        yield {"r": r}, lhs_factor * g_r, rhs
+        constant = TSeries.from_poly(n_max, _U * _V * (_V**p - 1) * _Z**r, r + 1)
+        yield {"r": r}, *_kernel_sides(p, table.coefficient_of_var("x", r), constant)
 
 
 def _check_kernel_H(p: int, n_max: int) -> dict | None:
-    table = _bundle(p, n_max)
-    h = table.specialize({"x": 1}) - 1
-    h_v1 = h.specialize({"v": 1})
-    lhs_factor = TSeries.from_poly(n_max, _V - 1) + TSeries.from_poly(n_max, _V * (_U - 1), 1)
-    rhs = (
-        TSeries.from_poly(n_max, (_V - 1) * _Z, 1)
-        + TSeries.from_poly(n_max, (_V - 1) * _Z - _V, 1) * h_v1
-        + TSeries.from_poly(n_max, _U * _V ** (p + 1), 1) * h_v1.subst_u_to_uv()
-    )
-    return _series_discrepancy(lhs_factor * h, rhs)
+    h = oracle_table(p, n_max).specialize({"x": 1}) - 1
+    return _series_discrepancy(*_kernel_sides(p, h, TSeries.from_poly(n_max, (_V - 1) * _Z, 1)))
 
 
 def _check_rel16(p: int, n_max: int) -> Comparisons:
-    table = _bundle(p, n_max)
+    table = oracle_table(p, n_max)
     slice_1 = table.coefficient_of_var("x", 1)
     for r in range(2, min(3, n_max) + 1):
         actual = table.coefficient_of_var("x", r)
@@ -333,40 +314,45 @@ class Suite:
 # p outermost (all oracle suites at p = 1, then all at p = 2, ...).
 SUITES: dict[str, Suite] = {
     "oracle_G": Suite(
-        "oracle", lambda p, n, k: _against(_bundle(p, n), gf.eval_G(p, n)), default_order=6,
+        "oracle", lambda p, n, k: _series_discrepancy(gf.eval_G(p, n), oracle_table(p, n)),
+        default_order=6,
     ),
     "oracle_G1_full": Suite(
         "oracle",
-        lambda p, n, k: _against(_bundle(p, n).coefficient_of_var("x", 1), gf.eval_G1_full(p, n)),
+        lambda p, n, k: _series_discrepancy(
+            gf.eval_G1_full(p, n), oracle_table(p, n).coefficient_of_var("x", 1)
+        ),
         default_order=6,
     ),
     "oracle_G1_u": Suite(
         "oracle",
-        lambda p, n, k: _against(
-            _bundle(p, n).coefficient_of_var("x", 1).specialize({"v": 1}), gf.eval_G1_u(p, n)
+        lambda p, n, k: _series_discrepancy(
+            gf.eval_G1_u(p, n), oracle_table(p, n).coefficient_of_var("x", 1).specialize({"v": 1})
         ),
         extra=("D",), default_order=6,
     ),
     "oracle_A": Suite(
         "oracle",
-        lambda p, n, k: _against(
-            _bundle(p, n).specialize({"u": 1, "v": 1, "x": 1}), gf.eval_A(p, n)
+        lambda p, n, k: _series_discrepancy(
+            gf.eval_A(p, n), oracle_table(p, n).specialize({"u": 1, "v": 1, "x": 1})
         ),
         default_order=6,
     ),
     "oracle_R": Suite(
         "oracle",
-        lambda p, n, k: _against(_counts(p, n, primitive_only=True), gf.eval_R(p, n)),
+        lambda p, n, k: _series_discrepancy(gf.eval_R(p, n), _counts(p, n, primitive_only=True)),
         default_order=6,
     ),
     "oracle_H": Suite(
         "oracle",
-        lambda p, n, k: _against(_bundle(p, n).specialize({"v": 1, "x": 1}) - 1, gf.eval_H(p, n)),
+        lambda p, n, k: _series_discrepancy(
+            gf.eval_H(p, n), oracle_table(p, n).specialize({"v": 1, "x": 1}) - 1
+        ),
         extra=("D",), default_order=6,
     ),
     "oracle_maxk": Suite(
         "oracle",
-        lambda p, n, k: _against(_counts(p, n, max_repeat=k), gf.eval_maxk(p, k, n)),
+        lambda p, n, k: _series_discrepancy(gf.eval_maxk(p, k, n), _counts(p, n, max_repeat=k)),
         extra=("k",), default_order=6,
     ),
     "kernel_G": Suite("identity", lambda p, n, k: _first(_check_kernel_G(p, n)), ps=(1, 2, 3)),
@@ -467,7 +453,7 @@ def _run(kind: str, name: str, p: int | None, n_max: int, k: int | None = None) 
 
 
 def check_oracle_vs(gf_name: str, p: int, n_max: int, k: int = 2) -> CheckReport:
-    """Compare one closed-form evaluator against the enumeration oracle."""
+    """Compare one closed-form evaluator against the level-by-level oracle."""
     return _run("oracle", f"oracle_{gf_name}", p, n_max, k)
 
 
@@ -517,7 +503,7 @@ def _jobs(text: str | None) -> int:
 def run_all(budget: int) -> list[CheckReport]:
     """Run the full verification matrix for p in 1..4.
 
-    budget caps the length of every enumeration-backed comparison; the pure
+    budget caps the length of every oracle-backed comparison; the pure
     series identities run at fixed desk scales.  Set PASCENT_JOBS > 1 to run
     independent suites in worker processes (reports keep SUITES order).
     """

@@ -274,13 +274,20 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_over_node_budget(capsys):
-    code = main(["verify", "--suite", "oracle_A", "--p", "4", "--order", "25"])
+    code = main(["verify", "--suite", "embed_roundtrip", "--p", "4", "--order", "25"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     message = captured.err.splitlines()
     assert len(message) == 1 and message[0].startswith("pascent: ")
     assert "nodes" in message[0] and str(verify._MAX_NODES) in message[0]
+
+
+def test_verify_oracle_suite_deep(capsys):
+    code, out = run(capsys, "verify", "--suite", "oracle_G", "--p", "4", "--order", "14")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["status"] == "pass"
 
 
 def test_python_m_pascent(capsys, monkeypatch):

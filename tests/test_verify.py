@@ -32,17 +32,32 @@ def test_oracle_unknown_name():
 
 def test_budget_guard():
     with pytest.raises(verify.BudgetExceededError):
-        verify.check_oracle_vs("A", 4, 25)
+        verify.check_pattern("embed_roundtrip", 4, 25)
 
 
 def test_budget_guard_does_not_build_the_closed_form(monkeypatch):
-    """The node count comes from the oracle, not from the eval_A under test."""
-    def broken(*args):
-        raise ZeroDivisionError("eval_A was built")
+    """The node count comes from the oracle's count by length, before any word
+    is walked, and not from eval_A."""
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("built or walked")
 
     monkeypatch.setattr(gf, "eval_A", broken)
+    monkeypatch.setattr(verify, "enumerate_sequences", broken)
     with pytest.raises(verify.BudgetExceededError, match="7371945858621870049555660 nodes"):
-        verify.check_oracle_vs("R", 4, 25)
+        verify.check_pattern("embed_roundtrip", 4, 25)
+
+
+@pytest.mark.parametrize("name", verify.ORACLE_GF_NAMES)
+def test_oracle_suites_deep(name):
+    """The oracle is a level DP, so no node budget stops an order-14 run."""
+    report = verify.check_oracle_vs(name, 4, 14)
+    assert report.passed, report.to_json()
+
+
+@pytest.mark.parametrize("name", ["kernel_G", "kernel_H", "rel16"])
+def test_kernel_suites_deep(name):
+    report = verify.check_identity(name, 3, 12)
+    assert report.passed, report.to_json()
 
 
 def test_identity_suites_small():
@@ -151,9 +166,7 @@ def budget_4_run():
     with pytest.MonkeyPatch.context() as monkeypatch:
         _record_calls(monkeypatch, called)
         monkeypatch.delenv("PASCENT_JOBS", raising=False)
-        verify._bundle.cache_clear()   # earlier tests may have cached the oracle tables
         reports = verify.run_all(4)
-    verify._bundle.cache_clear()       # drop tables built through the wrappers
     return reports, called
 
 
@@ -229,6 +242,9 @@ _U3 = MultiPoly.monomial((3, 0, 0, 0))
 # (case id, module, function name, corruption, check function, its arguments,
 #  the first_discrepancy it reports)
 FAILURE_RECORDS = [
+    ("oracle_G_deep", gf, "eval_G", lambda f: _bump(f, MultiPoly.variable("z"), 13),
+     verify.check_oracle_vs, ("G", 3, 14),
+     {"t_order": 13, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0"}),
     ("rel16", gf, "eval_Gr", lambda f: _bump(f, MultiPoly.variable("z"), 3),
      verify.check_identity, ("rel16", 2, 6),
      {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "r": 2}),
@@ -282,11 +298,7 @@ FAILURE_RECORDS = [
 def test_failure_records(monkeypatch, module, name, corrupt, check, args, expected):
     """Each corrupted function makes its suite fail with exactly this record."""
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
-    verify._bundle.cache_clear()
-    try:
-        report = check(*args)
-    finally:
-        verify._bundle.cache_clear()
+    report = check(*args)
     assert report.status == "fail"
     # the same keys, in the same order, with the same values
     assert list(report.first_discrepancy.items()) == list(expected.items())
