@@ -20,8 +20,13 @@ Every sum is built from lazy chains, each written once: _powers, _vanishing
 and _delta_inverses.  _binomial_sum is the t-graded sum of eval_A and eval_R;
 _u_sum multiplies term k by u^k, stops at k = u_bound and makes the u-cut.
 A factor with u-powers applied after it (the (1-u) of eval_H, psi's
-prefactor) is cut again.  Both cuts are exact: u_truncate is reduction
-modulo u^(u_bound+1), and every factor here is a polynomial in u.
+prefactor) is cut again.  _gamma_inverses takes the bound as well: its
+element j meets u^j (u^(j+1) in eval_G1_u, which passes bound - 1), so it is
+cut at u <= bound - j as the chain grows, and each step divides by the next
+gamma rather than multiplying by its inverse.  _psi_sides builds that chain
+once and shares it across every m; psi is its one-m case.  All these cuts
+are exact: u_truncate is reduction modulo u^(c+1), and every factor here is
+a polynomial in u.
 """
 
 from __future__ import annotations
@@ -110,9 +115,19 @@ def _vanishing(factors: Iterable[TSeries], order: int) -> Iterator[TSeries]:
     return takewhile(lambda s: not s.is_zero(), islice(prods, order + 1))
 
 
-def _gamma_inverses(order: int) -> Iterator[TSeries]:
-    """1/(gamma_1..gamma_k) for k = 1, 2, ..."""
-    return accumulate((gamma(k, order).invert() for k in count(1)), mul)
+def _gamma_inverses(order: int, bound: int) -> Iterator[TSeries]:
+    """1/(gamma_1..gamma_{j+1}) cut at u <= bound - j, for j = 0..bound.
+
+    Every caller multiplies element j by u^j or a higher power and then cuts
+    at u <= bound, so the monomials above bound - j never count.  Element j
+    is element j - 1, cut at u <= bound - j, divided by gamma_{j+1} and cut
+    again; dividing by the few monomials of gamma_{j+1} costs far less than
+    multiplying by its inverse."""
+    prod = TSeries.one(order)
+    for j in range(bound + 1):
+        cut = bound - j
+        prod = (prod.u_truncate(cut) / gamma(j + 1, order)).u_truncate(cut)
+        yield prod
 
 
 def _delta_inverses(p: int, order: int) -> Iterator[TSeries]:
@@ -152,8 +167,9 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
     steps = (cur - prev for prev, cur in pairwise(_delta_inverses(p, order)))
-    terms = (step * g for step, g in zip(steps, _gamma_inverses(order)))
-    # the k = 0 term is zero
+    # term k >= 1 carries u^k and chain element k - 1, which may be cut at
+    # bound - k: the chain of bound - 1.  The k = 0 term is zero.
+    terms = (step * g for step, g in zip(steps, _gamma_inverses(order, bound - 1)))
     return _u_sum(bound, chain([TSeries.zero(order)], terms)).shift(1) * _Z
 
 
@@ -219,7 +235,7 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     factors = zip(
         _powers(one_minus_t(order), TSeries.one(order)),
         _delta_inverses(p, order),
-        _gamma_inverses(order),
+        _gamma_inverses(order, bound),
     )
     total = _u_sum(bound, (w * d * g for w, d, g in factors))
     return (total.shift(1) * (_Z - _Z * _U)).u_truncate(bound)
@@ -285,6 +301,29 @@ def eval_A1_product_form(order: int) -> TSeries:
     return sum(_vanishing(_powers(one_minus_t(order), one_minus_zt(order)), order))
 
 
+def _psi_sides(ms: Iterable[int], order: int, bound: int) -> Iterator[tuple[TSeries, TSeries]]:
+    """psi(m, order, bound) for each m in ms, from one gamma chain.
+
+    The chain is built at the first step and dropped with the generator."""
+    one = TSeries.one(order)
+    onemt = one_minus_t(order)
+    uz = TSeries.from_poly(order, _U - 1) * one_minus_zt(order)
+    gammas = list(_gamma_inverses(order, bound))
+    for m in ms:
+        uz_pows = list(islice(_powers(uz, one), m + 2))  # ((u-1)(1-zt))^j, j = 0..m+1
+        onemt_pows = list(islice(_powers(onemt, onemt), m + 1))  # (1-t)^i, i = 1..m+1
+
+        steps = _powers(onemt_pows[m], one)
+        inner = _u_sum(bound, (w * g for w, g in zip(steps, gammas)))
+        lhs = (uz_pows[m + 1] * inner).u_truncate(bound)
+
+        # j runs down from m, so prod_{i=j+1..m} gains one factor, 1-(1-t)^(j+1),
+        # per step; the term of index j carries u^(m-j).
+        prods = _vanishing(reversed(onemt_pows[:m]), order)
+        rhs = _u_sum(bound, (uz_pows[j] * prod for j, prod in zip(range(m, -1, -1), prods)))
+        yield lhs, -rhs
+
+
 def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSeries]:
     """Both sides of the kernel summation identity for the gamma family.
 
@@ -293,23 +332,10 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     cut at k = u_bound (default: order).  Right side: the closed polynomial
       -sum_{j=0..m} (u-1)^j (1-zt)^j u^(m-j) prod_{i=j+1..m}(1-(1-t)^i).
     Both are returned with u-exponents above the bound dropped; on that
-    region they agree identically.
+    region they agree identically.  The k-th element of the gamma chain is
+    kept only to u-degree u_bound - k, and _psi_sides shares one chain
+    across several m.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    bound = _u_bound(order, u_bound)
-    one = TSeries.one(order)
-    onemt = one_minus_t(order)
-    uz = TSeries.from_poly(order, _U - 1) * one_minus_zt(order)
-    uz_pows = list(islice(_powers(uz, one), m + 2))  # ((u-1)(1-zt))^j, j = 0..m+1
-    onemt_pows = list(islice(_powers(onemt, onemt), m + 1))  # (1-t)^i, i = 1..m+1
-
-    steps = _powers(onemt_pows[m], one)
-    inner = _u_sum(bound, (w * g for w, g in zip(steps, _gamma_inverses(order))))
-    lhs = (uz_pows[m + 1] * inner).u_truncate(bound)
-
-    # j runs down from m, so prod_{i=j+1..m} gains one factor, 1-(1-t)^(j+1),
-    # per step; the term of index j carries u^(m-j).
-    prods = _vanishing(reversed(onemt_pows[:m]), order)
-    rhs = _u_sum(bound, (uz_pows[j] * prod for j, prod in zip(range(m, -1, -1), prods)))
-    return lhs, -rhs
+    return next(_psi_sides((m,), order, _u_bound(order, u_bound)))

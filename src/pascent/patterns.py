@@ -190,6 +190,15 @@ def iter_avoiders(
             yield PAscentSequence(p, word)
 
 
+def _avoiders_by_length(p: int, pat: Pattern, n_max: int) -> list[list[tuple[int, ...]]]:
+    """The words of iter_avoiders(p, pat, n), in its order, for n = 0..n_max,
+    from one walk."""
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n_max + 1)]
+    for word in _grow(p, n_max, keep=_avoiding(pat, False)):
+        buckets[len(word)].append(word)
+    return buckets
+
+
 @lru_cache(maxsize=None)
 def _a012(n: int, p: int) -> int:
     # number of 012-avoiding p-ascent sequences of length n, for p >= 2,

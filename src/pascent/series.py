@@ -4,8 +4,8 @@ Coefficients are sparse multivariate polynomials with arbitrary-precision
 integer coefficients, so every ring operation is exact.  A series is dense
 in t (one coefficient polynomial per power t^0 .. t^order) and sparse in the
 remaining variables.  Division only ever happens where it stays inside the
-ring: inversion of a series whose constant term is +1 or -1, and checked
-exact polynomial division by (v - 1).
+ring: division by a series whose constant term is +1 or -1 (inversion is
+division of 1), and checked exact polynomial division by (v - 1).
 
 Internally an exponent vector (e_u, e_v, e_z, e_x) is packed into a single
 int (8 bits per variable) so that monomial products reduce to integer
@@ -442,17 +442,26 @@ class TSeries:
 
     def invert(self) -> "TSeries":
         """Multiplicative inverse; requires constant term +1 or -1."""
-        c0 = self.coeffs[0]
+        return TSeries.one(self.order) / self
+
+    def __truediv__(self, other):
+        """Exact quotient; the divisor's constant term must be +1 or -1.
+
+        Solves q * other = self one t-order at a time, so the work grows
+        with the divisor's size, not with the size of its inverse."""
+        if not isinstance(other, TSeries):
+            return NotImplemented
+        c0 = other.coeffs[0]
         if not c0.is_const() or c0.const_value() not in (1, -1):
             raise ValueError("series is not invertible: constant term must be +1 or -1")
         inv0 = c0.const_value()
-        out = [MultiPoly.const(inv0)]
-        for n in range(1, self.order + 1):
-            acc: dict[int, int] = {}
+        out: list[MultiPoly] = []
+        for n in range(min(self.order, other.order) + 1):
+            acc = {k: -c for k, c in self.coeffs[n]._t.items()}
             for k in range(1, n + 1):
-                ak = self.coeffs[k]._t
-                if ak:
-                    _scatter((acc,), ak, (out[n - k]._t,))
+                bk = other.coeffs[k]._t
+                if bk:
+                    _scatter((acc,), bk, (out[n - k]._t,))
             _check_carry((acc,))
             out.append(MultiPoly({k: -inv0 * c for k, c in acc.items()}))
         return TSeries(out)

@@ -8,6 +8,7 @@ import pytest
 
 from pascent import gf, verify
 from pascent.cli import main
+from pascent.series import MultiPoly, TSeries
 
 
 def run(capsys, *argv):
@@ -281,6 +282,25 @@ def test_verify_over_node_budget(capsys):
     message = captured.err.splitlines()
     assert len(message) == 1 and message[0].startswith("pascent: ")
     assert "nodes" in message[0] and str(verify._MAX_NODES) in message[0]
+
+
+def test_verify_failed_cancellation_exits_1(capsys, monkeypatch):
+    real = gf.eval_G1_u
+
+    def bumped(p, order, u_bound=None):
+        return real(p, order, u_bound) + TSeries.from_poly(order, MultiPoly.variable("z"), 3)
+
+    monkeypatch.setattr(gf, "eval_G1_u", bumped)
+    code = main(["verify", "--suite", "oracle_G1_full", "--p", "2", "--order", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "fail"
+    assert report["first_discrepancy"] == {
+        "error": "ArithmeticError: kernel cancellation failed at t^4: "
+                 "nonzero remainder in exact division by (v - 1)"
+    }
 
 
 def test_verify_oracle_suite_deep(capsys):

@@ -260,3 +260,23 @@ def test_chains_at_orders_0_and_1():
         assert [side.terms() for side in gf.psi(m, 1)] == [expected] * 2
         u_free = {k: c for k, c in expected.items() if k[1] == 0}
         assert [side.terms() for side in gf.psi(m, 1, 0)] == [u_free] * 2
+
+
+def test_gamma_chain_cut_is_exact():
+    """Element j of the cut chain is 1/(gamma_1..gamma_{j+1}) cut at u <= bound - j."""
+    for order in range(9):
+        uncut, prod = [], TSeries.one(order)
+        for k in range(1, order + 2):
+            prod = prod * gf.gamma(k, order).invert()
+            uncut.append(prod)
+        for bound in range(order + 1):
+            chain = list(gf._gamma_inverses(order, bound))
+            assert len(chain) == bound + 1
+            for j, element in enumerate(chain):
+                assert element == uncut[j].u_truncate(bound - j), (order, bound, j)
+
+
+def test_psi_sides_share_one_chain():
+    for order, bound in ((0, 0), (1, 3), (6, 2), (8, 8), (9, 12)):
+        expected = [gf.psi(m, order, bound) for m in range(7)]
+        assert list(gf._psi_sides(range(7), order, bound)) == expected

@@ -370,3 +370,15 @@ def test_invert_matches_naive(a, unit):
 def test_subst_u_matches_naive(a, repl):
     order = min(a.order, repl.order)
     assert a.subst_u(repl).terms() == naive_subst_u(a.terms(), repl.terms(), order)
+
+
+def test_division_is_multiplication_by_the_inverse():
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    divisor = TSeries([MultiPoly.const(-1), u - z, MultiPoly(), u * z * 3, z])
+    numerator = TSeries([u + 2, MultiPoly(), z * z, u, MultiPoly.const(5), u * z])
+    quotient = numerator / divisor
+    assert quotient.order == 4
+    assert quotient == numerator.truncate(4) * divisor.invert()
+    assert quotient * divisor == numerator.truncate(4)
+    with pytest.raises(ValueError, match="not invertible"):
+        numerator / TSeries([u + 2, MultiPoly.const(1)])

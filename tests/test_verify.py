@@ -211,9 +211,17 @@ def _bump(real, poly, power, when=lambda *args: True):
     return corrupted
 
 
+def _corrupt_psi_sides(real):
+    """real, with z t^3 added to the right side of m = 2."""
+    def corrupted(ms, order, bound):
+        for m, (lhs, rhs) in zip(ms, real(ms, order, bound)):
+            yield lhs, (rhs + TSeries.from_poly(order, MultiPoly.variable("z"), 3) if m == 2 else rhs)
+    return corrupted
+
+
 def _corrupt_psi(real):
-    def corrupted(m, order):
-        lhs, rhs = real(m, order)
+    def corrupted(m, order, u_bound=None):
+        lhs, rhs = real(m, order, u_bound)
         return lhs, (rhs + TSeries.from_poly(order, MultiPoly.variable("z"), 3) if m == 2 else rhs)
     return corrupted
 
@@ -248,9 +256,12 @@ FAILURE_RECORDS = [
     ("rel16", gf, "eval_Gr", lambda f: _bump(f, MultiPoly.variable("z"), 3),
      verify.check_identity, ("rel16", 2, 6),
      {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "r": 2}),
-    ("psi", gf, "psi", _corrupt_psi,
+    ("psi", gf, "_psi_sides", _corrupt_psi_sides,
      verify.check_identity, ("psi", None, 6),
      {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "m": 2}),
+    ("psi_public", gf, "psi", _corrupt_psi,
+     verify.check_identity, ("psi", None, 6),
+     {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "0", "actual": "1", "m": 2}),
     ("delta_gamma_calculus", gf, "delta",
      lambda f: _bump(f, MultiPoly.variable("u"), 2, lambda k, order: k == 3),
      verify.check_identity, ("delta_gamma_calculus", None, 6),
@@ -316,3 +327,35 @@ def test_bar_families_checked_against_their_formulas(monkeypatch, module, name, 
     monkeypatch.setattr(module, name, fault)
     report = verify.check_identity("delta_gamma_calculus", None, 8)
     assert list(report.first_discrepancy.items()) == list(expected.items())
+
+
+def test_psi_deep():
+    """The psi suite at the order that --budget 8 gives it."""
+    assert verify.SUITES["psi"].order(8) == 20
+    report = verify.check_identity("psi", None, 20)
+    assert report.passed, report.to_json()
+
+
+def test_failed_cancellation_fails_only_its_suites(monkeypatch):
+    """An ArithmeticError inside a suite fails that suite; run_all goes on."""
+    monkeypatch.setattr(gf, "eval_G1_u", _bump(gf.eval_G1_u, MultiPoly.variable("z"), 3))
+    monkeypatch.delenv("PASCENT_JOBS", raising=False)
+    reports = verify.run_all(4)
+    assert len(reports) == len(verify._task_matrix(4))
+    failed = {r.suite for r in reports if not r.passed}
+    assert failed == {"oracle_G", "oracle_G1_full", "oracle_G1_u", "rel16"}
+    errors = {r.suite: r.first_discrepancy for r in reports
+              if not r.passed and "error" in r.first_discrepancy}
+    assert set(errors) == {"oracle_G", "oracle_G1_full", "rel16"}
+    for record in errors.values():
+        assert list(record) == ["error"]
+        assert record["error"].startswith("ArithmeticError: kernel cancellation failed at t^")
+
+
+def test_other_errors_still_raise(monkeypatch):
+    def broken(p, order):
+        raise ValueError("not an arithmetic failure")
+
+    monkeypatch.setattr(gf, "eval_A", broken)
+    with pytest.raises(ValueError, match="not an arithmetic failure"):
+        verify.check_oracle_vs("A", 2, 4)
