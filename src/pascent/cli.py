@@ -13,7 +13,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import gf, patterns, verify
-from .core import PAscentSequence, enumerate_sequences, stats
+from .core import PAscentSequence, count_by_length, enumerate_sequences, stats
 from .patterns import Pattern
 from .series import TSeries, scalar_coefficients
 
@@ -104,7 +104,13 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    total = sum(1 for _ in _sequence_stream(args))
+    if args.updown:
+        total = sum(1 for _ in _sequence_stream(args))
+    elif args.pattern is not None:
+        pat = Pattern.parse(args.pattern)
+        total = patterns.count_avoiders(args.p, pat, args.n, primitive_only=args.primitive)
+    else:
+        total = count_by_length(args.p, args.n, primitive_only=args.primitive)[args.n]
     out.write(f"{total}\n")
     return 0
 

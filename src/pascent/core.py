@@ -5,7 +5,9 @@ A p-ascent sequence is a word of nonnegative integers whose first letter is
 of the preceding prefix.  These words form a generating tree, walked word by
 word by _grow (the exhaustive enumeration) and counted level by level by
 _levels (the oracle that the closed-form evaluators in gf are checked
-against; tests check it against the enumeration).
+against; tests check it against the enumeration).  Both drivers can carry
+an extra state from each word to its children and prune where a step
+function says so; patterns drives them with its avoidance automaton.
 """
 
 from __future__ import annotations
@@ -52,6 +54,15 @@ class PAscentSequence:
         object.__setattr__(self, "letters", tuple(self.letters))
         if not is_p_ascent(self.letters, self.p):
             raise ValueError(f"{self.letters} is not a {self.p}-ascent sequence")
+
+    @classmethod
+    def _trusted(cls, p: int, letters: tuple[int, ...]) -> "PAscentSequence":
+        """Wrap a tuple that _grow built by the p-ascent rule, without
+        validating it again."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "p", p)
+        object.__setattr__(seq, "letters", letters)
+        return seq
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -115,23 +126,27 @@ def _grow(
     p: int,
     n_max: int,
     word: Sequence[int] = (),
-    keep: Callable[[tuple[int, ...]], bool] | None = None,
+    state: object = (),
+    step: Callable[[object, int], object | None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield word and each extension of it up to length n_max, as tuples.
 
     The order is lexicographic pre-order.  The empty word's one child is (0,);
-    a child of a nonempty word with a ascents appends a letter c <= p + a.  A
-    word that keep rejects is skipped together with its extensions.
+    a child of a nonempty word with a ascents appends a letter c <= p + a.
+    With step, state is word's state and step(s, c) is the state after
+    appending c to a word in state s, or None to skip that child together
+    with its extensions.
     """
-    stack = [(tuple(word), asc(word))] if len(word) <= n_max else []
+    stack = [(tuple(word), asc(word), state)] if len(word) <= n_max else []
     while stack:
-        w, a = stack.pop()
-        if keep is not None and not keep(w):
-            continue
+        w, a, s = stack.pop()
         yield w
         if len(w) < n_max:
             last, top = (w[-1], p + a) if w else (0, 0)
-            stack.extend((w + (c,), a + (c > last)) for c in range(top, -1, -1))
+            for c in range(top, -1, -1):
+                child = step(s, c) if step else s
+                if child is not None:
+                    stack.append((w + (c,), a + (c > last), child))
 
 
 def _levels(
@@ -140,34 +155,43 @@ def _levels(
     zeros: bool = False,
     run: bool = False,
     max_repeat: int | None = None,
-) -> list[dict[tuple[int, int, int, int, int], int]]:
+    state: object = (),
+    step: Callable[[object, int], object | None] | None = None,
+) -> Iterator[dict[tuple, int]]:
     """Count the p-ascent words of each length 1..n_max by state, level by level.
 
-    Entry m-1 maps (ascents, last, zeros, run, repeat) to the number of words
-    of length m with those statistics; repeat is the length of the final block
-    of equal letters, at most max_repeat.  Fields not asked for stay 0.  A
-    word is all 0s exactly while it has no ascent, so run needs no flag.
+    Yield, for m = 1..n_max, a map from (ascents, last, zeros, run, repeat,
+    state) to the number of words of length m with those statistics; repeat
+    is the length of the final block of equal letters, at most max_repeat.
+    Fields not asked for stay 0.  A word is all 0s exactly while it has no
+    ascent, so run needs no flag.  state and step are those of _grow: state
+    is the empty word's, and a child that step maps to None is not counted,
+    nor are its extensions.  Only the latest level is held.
     """
+    if n_max < 1:
+        return
     zstep = 1 if zeros else 0
     rstep = 1 if max_repeat else 0
-    levels = [{(0, 0, zstep, 0, rstep): 1}] if n_max >= 1 else []
-    while len(levels) < n_max:
-        m = len(levels)
+    first = step(state, 0) if step else state
+    level: dict[tuple, int] = {} if first is None else {(0, 0, zstep, 0, rstep, first): 1}
+    yield level
+    for m in range(1, n_max):
         first_run = m if run else 0
-        level: dict[tuple[int, int, int, int, int], int] = {}
-        for (a, last, z, r, rep), count in levels[-1].items():
+        previous, level = level, {}
+        for (a, last, z, r, rep, s), count in previous.items():
             for c in range(p + a + 1):
-                if c > last:
-                    key = (a + 1, c, z, r if a else first_run, rstep)
-                elif c < last:
-                    key = (a, c, z + zstep if c == 0 else z, r, rstep)
-                elif rep == max_repeat:
+                if c == last and rep == max_repeat:
                     continue
+                child = step(s, c) if step else s
+                if child is None:
+                    continue
+                if c > last:
+                    key = (a + 1, c, z, r if a else first_run, rstep, child)
                 else:
-                    key = (a, c, z + zstep if c == 0 else z, r, rep + rstep)
+                    key = (a, c, z + zstep if c == 0 else z, r,
+                           rep + rstep if c == last else rstep, child)
                 level[key] = level.get(key, 0) + count
-        levels.append(level)
-    return levels
+        yield level
 
 
 def enumerate_sequences(
@@ -191,7 +215,7 @@ def enumerate_sequences(
         raise ValueError(f"prefix {start} is not a {p}-ascent sequence")
     for word in _grow(p, n, start):
         if len(word) == n:
-            seq = PAscentSequence(p, word)
+            seq = PAscentSequence._trusted(p, word)
             if pred is None or pred(seq):
                 yield seq
 
@@ -250,7 +274,7 @@ def oracle_table(
     acc: list[dict[int, int]] = [{0: 1}]
     for level in _levels(p, n_max, "zeros" in sel, "run" in sel):
         poly: dict[int, int] = {}
-        for (a, last, z, r, _), count in level.items():
+        for (a, last, z, r, _, _), count in level.items():
             key = _pack((a if keep_u else 0, last if keep_v else 0, z, r))
             poly[key] = poly.get(key, 0) + count
         acc.append(poly)

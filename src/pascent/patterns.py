@@ -1,10 +1,21 @@
 """Pattern occurrence and avoidance in p-ascent sequences.
 
-Covers word reduction, classical and vincular occurrence testing, pruned
-brute-force avoider counts (the oracle), the known closed-form counts and
-generating functions for the short patterns, the embedding of p-ascent
-sequences into ordinary ascent sequences, and the block-rewriting bijection
-between 10-avoiding and 012-avoiding 2-ascent sequences.
+Covers word reduction, classical and vincular occurrence testing, avoider
+counts and lists (the oracle), the known closed-form counts and generating
+functions for the short patterns, the embedding of p-ascent sequences into
+ordinary ascent sequences, and the block-rewriting bijection between
+10-avoiding and 012-avoiding 2-ascent sequences.
+
+Avoiders come from one automaton over the generating tree (_avoidance).  For
+a pattern of length k its state holds, for each j < k, the value tuples of
+the word that reduce to the pattern's first j letters (for a vincular block,
+only those ending at the last letter), so appending a letter updates the
+state instead of searching the word again.  core._levels merges words of
+equal (ascents, last letter, state) and counts them: avoider_counts,
+count_avoiders and every pattern suite's brute column.  core._grow carries
+the state from word to word and lists them: iter_avoiders and the
+bijection suite.  occurs, which searches a whole word, is the independent
+ground truth that tests compare both with.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from itertools import groupby, product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import PAscentSequence, _grow
+from .core import PAscentSequence, _grow, _levels
 from .series import MultiPoly, TSeries
 
 
@@ -115,36 +126,68 @@ def occurs(pat: Pattern, word: Sequence[int]) -> bool:
     return place(0, 0, [])
 
 
-def _occurs_ending_at_last(pat: Pattern, w: Sequence[int]) -> bool:
-    """Occurrence test restricted to occurrences using the final letter of w."""
-    groups = pat.groups
-    sizes = [len(g) for g in groups]
-    last_size = sizes[-1]
-    anchor = len(w) - last_size
-    if anchor < 0 or sum(sizes) > len(w):
-        return False
-
-    def place(gi: int, lo: int, starts: list[int]) -> bool:
-        if gi == len(groups) - 1:
-            return anchor >= lo and _match_groups(pat, w, starts + [anchor])
-        for s in range(lo, anchor - sum(sizes[gi:-1]) + 1):
-            if place(gi + 1, s + sizes[gi], starts + [s]):
-                return True
-        return False
-
-    return place(0, 0, [])
+# two equal adjacent letters: a word is primitive exactly when it avoids this
+_ADJACENT_00 = Pattern((0, 0), ((0, 1),))
+_EMPTY: frozenset = frozenset()
 
 
-def _avoiding(pat: Pattern, primitive_only: bool):
-    """keep predicate for core._grow: the word's last letter completes no
-    occurrence of pat and, under primitive_only, differs from the one before."""
+def _stage(letters: tuple[int, ...], j: int) -> tuple[int | None, int | None, int | None]:
+    """Where to compare a letter c that would take pattern position j.
 
-    def keep(w: tuple[int, ...]) -> bool:
-        if primitive_only and len(w) > 1 and w[-1] == w[-2]:
-            return False
-        return not _occurs_ending_at_last(pat, w)
+    A tuple of values that reduces to letters[:j] is ordered like it, so c
+    fits after it when c equals the value at the returned eq index, or else
+    lies above the value at lo and below the value at hi (None: no bound).
+    """
+    y = letters[j]
+    eq = next((i for i in range(j) if letters[i] == y), None)
+    below = [i for i in range(j) if letters[i] < y]
+    above = [i for i in range(j) if letters[i] > y]
+    lo = max(below, key=letters.__getitem__) if below else None
+    hi = min(above, key=letters.__getitem__) if above else None
+    return eq, lo, hi
 
-    return keep
+
+def _avoidance(pat: Pattern, primitive_only: bool):
+    """The empty word's state and the step of the avoidance automaton.
+
+    The state holds, for each pattern avoided (pat, and under primitive_only
+    also the adjacent 00) and each j = 1..k-1, the set of value tuples of the
+    word that reduce to the pattern's first j letters; when pattern position
+    j must sit next to position j-1, only the tuples ending at the word's
+    last letter.  step(state, c) extends each set by c wherever c's order
+    relation to every value of the tuple matches the pattern, and returns
+    None when some tuple extends to a full occurrence.
+    """
+    pats = (pat, _ADJACENT_00) if primitive_only else (pat,)
+    plans = []
+    for q in pats:
+        adjacent = {g[i] for g in q.groups for i in range(1, len(g))}
+        plans.append([(j in adjacent, *_stage(q.letters, j)) for j in range(1, len(q.letters))])
+
+    def step(state, c):
+        sets = iter(state)
+        out = []
+        for stages in plans:
+            grown = [(c,)]   # c alone, then the tuples of each set extended by c
+            for replace, eq, lo, hi in stages:
+                old = next(sets)
+                if replace:
+                    out.append(frozenset(grown) if grown else _EMPTY)
+                else:
+                    out.append(old.union(grown) if grown else old)
+                if eq is not None:
+                    grown = [t + (c,) for t in old if t[eq] == c]
+                elif hi is None:
+                    grown = [t + (c,) for t in old if t[lo] < c]
+                elif lo is None:
+                    grown = [t + (c,) for t in old if c < t[hi]]
+                else:
+                    grown = [t + (c,) for t in old if t[lo] < c < t[hi]]
+            if grown:
+                return None
+        return tuple(out)
+
+    return tuple(_EMPTY for stages in plans for _ in stages), step
 
 
 def avoider_counts(
@@ -155,22 +198,22 @@ def avoider_counts(
 ) -> list[int]:
     """Counts of pattern-avoiding p-ascent sequences of each length 0..n_max.
 
-    Avoidance is closed under prefixes, so the walk extends only prefixes
-    that still avoid the pattern, and each extension is tested only against
-    occurrences that would use the new final letter.
+    Avoidance is closed under prefixes, and the avoidance automaton's state
+    (see _avoidance) decides every future occurrence, so words with equal
+    ascents, last letter and state have equally many avoiding extensions.
+    The count merges them level by level (core._levels); its cost grows with
+    the number of distinct states, not of avoiders.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    counts = [0] * (n_max + 1)
-    for word in _grow(p, n_max, keep=_avoiding(pat, primitive_only)):
-        counts[len(word)] += 1
-    return counts
+    root, step = _avoidance(pat, primitive_only)
+    return [1] + [sum(level.values()) for level in _levels(p, n_max, state=root, step=step)]
 
 
 def count_avoiders(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> int:
-    """Brute-force number of pattern-avoiding p-ascent sequences of length n."""
+    """Number of pattern-avoiding p-ascent sequences of length n (see avoider_counts)."""
     return avoider_counts(p, pat, n, primitive_only)[n]
 
 
@@ -180,21 +223,27 @@ def iter_avoiders(
     n: int,
     primitive_only: bool = False,
 ) -> Iterator[PAscentSequence]:
-    """Yield the pattern-avoiding p-ascent sequences of length n, lexicographically."""
+    """Yield the pattern-avoiding p-ascent sequences of length n, lexicographically.
+
+    The walk (core._grow) carries the avoidance automaton's state from each
+    word to its children and never extends a word that contains the pattern.
+    """
     if p < 1:
         raise ValueError("p must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for word in _grow(p, n, keep=_avoiding(pat, primitive_only)):
+    root, step = _avoidance(pat, primitive_only)
+    for word in _grow(p, n, state=root, step=step):
         if len(word) == n:
-            yield PAscentSequence(p, word)
+            yield PAscentSequence._trusted(p, word)
 
 
 def _avoiders_by_length(p: int, pat: Pattern, n_max: int) -> list[list[tuple[int, ...]]]:
     """The words of iter_avoiders(p, pat, n), in its order, for n = 0..n_max,
     from one walk."""
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n_max + 1)]
-    for word in _grow(p, n_max, keep=_avoiding(pat, False)):
+    root, step = _avoidance(pat, False)
+    for word in _grow(p, n_max, state=root, step=step):
         buckets[len(word)].append(word)
     return buckets
 

@@ -7,8 +7,11 @@ checked as a zero residual of exact series arithmetic.  Comparisons are exact
 equality of canonical forms; there are no tolerances anywhere.  Suites are
 pure functions of their parameters, so reports are deterministic.
 
-The oracle is a level DP, so the oracle and kernel suites run at any order.
-Only embed_roundtrip walks every word, under a node budget of _MAX_NODES.
+The oracle and the avoider counts are level DPs, so the oracle, kernel and
+pattern-family suites run at any order.  Three suites walk words, and each
+prices its walk first and raises BudgetExceededError above _MAX_NODES words:
+embed_roundtrip (every p-ascent word), bijection_10_012 (the 10- and
+012-avoiders, priced by their counts) and vincular_212 (every ternary word).
 
 A failing suite reports its first discrepancy as one record, built by
 _mismatch: t_order, monomial (the u, v, z, x exponents), expected and actual,
@@ -36,10 +39,10 @@ from .series import MultiPoly, TSeries, scalar_coefficients
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised before embed_roundtrip would walk more than _MAX_NODES words."""
+    """Raised before a suite would walk more than _MAX_NODES words."""
 
 
-# hard ceiling on the number of sequences embed_roundtrip may walk
+# hard ceiling on the number of words a suite may walk
 _MAX_NODES = 60_000_000
 
 # depth of the psi check (m = 0..6) and of the kernel calculus (s, k = 1..6)
@@ -104,12 +107,10 @@ def _first(comparisons: Comparisons) -> dict | None:
     return None
 
 
-def _guard_budget(p: int, n_max: int) -> None:
-    nodes = sum(count_by_length(p, n_max))
+def _guard_budget(nodes: int, walk: str) -> None:
     if nodes > _MAX_NODES:
         raise BudgetExceededError(
-            f"enumerating p={p} sequences up to length {n_max} would walk {nodes} nodes, "
-            f"over the node budget of {_MAX_NODES}"
+            f"{walk} would walk {nodes} nodes, over the node budget of {_MAX_NODES}"
         )
 
 
@@ -246,6 +247,7 @@ def _check_pattern_family(p: int, pattern_text: str, n_max: int) -> dict | None:
 
 
 def _check_vincular(n_max: int) -> dict | None:
+    _guard_budget((3**n_max - 1) // 2, f"the ternary 21-2 count up to length {n_max}")
     pat = Pattern.parse("00")
     expected = [patterns.count_avoiders(3, pat, n) for n in range(1, n_max + 1)]
     actual = [patterns.count_vincular_212_ternary(n) for n in range(1, n_max + 1)]
@@ -253,12 +255,14 @@ def _check_vincular(n_max: int) -> dict | None:
 
 
 def _check_bijection(n_max: int) -> dict | None:
-    sources = patterns._avoiders_by_length(2, Pattern.parse("10"), n_max)
-    targets = patterns._avoiders_by_length(2, Pattern.parse("012"), n_max)
+    pats = Pattern.parse("10"), Pattern.parse("012")
+    nodes = sum(sum(patterns.avoider_counts(2, pat, n_max)) for pat in pats)
+    _guard_budget(nodes, f"listing the 10- and 012-avoiders up to length {n_max}")
+    sources, targets = (patterns._avoiders_by_length(2, pat, n_max) for pat in pats)
     for n, (source, target) in enumerate(zip(sources, targets)):
         images = set()
         for letters in source:
-            image = patterns.bijection_10_to_012(PAscentSequence(2, letters))
+            image = patterns.bijection_10_to_012(PAscentSequence._trusted(2, letters))
             if patterns.bijection_012_to_10(image).letters != letters:
                 return _mismatch(n, letters, "round trip failed")
             images.add(image.letters)
@@ -271,7 +275,8 @@ def _check_bijection(n_max: int) -> dict | None:
 
 
 def _check_embed(p: int, n_max: int) -> dict | None:
-    _guard_budget(p, n_max)
+    _guard_budget(sum(count_by_length(p, n_max)),
+                  f"enumerating p={p} sequences up to length {n_max}")
     for n in range(n_max + 1):
         forward = 0
         for seq in enumerate_sequences(p, n):

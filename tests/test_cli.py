@@ -8,6 +8,8 @@ import pytest
 
 from pascent import gf, verify
 from pascent.cli import main
+from pascent.core import enumerate_sequences
+from pascent.patterns import Pattern, occurs
 from pascent.series import MultiPoly, TSeries
 
 
@@ -54,6 +56,32 @@ def test_count_primitive(capsys):
     code, out = run(capsys, "count", "--p", "2", "--n", "4", "--primitive")
     assert code == 0
     assert out == "21\n"
+
+
+@pytest.mark.parametrize("flags", [
+    (), ("--primitive",), ("--pattern", "012"), ("--pattern", "10-1", "--primitive"),
+])
+def test_count_matches_enumeration(capsys, flags):
+    """count counts by level DP; listing the words must give the same number."""
+    pat = Pattern.parse(flags[flags.index("--pattern") + 1]) if "--pattern" in flags else None
+    for p in (1, 2, 3):
+        for n in range(7):
+            expected = sum(
+                1 for w in (seq.letters for seq in enumerate_sequences(p, n))
+                if not ("--primitive" in flags and any(a == b for a, b in zip(w, w[1:])))
+                and not (pat and occurs(pat, w))
+            )
+            code, out = run(capsys, "count", "--p", str(p), "--n", str(n), *flags)
+            assert (code, out) == (0, f"{expected}\n"), (p, n)
+
+
+def test_verify_avoider_walks_over_node_budget(capsys):
+    for argv in (["--suite", "bijection_10_012", "--order", "30"],
+                 ["--suite", "vincular_212", "--order", "20"]):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "nodes" in captured.err and str(verify._MAX_NODES) in captured.err
 
 
 def test_series_json_values(capsys):

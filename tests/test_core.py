@@ -15,6 +15,7 @@ from pascent.core import (
     oracle_table,
     stats,
 )
+from pascent.patterns import Pattern, _avoiders_by_length, iter_avoiders
 from pascent.series import _MAX_EXP, MultiPoly
 
 
@@ -121,6 +122,19 @@ def test_prefix_closure():
     for seq in enumerate_sequences(3, 5):
         for i in range(len(seq) + 1):
             assert is_p_ascent(seq.letters[:i], 3)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_unvalidated_words_are_p_ascent(p):
+    """enumerate_sequences, iter_avoiders and the bijection suite's buckets
+    wrap the words that _grow builds without validating them again."""
+    yielded = [s for n in range(7) for s in enumerate_sequences(p, n)]
+    yielded += [s for n in range(7) for s in iter_avoiders(p, Pattern.parse("10-1"), n)]
+    for seq in yielded:
+        assert is_p_ascent(seq.letters, p)
+        assert seq == PAscentSequence(p, seq.letters)
+    for level in _avoiders_by_length(p, Pattern.parse("012"), 7):
+        assert all(is_p_ascent(word, p) for word in level)
 
 
 def test_monotone_in_p():

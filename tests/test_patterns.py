@@ -3,10 +3,11 @@
 import pytest
 
 import golden_data as gold
-from pascent.core import PAscentSequence, enumerate_sequences, is_p_ascent
+from pascent.core import PAscentSequence, _grow, enumerate_sequences, is_p_ascent
 from pascent.patterns import (
     NoClosedFormError,
     Pattern,
+    _avoidance,
     avoider_counts,
     bijection_012_to_10,
     bijection_10_to_012,
@@ -107,23 +108,43 @@ def test_printed_avoiders_3_00_bruteforce_range():
     assert avoider_counts(3, P00, 10)[1:] == gold.AVOID_3_00[:10]
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+AUTOMATON_PATTERNS = (
+    "01", "10", "00", "012", "10-1", "21-2",
+    "0102", "101", "001", "0-10", "01-0", "12-0", "0-0", "0",
+)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_pruned_avoiders_match_unpruned_occurs(p):
-    # the pruned walk tests only occurrences ending at the newest letter;
-    # the full occurrence test over every word must select the same words
+    # the automaton carries occurrences from word to word; the full
+    # occurrence test over every word must select the same words, in order
     words = [[s.letters for s in enumerate_sequences(p, n)] for n in range(7)]
-    for text in ("01", "10", "00", "012", "10-1", "21-2"):
+    for text in AUTOMATON_PATTERNS:
         pat = Pattern.parse(text)
+        avoiders = [[w for w in level if not occurs(pat, w)] for level in words]
         for primitive_only in (False, True):
             expected = [
-                [w for w in level if not occurs(pat, w)
-                 and not (primitive_only and any(a == b for a, b in zip(w, w[1:])))]
-                for level in words
+                [w for w in level
+                 if not (primitive_only and any(a == b for a, b in zip(w, w[1:])))]
+                for level in avoiders
             ]
             assert avoider_counts(p, pat, 6, primitive_only) == [len(e) for e in expected]
             for n, level in enumerate(expected):
                 listed = [s.letters for s in iter_avoiders(p, pat, n, primitive_only)]
                 assert listed == level, (text, primitive_only, n)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_avoider_dp_matches_state_carrying_walk(p):
+    # the level DP merges words by state; the walk lists every word
+    for text in AUTOMATON_PATTERNS:
+        pat = Pattern.parse(text)
+        for primitive_only in (False, True):
+            walked = [0] * 10
+            root, step = _avoidance(pat, primitive_only)
+            for word in _grow(p, 9, state=root, step=step):
+                walked[len(word)] += 1
+            assert avoider_counts(p, pat, 9, primitive_only) == walked, (text, primitive_only)
 
 
 def test_avoid_01_is_all_zero_words():

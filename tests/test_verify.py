@@ -47,6 +47,18 @@ def test_budget_guard_does_not_build_the_closed_form(monkeypatch):
         verify.check_pattern("embed_roundtrip", 4, 25)
 
 
+def test_budget_guards_the_avoider_walks(monkeypatch):
+    """bijection_10_012 lists every 10- and 012-avoider, and vincular_212
+    walks every ternary word; each walk is priced before it starts."""
+    monkeypatch.setattr(verify, "_MAX_NODES", 1000)
+    with pytest.raises(verify.BudgetExceededError, match="2050 nodes"):
+        verify.check_pattern("bijection_10_012", 2, 8)
+    with pytest.raises(verify.BudgetExceededError, match="3280 nodes"):
+        verify.check_pattern("vincular_212", 3, 8)
+    assert verify.check_pattern("bijection_10_012", 2, 6).passed
+    assert verify.check_pattern("vincular_212", 3, 6).passed
+
+
 @pytest.mark.parametrize("name", verify.ORACLE_GF_NAMES)
 def test_oracle_suites_deep(name):
     """The oracle is a level DP, so no node budget stops an order-14 run."""
@@ -57,6 +69,17 @@ def test_oracle_suites_deep(name):
 @pytest.mark.parametrize("name", ["kernel_G", "kernel_H", "rel16"])
 def test_kernel_suites_deep(name):
     report = verify.check_identity(name, 3, 12)
+    assert report.passed, report.to_json()
+
+
+@pytest.mark.parametrize("name,p", [
+    *((name, p) for name in ("patterns_01", "patterns_10", "patterns_00") for p in (2, 3)),
+    *(("patterns_012", p) for p in (2, 3, 4, 5)),
+])
+def test_pattern_suites_deep(name, p):
+    """The avoider counts are a level DP too, so the pattern-family suites
+    run at order 14."""
+    report = verify.check_pattern(name, p, 14)
     assert report.passed, report.to_json()
 
 
