@@ -104,13 +104,13 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    if args.updown:
-        total = sum(1 for _ in _sequence_stream(args))
-    elif args.pattern is not None:
+    if args.pattern is not None and not args.updown:
         pat = Pattern.parse(args.pattern)
         total = patterns.count_avoiders(args.p, pat, args.n, primitive_only=args.primitive)
+    elif args.updown or args.primitive:
+        total = sum(1 for _ in _sequence_stream(args))
     else:
-        total = count_by_length(args.p, args.n, primitive_only=args.primitive)[args.n]
+        total = count_by_length(args.p, args.n)[args.n]
     out.write(f"{total}\n")
     return 0
 

@@ -13,11 +13,16 @@ function says so; patterns drives them with its avoidance automaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Callable, Iterator, Sequence
 
 from .series import _MAX_EXP, MultiPoly, TSeries, _pack
 
 STAT_NAMES = ("ascents", "last", "zeros", "run")
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when a walk or a count would exceed its node or state budget."""
 
 
 def asc(word: Sequence[int]) -> int:
@@ -99,26 +104,28 @@ def stats(seq: PAscentSequence) -> StatProfile:
     """Compute the full statistic profile of a sequence."""
     w = seq.letters
     n = len(w)
-    ascents = sum(1 for i in range(n - 1) if w[i] < w[i + 1])
-    descents = sum(1 for i in range(n - 1) if w[i] > w[i + 1])
-    lead = 0
-    while lead < n and w[lead] == 0:
-        lead += 1
-    run = 0 if lead == n else lead
-    up_down = all(
-        (w[i] < w[i + 1]) if i % 2 == 0 else (w[i] > w[i + 1]) for i in range(n - 1)
-    )
+    if not n:
+        return StatProfile(0, 0, 0, 0, None, 0, None, 0, True, True)
+    ascents = sum(map(lt, w, w[1:]))
+    descents = sum(map(gt, w, w[1:]))
+    zeros = w.count(0)
+    run = 0
+    if zeros < n:
+        while not w[run]:
+            run += 1
     return StatProfile(
         length=n,
         ascents=ascents,
         descents=descents,
-        zeros=w.count(0),
-        last=w[-1] if n else None,
+        zeros=zeros,
+        last=w[-1],
         run=run,
-        max=max(w) if n else None,
+        max=max(w),
         sum=sum(w),
-        primitive=all(w[i] != w[i + 1] for i in range(n - 1)),
-        up_down=up_down,
+        # no two adjacent letters are equal
+        primitive=ascents + descents == n - 1,
+        # rises at even positions i (w[i] < w[i+1]), falls at odd ones
+        up_down=all(map(lt, w[::2], w[1::2])) and all(map(gt, w[1::2], w[2::2])),
     )
 
 
@@ -157,6 +164,7 @@ def _levels(
     max_repeat: int | None = None,
     state: object = (),
     step: Callable[[object, int], object | None] | None = None,
+    max_states: int | None = None,
 ) -> Iterator[dict[tuple, int]]:
     """Count the p-ascent words of each length 1..n_max by state, level by level.
 
@@ -166,7 +174,9 @@ def _levels(
     Fields not asked for stay 0.  A word is all 0s exactly while it has no
     ascent, so run needs no flag.  state and step are those of _grow: state
     is the empty word's, and a child that step maps to None is not counted,
-    nor are its extensions.  Only the latest level is held.
+    nor are its extensions.  Only the latest level is held, and
+    BudgetExceededError is raised once a level holds more than max_states
+    keys.
     """
     if n_max < 1:
         return
@@ -191,6 +201,10 @@ def _levels(
                     key = (a, c, z + zstep if c == 0 else z, r,
                            rep + rstep if c == last else rstep, child)
                 level[key] = level.get(key, 0) + count
+            if max_states is not None and len(level) > max_states:
+                raise BudgetExceededError(
+                    f"length {m + 1} holds more than the state budget of {max_states} states"
+                )
         yield level
 
 

@@ -12,7 +12,8 @@ the word that reduce to the pattern's first j letters (for a vincular block,
 only those ending at the last letter), so appending a letter updates the
 state instead of searching the word again.  core._levels merges words of
 equal (ascents, last letter, state) and counts them: avoider_counts,
-count_avoiders and every pattern suite's brute column.  core._grow carries
+count_avoiders and every pattern suite's brute column; a level of more than
+_MAX_STATES keys raises BudgetExceededError.  core._grow carries
 the state from word to word and lists them: iter_avoiders and the
 bijection suite.  occurs, which searches a whole word, is the independent
 ground truth that tests compare both with.
@@ -32,6 +33,11 @@ from .series import MultiPoly, TSeries
 
 class NoClosedFormError(ValueError):
     """Raised when no closed form is implemented for a (p, pattern) pair."""
+
+
+# ceiling on the (ascents, last letter, state) keys of one level of
+# avoider_counts; a key of a four-letter pattern holds about 1-3 KB
+_MAX_STATES = 50_000
 
 
 def red(word: Sequence[int]) -> tuple[int, ...]:
@@ -202,14 +208,19 @@ def avoider_counts(
     (see _avoidance) decides every future occurrence, so words with equal
     ascents, last letter and state have equally many avoiding extensions.
     The count merges them level by level (core._levels); its cost grows with
-    the number of distinct states, not of avoiders.
+    the number of distinct states, not of avoiders.  The patterns with
+    closed forms (01, 10, 00, 012) keep under 4,000 states per level up to
+    length 16, but longer patterns merge few words, so above _MAX_STATES
+    states in one level this raises BudgetExceededError; iter_avoiders lists
+    such avoiders in memory linear in n.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     root, step = _avoidance(pat, primitive_only)
-    return [1] + [sum(level.values()) for level in _levels(p, n_max, state=root, step=step)]
+    levels = _levels(p, n_max, state=root, step=step, max_states=_MAX_STATES)
+    return [1] + [sum(level.values()) for level in levels]
 
 
 def count_avoiders(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> int:

@@ -7,8 +7,10 @@ checked as a zero residual of exact series arithmetic.  Comparisons are exact
 equality of canonical forms; there are no tolerances anywhere.  Suites are
 pure functions of their parameters, so reports are deterministic.
 
-The oracle and the avoider counts are level DPs, so the oracle, kernel and
-pattern-family suites run at any order.  Three suites walk words, and each
+The oracle and the avoider counts are level DPs, so the oracle and kernel
+suites run at any order; the pattern-family suites' four short patterns keep
+under 4,000 states per level up to order 16, far below the state budget of
+patterns.avoider_counts.  Three suites walk words, and each
 prices its walk first and raises BudgetExceededError above _MAX_NODES words:
 embed_roundtrip (every p-ascent word), bijection_10_012 (the 10- and
 012-avoiders, priced by their counts) and vincular_212 (every ternary word).
@@ -33,13 +35,15 @@ from itertools import groupby
 from math import comb
 
 from . import gf, patterns
-from .core import PAscentSequence, count_by_length, enumerate_sequences, oracle_table
+from .core import (
+    BudgetExceededError,
+    PAscentSequence,
+    count_by_length,
+    enumerate_sequences,
+    oracle_table,
+)
 from .patterns import Pattern
 from .series import MultiPoly, TSeries, scalar_coefficients
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised before a suite would walk more than _MAX_NODES words."""
 
 
 # hard ceiling on the number of words a suite may walk

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pascent import gf, verify
+from pascent import gf, patterns, verify
 from pascent.cli import main
 from pascent.core import enumerate_sequences
 from pascent.patterns import Pattern, occurs
@@ -73,6 +73,16 @@ def test_count_matches_enumeration(capsys, flags):
             )
             code, out = run(capsys, "count", "--p", str(p), "--n", str(n), *flags)
             assert (code, out) == (0, f"{expected}\n"), (p, n)
+
+
+def test_count_pattern_over_state_budget(capsys, monkeypatch):
+    monkeypatch.setattr(patterns, "_MAX_STATES", 500)
+    for argv in (["count", "--p", "3", "--n", "9", "--pattern", "0102"],
+                 ["avoid", "--p", "3", "--n", "9", "--pattern", "0102"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "state budget of 500" in captured.err
 
 
 def test_verify_avoider_walks_over_node_budget(capsys):

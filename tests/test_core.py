@@ -68,6 +68,24 @@ def test_stats_single_letter_up_down():
     assert stats(PAscentSequence(2, (0,))).up_down
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stats_match_their_definitions(p):
+    for n in range(8):
+        for seq in enumerate_sequences(p, n):
+            w = seq.letters
+            pairs = list(zip(w, w[1:]))
+            lead = next((i for i, c in enumerate(w) if c), 0)
+            expected = (
+                n, sum(a < b for a, b in pairs), sum(a > b for a, b in pairs), w.count(0),
+                w[-1] if w else None, lead, max(w, default=None), sum(w),
+                all(a != b for a, b in pairs),
+                all((a < b) == (i % 2 == 0) and a != b for i, (a, b) in enumerate(pairs)),
+            )
+            s = stats(seq)
+            assert (s.length, s.ascents, s.descents, s.zeros, s.last, s.run, s.max, s.sum,
+                    s.primitive, s.up_down) == expected, w
+
+
 def test_enumerate_basic():
     assert [s.letters for s in enumerate_sequences(1, 1)] == [(0,)]
     assert [s.letters for s in enumerate_sequences(1, 2)] == [(0, 0), (0, 1)]

@@ -3,7 +3,14 @@
 import pytest
 
 import golden_data as gold
-from pascent.core import PAscentSequence, _grow, enumerate_sequences, is_p_ascent
+from pascent import patterns
+from pascent.core import (
+    BudgetExceededError,
+    PAscentSequence,
+    _grow,
+    enumerate_sequences,
+    is_p_ascent,
+)
 from pascent.patterns import (
     NoClosedFormError,
     Pattern,
@@ -145,6 +152,23 @@ def test_avoider_dp_matches_state_carrying_walk(p):
             for word in _grow(p, 9, state=root, step=step):
                 walked[len(word)] += 1
             assert avoider_counts(p, pat, 9, primitive_only) == walked, (text, primitive_only)
+
+
+def test_avoider_counts_over_state_budget(monkeypatch):
+    # a four-letter pattern merges few words, so its levels grow fast; the
+    # count raises once a level passes the state budget instead of growing on
+    pat = Pattern.parse("0102")
+    small = avoider_counts(3, pat, 7)
+    deep_012 = avoider_counts(5, P012, 16)   # at most 466 states per level
+    monkeypatch.setattr(patterns, "_MAX_STATES", 500)
+    with pytest.raises(BudgetExceededError, match="length 6 .* state budget of 500"):
+        avoider_counts(3, pat, 9)
+    with pytest.raises(BudgetExceededError):
+        count_avoiders(3, pat, 9, primitive_only=True)
+    assert avoider_counts(3, pat, 5) == small[:6]
+    assert avoider_counts(5, P012, 16) == deep_012
+    # the walk's memory is bounded by its depth, so it has no state budget
+    assert sum(1 for _ in iter_avoiders(3, pat, 7)) == small[7]
 
 
 def test_avoid_01_is_all_zero_words():
