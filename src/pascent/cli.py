@@ -1,9 +1,9 @@
 """Command-line front end: enumeration, series, avoidance tables, bijections,
 verification suites, and OEIS-style b-file output.
 
-Exit codes: 0 on success (all checks pass), 1 on a verification failure,
-2 on a usage error or an enumeration over the node budget.  All output is
-byte-deterministic for fixed flags.
+Exit codes: 0 on success (all checks pass), 1 on a verification failure or
+a failed kernel cancellation, 2 on a usage error or an enumeration over the
+node budget.  All output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -259,16 +259,13 @@ def _suite_reports(args) -> list[verify.CheckReport]:
         raise _UsageError(f"unknown suite {args.suite!r}")
     if args.budget is not None:
         raise _UsageError(f"suite {args.suite!r} takes no --budget; --order sizes it")
-    if not suite.needs_p and args.p not in (None, suite.forced_p):
-        if suite.forced_p is None:
-            raise _UsageError(f"suite {args.suite!r} takes no --p")
-        raise _UsageError(f"suite {args.suite!r} is only available for p = {suite.forced_p}")
     if args.k is not None:
         if "k" not in suite.extra:
             raise _UsageError(f"suite {args.suite!r} takes no --k")
         if args.k < 1:
             raise _UsageError("--k must be at least 1")
-    p = suite.default_p if args.p is None else args.p
+    # verify.run_suite refuses a p that the suite does not take
+    p = args.p if args.p is not None else (suite.ps[0] if len(suite.ps) == 1 else 2)
     order = suite.default_order if args.order is None else args.order
     return [verify.run_suite(args.suite, p, order, 2 if args.k is None else args.k)]
 
@@ -382,6 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, ValueError, verify.BudgetExceededError) as exc:
         print(f"pascent: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a failed kernel cancellation or exact division: the series is wrong
+        print(f"pascent: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_entry() -> None:

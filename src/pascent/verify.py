@@ -28,7 +28,6 @@ ArithmeticError (a failed kernel cancellation) fails with the record
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -305,22 +304,20 @@ class Suite:
     """How one named suite checks, reports its parameters, and is run.
 
     check(p, N, k) returns the first discrepancy, or None when the suite
-    passes.  A suite that does not need p runs at, and reports, forced_p; one
-    that needs p and has a forced_p accepts no other p.  The report's
+    passes.  ps is the rule for p: a suite with one value in ps runs only at
+    that value (None for a suite that takes no p), and a caller may pass None
+    or that value; every other suite needs a positive p.  The report's
     parameters are p, N and then the keys in extra.  run_all runs the suite at
-    each p in ps with N = order(budget); the CLI runs it at default_p and
-    default_order unless --p or --order is given.
+    each p in ps with N = order(budget); the CLI runs it at its only p, or 2,
+    and at default_order unless --p or --order is given.
     """
 
     kind: str  # "oracle", "identity" or "pattern"
     check: Callable[[int | None, int, int], dict | None]
     ps: tuple[int | None, ...] = (1, 2, 3, 4)
     order: Callable[[int], int] = lambda budget: budget
-    needs_p: bool = True
-    forced_p: int | None = None
     extra: tuple[str, ...] = ()
     default_order: int = 10
-    default_p: int = 2
 
 
 # In report order.  Adjacent suites with the same ps interleave in run_all,
@@ -373,14 +370,13 @@ SUITES: dict[str, Suite] = {
     "rel16": Suite("identity", lambda p, n, k: _first(_check_rel16(p, n))),
     "psi": Suite(
         "identity", lambda p, n, k: _first(_check_psi(n)), ps=(None,),
-        order=lambda budget: min(20, 2 * budget + 4), needs_p=False, extra=("D", "m_max"),
+        order=lambda budget: min(20, 2 * budget + 4), extra=("D", "m_max"),
         default_order=20,
     ),
     "jelinek": Suite(
         "identity",
         lambda p, n, k: _series_discrepancy(gf.eval_A1_product_form(n), gf.eval_A(p, n)),
-        ps=(1,), order=lambda budget: min(30, 3 * budget + 6), forced_p=1,
-        default_order=30, default_p=1,
+        ps=(1,), order=lambda budget: min(30, 3 * budget + 6), default_order=30,
     ),
     "H_gives_A": Suite(
         "identity",
@@ -395,7 +391,7 @@ SUITES: dict[str, Suite] = {
     ),
     "delta_gamma_calculus": Suite(
         "identity", lambda p, n, k: _first(_check_delta_gamma(n)), ps=(None,),
-        order=lambda budget: budget + 4, needs_p=False, extra=("s_max", "k_max"),
+        order=lambda budget: budget + 4, extra=("s_max", "k_max"),
         default_order=12,
     ),
     "cancellation": Suite(
@@ -411,7 +407,7 @@ SUITES: dict[str, Suite] = {
         lambda p, n, k: _series_discrepancy(
             gf.eval_A(p, n).specialize({"z": 1}), gf.eval_P(n)
         ),
-        ps=(None,), order=lambda budget: budget + 4, needs_p=False, forced_p=1,
+        ps=(1,), order=lambda budget: budget + 4,
     ),
     "patterns_01": Suite(
         "pattern", lambda p, n, k: _check_pattern_family(p, "01", n), default_order=8,
@@ -429,11 +425,11 @@ SUITES: dict[str, Suite] = {
     ),
     "vincular_212": Suite(
         "pattern", lambda p, n, k: _check_vincular(n), ps=(3,),
-        order=lambda budget: min(budget + 2, 10), needs_p=False, forced_p=3, default_order=8,
+        order=lambda budget: min(budget + 2, 10), default_order=8,
     ),
     "bijection_10_012": Suite(
         "pattern", lambda p, n, k: _check_bijection(n), ps=(2,),
-        order=lambda budget: min(budget + 4, 12), needs_p=False, forced_p=2, default_order=8,
+        order=lambda budget: min(budget + 4, 12), default_order=8,
     ),
     "embed_roundtrip": Suite(
         "pattern", lambda p, n, k: _check_embed(p, n),
@@ -452,12 +448,14 @@ def _run(kind: str, name: str, p: int | None, n_max: int, k: int | None = None) 
     suite = SUITES.get(name)
     if suite is None or suite.kind != kind:
         raise ValueError(f"unknown {kind} suite {name!r}")
-    if not suite.needs_p:
-        p = suite.forced_p
+    if len(suite.ps) == 1:
+        (only,) = suite.ps
+        if p not in (None, only):
+            raise ValueError(f"suite {name!r} takes no p" if only is None
+                             else f"suite {name!r} is only available for p = {only}")
+        p = only
     elif p is None or p < 1:
         raise ValueError(f"suite {name!r} needs a positive p")
-    elif suite.forced_p not in (None, p):
-        raise ValueError(f"suite {name!r} is only available for p = {suite.forced_p}")
     values = {"p": p, "N": n_max, "k": k, "D": n_max,
               "m_max": _DEPTH, "s_max": _DEPTH, "k_max": _DEPTH}
     params = {key: values[key] for key in ("p", "N", *suite.extra)}
@@ -503,34 +501,12 @@ def _task_matrix(budget: int) -> list[tuple]:
     return tasks
 
 
-def _jobs(text: str | None) -> int:
-    """Worker count from PASCENT_JOBS: 1 when unset or empty, else a positive
-    integer, capped at the number of CPUs."""
-    if not text:
-        return 1
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"PASCENT_JOBS must be a positive integer, not {text!r}")
-    return min(jobs, os.cpu_count() or 1)
-
-
 def run_all(budget: int) -> list[CheckReport]:
-    """Run the full verification matrix for p in 1..4.
+    """Run every suite at each p in its ps, in the order SUITES gives.
 
     budget caps the length of every oracle-backed comparison; the pure
-    series identities run at fixed desk scales.  Set PASCENT_JOBS > 1 to run
-    independent suites in worker processes (reports keep SUITES order).
+    series identities run at fixed desk scales.
     """
     if budget < 4:
         raise ValueError("budget must be at least 4")
-    tasks = _task_matrix(budget)
-    jobs = _jobs(os.environ.get("PASCENT_JOBS"))
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            return pool.starmap(run_suite, tasks)
-    return [run_suite(*task) for task in tasks]
+    return [run_suite(*task) for task in _task_matrix(budget)]

@@ -2,7 +2,6 @@
 
 import inspect
 import json
-import os
 
 import pytest
 
@@ -98,12 +97,34 @@ def test_identity_suites_small():
 
 
 def test_identity_validation():
-    with pytest.raises(ValueError):
-        verify.check_identity("nope", 2, 6)
-    with pytest.raises(ValueError):
-        verify.check_identity("jelinek", 2, 6)
-    with pytest.raises(ValueError):
-        verify.check_identity("kernel_G", None, 6)
+    """A suite with one p in its ps refuses any other p, and the rest need one."""
+    for name, p in (
+        ("nope", 2),
+        ("jelinek", 2),
+        ("kernel_G", None),
+        ("psi", 7),
+        ("delta_gamma_calculus", 1),
+        ("fishburn_p1", 9),
+    ):
+        with pytest.raises(ValueError):
+            verify.check_identity(name, p, 6)
+
+
+def test_pattern_validation():
+    for name, p in (("vincular_212", 5), ("bijection_10_012", 4)):
+        with pytest.raises(ValueError, match="only available for p = "):
+            verify.check_pattern(name, p, 6)
+
+
+@pytest.mark.parametrize("name,only", [
+    ("psi", None), ("delta_gamma_calculus", None), ("fishburn_p1", 1), ("jelinek", 1),
+    ("vincular_212", 3), ("bijection_10_012", 2),
+])
+def test_single_p_suites_take_none_or_their_p(name, only):
+    for p in (None, only):
+        report = verify.run_suite(name, p, 6)
+        assert report.passed, report.to_json()
+        assert report.parameters["p"] == only
 
 
 def test_pattern_suites_small():
@@ -188,7 +209,6 @@ def budget_4_run():
     called = set()
     with pytest.MonkeyPatch.context() as monkeypatch:
         _record_calls(monkeypatch, called)
-        monkeypatch.delenv("PASCENT_JOBS", raising=False)
         reports = verify.run_all(4)
     return reports, called
 
@@ -211,17 +231,6 @@ def test_run_all_budget_4(budget_4_run):
 def test_run_all_validates_budget():
     with pytest.raises(ValueError):
         verify.run_all(3)
-
-
-@pytest.mark.parametrize("text", ["abc", "0", "-3", "1.5"])
-def test_jobs_rejects_non_positive(text):
-    with pytest.raises(ValueError, match="PASCENT_JOBS"):
-        verify._jobs(text)
-
-
-def test_jobs_capped_at_cpu_count():
-    assert verify._jobs(None) == verify._jobs("") == verify._jobs("1") == 1
-    assert verify._jobs(str(10**9)) == (os.cpu_count() or 1)
 
 
 def _bump(real, poly, power, when=lambda *args: True):
@@ -362,7 +371,6 @@ def test_psi_deep():
 def test_failed_cancellation_fails_only_its_suites(monkeypatch):
     """An ArithmeticError inside a suite fails that suite; run_all goes on."""
     monkeypatch.setattr(gf, "eval_G1_u", _bump(gf.eval_G1_u, MultiPoly.variable("z"), 3))
-    monkeypatch.delenv("PASCENT_JOBS", raising=False)
     reports = verify.run_all(4)
     assert len(reports) == len(verify._task_matrix(4))
     failed = {r.suite for r in reports if not r.passed}
