@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 from . import gf, patterns, verify
 from .core import PAscentSequence, count_by_length, enumerate_sequences, stats
 from .patterns import Pattern
-from .series import TSeries, scalar_coefficients
+from .series import MultiPoly, TSeries, scalar_coefficients
 
 class _GF(NamedTuple):
     build: Callable[[argparse.Namespace], TSeries]
@@ -29,7 +29,7 @@ class _GF(NamedTuple):
 # the five-variable G are emitted from their t^0 term; the run-1 series G1
 # starts at t^2.
 GFS = {
-    "A": _GF(lambda a: gf.eval_A(a.p, a.order), 1, ("p",)),
+    "A": _GF(lambda a: gf.eval_A(a.p, a.order, a.z), 1, ("p",)),
     "R": _GF(lambda a: gf.eval_R(a.p, a.order), 1, ("p",)),
     "P": _GF(lambda a: gf.eval_P(a.order), 0, ()),
     "G1u": _GF(lambda a: gf.eval_G1_u(a.p, a.order, a.udeg), 2, ("p",), ("udeg",)),
@@ -65,13 +65,12 @@ def _parse_assignments(text: str) -> dict[str, int]:
             number = int(value)
         except ValueError as exc:
             raise _UsageError(f"bad --set value {value!r}: must be an integer") from exc
-        if name == "all":
-            for var in ("u", "v", "z", "x"):
-                out[var] = number
-        elif name in ("u", "v", "z", "x"):
-            out[name] = number
-        else:
+        if name not in ("u", "v", "z", "x", "all"):
             raise _UsageError(f"unknown variable {name!r} in --set (use u, v, z, x or all)")
+        for var in ("u", "v", "z", "x") if name == "all" else (name,):
+            if var in out:
+                raise _UsageError(f"--set gives {var} more than once")
+            out[var] = number
     return out
 
 
@@ -129,10 +128,12 @@ def _build_series(args) -> TSeries:
             raise _UsageError(f"--gf {args.gf} requires --{flag}")
     unread = [f for f in ("p", "k", "udeg") if f not in entry.needs + entry.takes]
     _reject(args, f"--gf {args.gf}", unread)
+    values = _parse_assignments(args.set) if args.set else {}
+    # A is built with its --set z in place (specializing is a ring homomorphism),
+    # so that its z-exponents never reach the overflow bound
+    args.z = MultiPoly.const(values["z"]) if "z" in values else MultiPoly.variable("z")
     series = entry.build(args)
-    if args.set:
-        series = series.specialize(_parse_assignments(args.set))
-    return series
+    return series.specialize(values) if values else series
 
 
 def _cmd_series(args, out) -> int:

@@ -66,8 +66,8 @@ def one_minus_t(order: int) -> TSeries:
     return TSeries.one(order) - TSeries.from_poly(order, MultiPoly.const(1), 1)
 
 
-def one_minus_zt(order: int) -> TSeries:
-    return TSeries.one(order) - TSeries.from_poly(order, _Z, 1)
+def one_minus_zt(order: int, z: MultiPoly = _Z) -> TSeries:
+    return TSeries.one(order) - TSeries.from_poly(order, z, 1)
 
 
 def delta(k: int, order: int) -> TSeries:
@@ -241,17 +241,19 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     return (total.shift(1) * (_Z - _Z * _U)).u_truncate(bound)
 
 
-def eval_A(p: int, order: int) -> TSeries:
+def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
     """Series over all p-ascent sequences by length (t) and zeros (z).
 
     1 + sum over n >= 0 of C(p-1+n, n) zt/(1-zt)^(n+1) prod_{i=1..n}(1-(1-t)^i);
     the n-th product has t-valuation n, so the cutoff at n = order is exact.
+    A constant z gives the series specialized at that z (specializing is a
+    ring homomorphism), with integer coefficients and no z-exponent to bound.
     """
     _check_p(p)
     _check_order(order)
-    inv_1mzt = one_minus_zt(order).invert()
+    inv_1mzt = one_minus_zt(order, z).invert()
     total = _binomial_sum(p, inv_1mzt, one_minus_t(order))
-    return 1 + TSeries.from_poly(order, _Z, 1) * inv_1mzt * total
+    return 1 + TSeries.from_poly(order, z, 1) * inv_1mzt * total
 
 
 def eval_P(order: int) -> TSeries:

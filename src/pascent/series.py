@@ -10,6 +10,8 @@ division of 1), and checked exact polynomial division by (v - 1).
 Internally an exponent vector (e_u, e_v, e_z, e_x) is packed into a single
 int (8 bits per variable) so that monomial products reduce to integer
 addition, in the one loop that every product runs through, ``_scatter``.
+The one exception is a product or quotient of two series whose coefficients
+are all constants (the scalar series): those are convolved as integer lists.
 Exponent vectors from outside are checked against the field bound, and every
 product's output is checked once for an exponent that reached 128; the
 public accessors speak plain tuples.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from itertools import chain
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, Mapping
 
 VARS = ("u", "v", "z", "x")
@@ -65,6 +67,23 @@ def _scatter(accs, a: dict[int, int], bs) -> None:
                     acc[k] = s
                 elif k in acc:
                     del acc[k]
+
+
+def _scalars(polys) -> list[int] | None:
+    """The values of the polynomials if every one is a constant, else None."""
+    maps = [p._t for p in polys]
+    # a constant's map has no key but 0, the packed exponent of 1
+    return None if any(map(any, maps)) else [t.get(0, 0) for t in maps]
+
+
+def _support(values: list[int]) -> tuple[int, int]:
+    """First and last index of a nonzero value; (len, -1) when there is none."""
+    nonzero = [i for i, c in enumerate(values) if c]
+    return (nonzero[0], nonzero[-1]) if nonzero else (len(values), -1)
+
+
+def _from_scalars(values) -> "TSeries":
+    return TSeries([MultiPoly({0: c}) if c else _P_ZERO for c in values])
 
 
 def _check_carry(maps) -> None:
@@ -415,6 +434,16 @@ class TSeries:
         if not isinstance(other, TSeries):
             return NotImplemented
         n = min(self.order, other.order)
+        a, b = _scalars(self.coeffs[: n + 1]), _scalars(other.coeffs[: n + 1])
+        if a is not None and b is not None:
+            # t^k gets the dot product of a[i] and b[k - i] over both supports
+            sa, sb = _support(a), _support(b)
+            vals = [0] * (n + 1)
+            rev = b[::-1]  # rev[n - k + i] = b[k - i]
+            for k in range(sa[0] + sb[0], min(n, sa[1] + sb[1]) + 1):
+                lo, hi = max(sa[0], k - sb[1]), min(sa[1], k - sb[0]) + 1
+                vals[k] = sum(map(mul, a[lo:hi], rev[n - k + lo : n - k + hi]))
+            return _from_scalars(vals)
         out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
         b = [p._t for p in other.coeffs[: n + 1]]
         for i in range(n + 1):
@@ -455,8 +484,18 @@ class TSeries:
         if not c0.is_const() or c0.const_value() not in (1, -1):
             raise ValueError("series is not invertible: constant term must be +1 or -1")
         inv0 = c0.const_value()
+        order = min(self.order, other.order)
+        a, b = _scalars(self.coeffs[: order + 1]), _scalars(other.coeffs[: order + 1])
+        if a is not None and b is not None:
+            # q_n = (a_n - b_1 q_(n-1) - ... - b_d q_(n-d)) / b_0, with d = deg b
+            deg, rev = _support(b)[1], b[::-1]  # rev[order - d .. order - 1] = b_d .. b_1
+            quot: list[int] = []
+            for n, an in enumerate(a):
+                d = min(n, deg)
+                quot.append(inv0 * (an - sum(map(mul, quot[n - d :], rev[order - d : order]))))
+            return _from_scalars(quot)
         out: list[MultiPoly] = []
-        for n in range(min(self.order, other.order) + 1):
+        for n in range(order + 1):
             acc = {k: -c for k, c in self.coeffs[n]._t.items()}
             for k in range(1, n + 1):
                 bk = other.coeffs[k]._t

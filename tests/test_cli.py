@@ -261,6 +261,30 @@ def test_bfile_A_z1(capsys):
     assert out == "1 1\n2 3\n3 11\n4 46\n"
 
 
+@pytest.mark.parametrize("spec,var", [("z=1,z=2", "z"), ("all=1,z=2", "z"), ("u=0,all=1", "u")])
+def test_set_rejects_a_variable_given_twice(capsys, spec, var):
+    code = main(["bfile", "--gf", "A", "--p", "1", "--order", "3", "--set", spec])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pascent: --set gives {var} more than once\n"
+
+
+def test_A_with_z_set_passes_order_127(capsys):
+    # --set z=... is substituted while A is built, so no z-exponent reaches 128
+    code, out = run(capsys, "bfile", "--gf", "A", "--p", "1", "--order", "200", "--set", "all=1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 200
+    _, fishburn = run(capsys, "bfile", "--gf", "P", "--order", "200")
+    assert lines == fishburn.splitlines()[1:]     # fishburn_p1: A at p = 1, z = 1 is P
+    # without --set the z-exponents of A reach the order
+    code = main(["series", "--gf", "A", "--p", "1", "--order", "200"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    message = captured.err.splitlines()
+    assert len(message) == 1 and message[0].startswith("pascent: exponent overflow")
+
+
 def test_bfile_requires_scalars(capsys):
     code, _ = run(capsys, "bfile", "--gf", "A", "--p", "2", "--order", "4")
     assert code == 2

@@ -97,6 +97,12 @@ def test_R_printed(p, row):
     assert scalar_coefficients(gf.eval_R(p, 9)) == row
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("c", [-2, 0, 1, 3])
+def test_A_built_at_a_constant_z_is_A_specialized(p, c):
+    assert gf.eval_A(p, 10, z=MultiPoly.const(c)) == gf.eval_A(p, 10).specialize({"z": c})
+
+
 def test_P_matches_A1():
     assert gf.eval_P(10) == gf.eval_A(1, 10).specialize({"z": 1})
     coeffs = scalar_coefficients(gf.eval_P(6))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pascent import series as series_module
 from pascent.series import MultiPoly, TSeries, scalar_coefficients
 
 U = MultiPoly.variable("u")
@@ -330,13 +331,18 @@ wide_polys = st.dictionaries(exponents, st.integers(-2, 2), max_size=4).map(
 )
 
 
-def sparse_series(order):
+def sparse_series(order, coefficients=wide_polys):
     return st.tuples(
-        st.integers(0, 2), st.lists(wide_polys, min_size=order + 1, max_size=order + 1)
+        st.integers(0, 2), st.lists(coefficients, min_size=order + 1, max_size=order + 1)
     ).map(lambda lead: TSeries([MultiPoly()] * lead[0] + lead[1][lead[0]:]))
 
 
 any_series = st.integers(0, 4).flatmap(sparse_series)
+# constant coefficients only, zero about every other time, so that the
+# products and quotients take the integer-list path over gapped supports
+constants = st.one_of(st.just(0), st.integers(-3, 3)).map(MultiPoly.const)
+scalar_series = st.integers(0, 8).flatmap(lambda n: sparse_series(n, constants))
+some_series = any_series | scalar_series
 one_plus_u = MultiPoly.from_terms({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
 one_minus_u = MultiPoly.from_terms({(0, 0, 0, 0): 1, (1, 0, 0, 0): -1})
 
@@ -348,17 +354,21 @@ def test_poly_product_matches_naive(a, b):
     assert (a * b).terms() == naive_mul(a.terms(), b.terms())
 
 
-@settings(max_examples=60, deadline=None)
-@given(any_series, any_series)
+@settings(max_examples=100, deadline=None)
+@given(some_series, some_series)
 @example(TSeries([MultiPoly.const(1), U]), TSeries([MultiPoly.const(1), -U]))
+@example(TSeries([MultiPoly.const(c) for c in (0, 2, 0, -1)]),
+         TSeries([MultiPoly.const(c) for c in (1, 0, 3)]))        # scalar x scalar
+@example(TSeries([MultiPoly.const(c) for c in (1, 1, 0, 2)]), TSeries([U, MultiPoly(), Z]))
 def test_series_product_matches_naive(a, b):
     order = min(a.order, b.order)
     assert (a * b).terms() == naive_mul(a.terms(), b.terms(), order)
 
 
-@settings(max_examples=60, deadline=None)
-@given(any_series, st.sampled_from([1, -1]))
+@settings(max_examples=100, deadline=None)
+@given(some_series, st.sampled_from([1, -1]))
 @example(TSeries([MultiPoly.const(1), U, U**2]), 1)     # t^2 cancels in the inverse
+@example(TSeries([MultiPoly.const(c) for c in (1, 0, 0, -2, 0, 0, 1)]), -1)
 def test_invert_matches_naive(a, unit):
     a = TSeries([MultiPoly.const(unit)] + a.coeffs[1:])
     assert a.invert().terms() == naive_invert(a.terms(), a.order)
@@ -372,13 +382,45 @@ def test_subst_u_matches_naive(a, repl):
     assert a.subst_u(repl).terms() == naive_subst_u(a.terms(), repl.terms(), order)
 
 
-def test_division_is_multiplication_by_the_inverse():
-    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
-    divisor = TSeries([MultiPoly.const(-1), u - z, MultiPoly(), u * z * 3, z])
-    numerator = TSeries([u + 2, MultiPoly(), z * z, u, MultiPoly.const(5), u * z])
+@settings(max_examples=100, deadline=None)
+@given(some_series, some_series, st.sampled_from([1, -1]))
+@example(TSeries([U + 2, MultiPoly(), Z * Z, U, MultiPoly.const(5), U * Z]),
+         TSeries([MultiPoly(), U - Z, MultiPoly(), U * Z * 3, Z]), -1)
+@example(TSeries([MultiPoly.const(c) for c in (3, 0, -1, 0, 2)]),
+         TSeries([MultiPoly(), MultiPoly.const(2), MultiPoly(), MultiPoly.const(-1)]), 1)
+def test_division_is_multiplication_by_the_inverse(numerator, divisor, unit):
+    divisor = TSeries([MultiPoly.const(unit)] + divisor.coeffs[1:])
     quotient = numerator / divisor
-    assert quotient.order == 4
-    assert quotient == numerator.truncate(4) * divisor.invert()
-    assert quotient * divisor == numerator.truncate(4)
-    with pytest.raises(ValueError, match="not invertible"):
-        numerator / TSeries([u + 2, MultiPoly.const(1)])
+    order = min(numerator.order, divisor.order)
+    assert quotient.order == order
+    assert quotient == numerator.truncate(order) * divisor.invert()
+    assert quotient * divisor == numerator.truncate(order)
+
+
+@pytest.mark.parametrize("divisor", [
+    TSeries([U + 2, MultiPoly.const(1)]),
+    TSeries([MultiPoly(), MultiPoly.const(1)]),
+    TSeries([MultiPoly.const(2), MultiPoly.const(1)]),
+], ids=["polynomial", "scalar_0", "scalar_2"])
+@pytest.mark.parametrize("numerator", [
+    TSeries([U, MultiPoly.const(5)]), TSeries([MultiPoly.const(3), MultiPoly.const(5)]),
+], ids=["polynomial", "scalar"])
+def test_division_refuses_a_constant_term_other_than_a_unit(numerator, divisor):
+    with pytest.raises(ValueError, match=r"not invertible: constant term must be \+1 or -1"):
+        numerator / divisor
+
+
+def test_only_scalar_operands_skip_the_sparse_loop(monkeypatch):
+    calls = []
+    scatter = series_module._scatter
+    monkeypatch.setattr(series_module, "_scatter", lambda *args: calls.append(args) or scatter(*args))
+    scalar = TSeries([MultiPoly.const(c) for c in (1, -2, 0, 3)])
+    mixed = TSeries([MultiPoly.const(1), U, MultiPoly(), Z])
+    assert scalar_coefficients(scalar * scalar) == [1, -4, 4, 6]
+    assert scalar_coefficients(scalar / scalar) == [1, 0, 0, 0]
+    assert calls == []
+    assert (scalar * mixed).coefficient(1) == U - 2
+    assert calls != []
+    calls.clear()
+    assert (mixed / scalar).coefficient(1) == U + 2
+    assert calls != []
