@@ -359,7 +359,8 @@ def test_poly_product_matches_naive(a, b):
 @example(TSeries([MultiPoly.const(1), U]), TSeries([MultiPoly.const(1), -U]))
 @example(TSeries([MultiPoly.const(c) for c in (0, 2, 0, -1)]),
          TSeries([MultiPoly.const(c) for c in (1, 0, 3)]))        # scalar x scalar
-@example(TSeries([MultiPoly.const(c) for c in (1, 1, 0, 2)]), TSeries([U, MultiPoly(), Z]))
+@example(TSeries([MultiPoly.const(c) for c in (1, 1, 0, 2)]),
+         TSeries([U, MultiPoly(), Z]))                                  # scalar x multivariate
 def test_series_product_matches_naive(a, b):
     order = min(a.order, b.order)
     assert (a * b).terms() == naive_mul(a.terms(), b.terms(), order)
