@@ -147,37 +147,38 @@ def _cmd_series(args, out) -> int:
     return 0
 
 
+def _brute_column(args, pat: Pattern) -> list[int]:
+    return patterns.avoider_counts(args.p, pat, args.n, primitive_only=args.primitive)
+
+
+def _closed_column(args, pat: Pattern, fallback=None) -> list[int]:
+    """The closed-form counts for n = 0..--n.  Without a closed form, this is
+    fallback(error) when given, else the NoClosedFormError (a ValueError, so
+    exit 2)."""
+    try:
+        return [patterns.closed_count(args.p, pat, n, primitive_only=args.primitive)
+                for n in range(args.n + 1)]
+    except patterns.NoClosedFormError as exc:
+        if fallback is None:
+            raise
+        return fallback(exc)
+
+
 def _avoid_columns(args) -> tuple[list[str], bool]:
     pat = Pattern.parse(args.pattern)
-    mode = "both" if args.both else "closed" if args.closed else "oracle"
-    lines = []
-    equal = True
-    brute = None
-    if mode in ("oracle", "both"):
-        brute = patterns.avoider_counts(args.p, pat, args.n, primitive_only=args.primitive)
-    if mode == "oracle":
-        lines = [f"{n} {brute[n]}" for n in range(1, args.n + 1)]
-        return lines, True
-    closed: list[int] | None
-    try:
-        closed = [
-            patterns.closed_count(args.p, pat, n, primitive_only=args.primitive)
-            for n in range(args.n + 1)
-        ]
-    except patterns.NoClosedFormError as exc:
-        if mode == "closed":
-            raise _UsageError(str(exc))
+    if args.closed:
+        closed = _closed_column(args, pat)
+        return [f"{n} {closed[n]}" for n in range(1, args.n + 1)], True
+    brute = _brute_column(args, pat)
+    if not args.both:
+        return [f"{n} {brute[n]}" for n in range(1, args.n + 1)], True
+
+    def fall_back(exc):
         print(f"pascent: {exc}; falling back to brute force", file=sys.stderr)
-        closed = None
-    if mode == "closed":
-        lines = [f"{n} {closed[n]}" for n in range(1, args.n + 1)]
-        return lines, True
-    for n in range(1, args.n + 1):
-        c = closed[n] if closed is not None else brute[n]
-        lines.append(f"{n} {c} {brute[n]}")
-        if c != brute[n]:
-            equal = False
-    return lines, equal
+        return brute
+
+    closed = _closed_column(args, pat, fall_back)
+    return [f"{n} {closed[n]} {brute[n]}" for n in range(1, args.n + 1)], closed == brute
 
 
 def _cmd_avoid(args, out) -> int:
@@ -230,20 +231,8 @@ def _cmd_bfile(args, out) -> int:
         if args.p is None or args.pattern is None or args.n is None:
             raise _UsageError("--avoid requires --p, --pattern and --n")
         pat = Pattern.parse(args.pattern)
-        use_closed = args.closed
-        if not args.closed and not args.oracle:
-            try:
-                patterns.closed_count(args.p, pat, 1, primitive_only=args.primitive)
-                use_closed = True
-            except patterns.NoClosedFormError:
-                use_closed = False
-        if use_closed:
-            values = [
-                patterns.closed_count(args.p, pat, n, primitive_only=args.primitive)
-                for n in range(args.n + 1)
-            ]
-        else:
-            values = patterns.avoider_counts(args.p, pat, args.n, primitive_only=args.primitive)
+        fallback = None if args.closed else lambda exc: _brute_column(args, pat)
+        values = _brute_column(args, pat) if args.oracle else _closed_column(args, pat, fallback)
         for n in range(1, args.n + 1):
             out.write(f"{n} {values[n]}\n")
         return 0

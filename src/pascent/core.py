@@ -31,10 +31,15 @@ def asc(word: Sequence[int]) -> int:
     return sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
 
 
-def is_p_ascent(word: Sequence[int], p: int) -> bool:
-    """True iff word is empty, or starts with 0 and respects the ascent bound."""
+def _check_p(p: int) -> None:
+    """Refuse a p below 1, the one p check of core, patterns and gf."""
     if p < 1:
         raise ValueError("p must be a positive integer")
+
+
+def is_p_ascent(word: Sequence[int], p: int) -> bool:
+    """True iff word is empty, or starts with 0 and respects the ascent bound."""
+    _check_p(p)
     w = tuple(word)
     if w and w[0] != 0:
         return False
@@ -220,8 +225,7 @@ def enumerate_sequences(
     restricts the walk to extensions of a fixed valid prefix.  Sequences are
     produced one at a time; nothing is materialized.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
     start = tuple(prefix) if prefix is not None else ()
@@ -245,8 +249,7 @@ def count_by_length(
     primitive_only keeps only sequences with no equal adjacent letters;
     max_repeat bounds the length of any block of equal consecutive letters.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if max_repeat is not None and max_repeat < 1:
@@ -269,8 +272,7 @@ def oracle_table(
     level over the generating tree (see _levels), so its cost grows with the
     number of distinct states, not of sequences.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     sel = set(stat_selector)

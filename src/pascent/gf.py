@@ -36,17 +36,13 @@ from math import comb
 from operator import mul
 from typing import Iterable, Iterator
 
+from .core import _check_p
 from .series import MultiPoly, TSeries
 
 _U = MultiPoly.variable("u")
 _V = MultiPoly.variable("v")
 _Z = MultiPoly.variable("z")
 _X = MultiPoly.variable("x")
-
-
-def _check_p(p: int) -> None:
-    if p < 1:
-        raise ValueError("p must be a positive integer")
 
 
 def _check_order(order: int) -> None:

@@ -27,7 +27,7 @@ from itertools import groupby, product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import PAscentSequence, _grow, _levels
+from .core import PAscentSequence, _check_p, _grow, _levels
 from .series import MultiPoly, TSeries
 
 
@@ -214,8 +214,7 @@ def avoider_counts(
     states in one level this raises BudgetExceededError; iter_avoiders lists
     such avoiders in memory linear in n.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     root, step = _avoidance(pat, primitive_only)
@@ -239,8 +238,7 @@ def iter_avoiders(
     The walk (core._grow) carries the avoidance automaton's state from each
     word to its children and never extends a word that contains the pattern.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
     root, step = _avoidance(pat, primitive_only)
@@ -288,8 +286,7 @@ def closed_count(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> 
     {2, 3} (00-avoidance forces primitivity, so both variants coincide),
     and 012 for p = 2, 3, 4 in closed form with a recursion for larger p.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -329,8 +326,7 @@ def gf_avoiders(p: int, pat: Pattern, order: int, primitive_only: bool = False) 
     Supported: 01 (all p), 10 (all p, plain and primitive), and 00 for p=3.
     The constant term counts the empty sequence.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if order < 0:
         raise ValueError("order must be nonnegative")
     key = str(pat)
@@ -369,8 +365,7 @@ def embed(seq: PAscentSequence) -> PAscentSequence:
 
 def project(seq: PAscentSequence, p: int) -> PAscentSequence:
     """Inverse of embed: strip the (01)^(p-1) prefix of a 1-ascent sequence."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_p(p)
     if seq.p != 1:
         raise ValueError("project expects a 1-ascent sequence")
     if not seq.letters:

@@ -12,8 +12,10 @@ suites run at any order; the pattern-family suites' four short patterns keep
 under 4,000 states per level up to order 16, far below the state budget of
 patterns.avoider_counts.  Three suites walk words, and each
 prices its walk first and raises BudgetExceededError above _MAX_NODES words:
-embed_roundtrip (every p-ascent word), bijection_10_012 (the 10- and
-012-avoiders, priced by their counts) and vincular_212 (every ternary word).
+embed_roundtrip (the 1-ascent words behind the prefix (01)^(p-1) 0, walked
+once and priced by the oracle's count of p-ascent words), bijection_10_012
+(the 10- and 012-avoiders, priced by their counts) and vincular_212 (every
+ternary word).
 
 A failing suite reports its first discrepancy as one record, built by
 _mismatch: t_order, monomial (the u, v, z, x exponents), expected and actual,
@@ -37,8 +39,8 @@ from . import gf, patterns
 from .core import (
     BudgetExceededError,
     PAscentSequence,
+    _grow,
     count_by_length,
-    enumerate_sequences,
     oracle_table,
 )
 from .patterns import Pattern
@@ -197,7 +199,7 @@ def _check_cancellation(p: int, n_max: int) -> dict | None:
 def _check_primitive_substitution(p: int, n_max: int) -> dict | None:
     t_over_1mt = TSeries.from_poly(n_max, MultiPoly.const(1), 1) * gf.one_minus_t(n_max).invert()
     return _series_discrepancy(
-        gf.eval_A(p, n_max).specialize({"z": 1}),
+        gf.eval_A(p, n_max, MultiPoly.const(1)),
         gf.eval_R(p, n_max).compose_t(t_over_1mt),
     )
 
@@ -205,7 +207,7 @@ def _check_primitive_substitution(p: int, n_max: int) -> dict | None:
 def _check_maxk_boundary(p: int, n_max: int) -> Comparisons:
     yield {}, gf.eval_R(p, n_max), gf.eval_maxk(p, 1, n_max)
     if n_max >= 1:
-        yield {}, gf.eval_A(p, n_max).specialize({"z": 1}), gf.eval_maxk(p, n_max, n_max)
+        yield {}, gf.eval_A(p, n_max, MultiPoly.const(1)), gf.eval_maxk(p, n_max, n_max)
 
 
 def _pattern_sources(p: int, pat: Pattern, n_max: int, primitive_only: bool):
@@ -278,25 +280,28 @@ def _check_bijection(n_max: int) -> dict | None:
 
 
 def _check_embed(p: int, n_max: int) -> dict | None:
-    _guard_budget(sum(count_by_length(p, n_max)),
-                  f"enumerating p={p} sequences up to length {n_max}")
-    for n in range(n_max + 1):
-        forward = 0
-        for seq in enumerate_sequences(p, n):
-            image = patterns.embed(seq)   # constructor re-validates as 1-ascent
-            if patterns.project(image, p).letters != seq.letters:
-                return _mismatch(n, seq.letters, "round trip failed")
-            forward += 1
-        if n >= 1:
-            # walk 1-ascent extensions of the forced prefix: each must project back
-            prefix = (0, 1) * (p - 1) + (0,)
-            backward = 0
-            for seq in enumerate_sequences(1, n + 2 * p - 2, prefix=prefix):
-                patterns.project(seq, p)   # raises if not a valid preimage
-                backward += 1
-            if backward != forward:
-                return _mismatch(n, forward, backward)
-    return None
+    counts = count_by_length(p, n_max)
+    _guard_budget(sum(counts), f"enumerating p={p} sequences up to length {n_max}")
+    if patterns.project(patterns.embed(PAscentSequence(p, ())), p).letters:
+        return _mismatch(0, (), "round trip failed")
+    # One walk of the 1-ascent words behind the prefix (01)^(p-1) 0: each
+    # projects to a p-ascent word w that embeds back to it, so project is
+    # injective there, and equal counts by length make embed and project
+    # inverse bijections.  The walk is in pre-order, so the first failure of
+    # each length is kept and the shortest one reported.
+    cut = 2 * p - 2
+    walked = [1] + [0] * n_max
+    failed: dict[int, tuple[int, ...]] = {}
+    for letters in _grow(1, n_max + cut, (0, 1) * (p - 1) + (0,)):
+        n = len(letters) - cut
+        image = patterns.project(PAscentSequence._trusted(1, letters), p)
+        if patterns.embed(image).letters != letters:
+            failed.setdefault(n, letters[cut:])
+        walked[n] += 1
+    if failed:
+        n = min(failed)
+        return _mismatch(n, failed[n], "round trip failed")
+    return _count_discrepancy(counts, walked)
 
 
 @dataclass(frozen=True)
@@ -405,7 +410,7 @@ SUITES: dict[str, Suite] = {
     "fishburn_p1": Suite(
         "identity",
         lambda p, n, k: _series_discrepancy(
-            gf.eval_A(p, n).specialize({"z": 1}), gf.eval_P(n)
+            gf.eval_A(p, n, MultiPoly.const(1)), gf.eval_P(n)
         ),
         ps=(1,), order=lambda budget: budget + 4,
     ),

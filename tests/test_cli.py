@@ -243,6 +243,7 @@ BFILE_AVOID = ["bfile", "--avoid", "--p", "2", "--pattern", "10", "--n", "4"]
     [*BFILE_AVOID, "--udeg", "2"],
     [*BFILE_AVOID, "--set", "all=1"],
     ["bfile", "--avoid", "--pattern", "10", "--n", "4"],
+    ["bfile", "--avoid", "--closed", "--p", "4", "--pattern", "00", "--n", "5"],
     ["series", "--gf", "A", "--p", "1", "--order", "257"],   # z^256 carried into v
 ])
 def test_series_and_bfile_usage_errors(capsys, argv):

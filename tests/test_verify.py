@@ -41,7 +41,7 @@ def test_budget_guard_does_not_build_the_closed_form(monkeypatch):
         raise ZeroDivisionError("built or walked")
 
     monkeypatch.setattr(gf, "eval_A", broken)
-    monkeypatch.setattr(verify, "enumerate_sequences", broken)
+    monkeypatch.setattr(verify, "_grow", broken)
     with pytest.raises(verify.BudgetExceededError, match="7371945858621870049555660 nodes"):
         verify.check_pattern("embed_roundtrip", 4, 25)
 
@@ -94,6 +94,16 @@ def test_identity_suites_small():
     assert verify.check_identity("fishburn_p1", None, 8).passed
     assert verify.check_identity("kernel_G", 1, 6).passed
     assert verify.check_identity("kernel_H", 1, 6).passed
+
+
+@pytest.mark.parametrize("name,p", [
+    ("fishburn_p1", 1), ("maxk_boundary", 2), ("primitive_substitution", 2),
+])
+def test_A_at_z_1_suites_pass_order_130(name, p):
+    """These suites build A at z = 1, so no z-exponent reaches the overflow
+    bound that a symbolic z meets from order 128 on."""
+    report = verify.check_identity(name, p, 130)
+    assert report.passed, report.to_json()
 
 
 def test_identity_validation():
@@ -268,6 +278,13 @@ def _corrupt_comb(real):
     return lambda n, k: real(n, k) + ((n, k) == (2, 1))
 
 
+def _corrupt_count_by_length(real):
+    """real, counting one word too many at length 3."""
+    def corrupted(p, n_max, **options):
+        return [c + (n == 3) for n, c in enumerate(real(p, n_max, **options))]
+    return corrupted
+
+
 def _swap_result(real, letters, replacement):
     """real, returning replacement letters where it would return letters."""
     def corrupted(*args):
@@ -330,6 +347,13 @@ FAILURE_RECORDS = [
      lambda f: _swap_result(f, (0, 1), (0, 0)),
      verify.check_pattern, ("embed_roundtrip", 2, 5),
      {"t_order": 2, "monomial": [0, 0, 0, 0], "expected": "(0, 1)", "actual": "round trip failed"}),
+    ("embed_roundtrip_image", patterns, "embed",
+     lambda f: _swap_result(f, (0, 1, 0, 1), (0, 1, 0, 0)),
+     verify.check_pattern, ("embed_roundtrip", 2, 5),
+     {"t_order": 2, "monomial": [0, 0, 0, 0], "expected": "(0, 1)", "actual": "round trip failed"}),
+    ("embed_roundtrip_count", verify, "count_by_length", _corrupt_count_by_length,
+     verify.check_pattern, ("embed_roundtrip", 2, 5),
+     {"t_order": 3, "monomial": [0, 0, 0, 0], "expected": "12", "actual": "11"}),
 ]
 
 
