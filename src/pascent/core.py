@@ -5,9 +5,9 @@ A p-ascent sequence is a word of nonnegative integers whose first letter is
 of the preceding prefix.  These words form a generating tree, walked word by
 word by _grow (the exhaustive enumeration) and counted level by level by
 _levels (the oracle that the closed-form evaluators in gf are checked
-against; tests check it against the enumeration).  Both drivers can carry
-an extra state from each word to its children and prune where a step
-function says so; patterns drives them with its avoidance automaton.
+against; tests check it against the enumeration).  Both carry a state from
+each word to its children and prune where a step says so: the avoidance
+automaton of patterns, the run bound of _bounded_runs, or oracle_table's step.
 """
 
 from __future__ import annotations
@@ -164,53 +164,58 @@ def _grow(
 def _levels(
     p: int,
     n_max: int,
-    zeros: bool = False,
-    run: bool = False,
-    max_repeat: int | None = None,
     state: object = (),
     step: Callable[[object, int], object | None] | None = None,
     max_states: int | None = None,
 ) -> Iterator[dict[tuple, int]]:
     """Count the p-ascent words of each length 1..n_max by state, level by level.
 
-    Yield, for m = 1..n_max, a map from (ascents, last, zeros, run, repeat,
-    state) to the number of words of length m with those statistics; repeat
-    is the length of the final block of equal letters, at most max_repeat.
-    Fields not asked for stay 0.  A word is all 0s exactly while it has no
-    ascent, so run needs no flag.  state and step are those of _grow: state
-    is the empty word's, and a child that step maps to None is not counted,
-    nor are its extensions.  Only the latest level is held, and
-    BudgetExceededError is raised once a level holds more than max_states
-    keys.
+    Yield, for m = 1..n_max, a map from (ascents, last, state) to the number
+    of words of length m with those ascents, last letter and state.  state
+    and step are those of _grow: state is the empty word's, and a child that
+    step maps to None is not counted, nor are its extensions.  Every further
+    statistic or filter is a step (see _bounded_runs and oracle_table).  Only
+    the latest level is held, and BudgetExceededError is raised once a level
+    holds more than max_states keys.
     """
     if n_max < 1:
         return
-    zstep = 1 if zeros else 0
-    rstep = 1 if max_repeat else 0
     first = step(state, 0) if step else state
-    level: dict[tuple, int] = {} if first is None else {(0, 0, zstep, 0, rstep, first): 1}
+    level: dict[tuple, int] = {} if first is None else {(0, 0, first): 1}
     yield level
     for m in range(1, n_max):
-        first_run = m if run else 0
         previous, level = level, {}
-        for (a, last, z, r, rep, s), count in previous.items():
+        for (a, last, s), count in previous.items():
             for c in range(p + a + 1):
-                if c == last and rep == max_repeat:
-                    continue
                 child = step(s, c) if step else s
                 if child is None:
                     continue
-                if c > last:
-                    key = (a + 1, c, z, r if a else first_run, rstep, child)
-                else:
-                    key = (a, c, z + zstep if c == 0 else z, r,
-                           rep + rstep if c == last else rstep, child)
+                key = (a + (c > last), c, child)
                 level[key] = level.get(key, 0) + count
             if max_states is not None and len(level) > max_states:
                 raise BudgetExceededError(
                     f"length {m + 1} holds more than the state budget of {max_states} states"
                 )
         yield level
+
+
+def _bounded_runs(k: int, state: object = (), step: Callable | None = None):
+    """The empty word's state and the step that refuse a block of more than k
+    equal letters, around an inner state and step.  The state is (last, run,
+    inner): the last letter (None for the empty word), the length of the
+    final block of equal letters, and the inner state; k = 1 keeps exactly
+    the primitive words.
+    """
+    def bounded(s, c):
+        last, run, inner = s
+        run = run + 1 if c == last else 1
+        if run > k:
+            return None
+        if step is not None:
+            inner = step(inner, c)
+        return None if inner is None else (c, run, inner)
+
+    return (None, 0, state), bounded
 
 
 def enumerate_sequences(
@@ -254,9 +259,17 @@ def count_by_length(
         raise ValueError("n_max must be nonnegative")
     if max_repeat is not None and max_repeat < 1:
         raise ValueError("max_repeat must be at least 1")
-    if primitive_only:
-        max_repeat = 1
-    return [1] + [sum(level.values()) for level in _levels(p, n_max, max_repeat=max_repeat)]
+    k = 1 if primitive_only else max_repeat
+    root, step = _bounded_runs(k) if k else ((), None)
+    return [1] + [sum(level.values()) for level in _levels(p, n_max, root, step)]
+
+
+def _zeros_and_run(s: tuple[int, int], c: int) -> tuple[int, int]:
+    """oracle_table's step: a 0 adds a zero, a first nonzero letter fixes the run."""
+    zeros, run = s
+    if c == 0:
+        return zeros + 1, run
+    return s if run else (zeros, zeros)
 
 
 def oracle_table(
@@ -285,13 +298,13 @@ def oracle_table(
             raise ValueError(
                 f"{name} reaches exponent {exponent} > {_MAX_EXP} at p={p}, n_max={n_max}"
             )
-    keep_u = "ascents" in sel
-    keep_v = "last" in sel
+    keep_u, keep_v, keep_z, keep_x = (name in sel for name in STAT_NAMES)
+    step = _zeros_and_run if keep_z or keep_x else None
     acc: list[dict[int, int]] = [{0: 1}]
-    for level in _levels(p, n_max, "zeros" in sel, "run" in sel):
+    for level in _levels(p, n_max, (0, 0), step):
         poly: dict[int, int] = {}
-        for (a, last, z, r, _, _), count in level.items():
-            key = _pack((a if keep_u else 0, last if keep_v else 0, z, r))
+        for (a, last, (z, r)), count in level.items():
+            key = _pack((a * keep_u, last * keep_v, z * keep_z, r * keep_x))
             poly[key] = poly.get(key, 0) + count
         acc.append(poly)
     return TSeries([MultiPoly(poly) for poly in acc])

@@ -27,7 +27,7 @@ from itertools import groupby, product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import PAscentSequence, _check_p, _grow, _levels
+from .core import PAscentSequence, _bounded_runs, _check_p, _grow, _levels
 from .series import MultiPoly, TSeries
 
 
@@ -132,8 +132,6 @@ def occurs(pat: Pattern, word: Sequence[int]) -> bool:
     return place(0, 0, [])
 
 
-# two equal adjacent letters: a word is primitive exactly when it avoids this
-_ADJACENT_00 = Pattern((0, 0), ((0, 1),))
 _EMPTY: frozenset = frozenset()
 
 
@@ -156,44 +154,41 @@ def _stage(letters: tuple[int, ...], j: int) -> tuple[int | None, int | None, in
 def _avoidance(pat: Pattern, primitive_only: bool):
     """The empty word's state and the step of the avoidance automaton.
 
-    The state holds, for each pattern avoided (pat, and under primitive_only
-    also the adjacent 00) and each j = 1..k-1, the set of value tuples of the
+    The state holds, for each j = 1..k-1, the set of value tuples of the
     word that reduce to the pattern's first j letters; when pattern position
     j must sit next to position j-1, only the tuples ending at the word's
     last letter.  step(state, c) extends each set by c wherever c's order
     relation to every value of the tuple matches the pattern, and returns
-    None when some tuple extends to a full occurrence.
+    None when some tuple extends to a full occurrence.  primitive_only wraps
+    it in core._bounded_runs(1), which refuses two equal adjacent letters.
     """
-    pats = (pat, _ADJACENT_00) if primitive_only else (pat,)
-    plans = []
-    for q in pats:
-        adjacent = {g[i] for g in q.groups for i in range(1, len(g))}
-        plans.append([(j in adjacent, *_stage(q.letters, j)) for j in range(1, len(q.letters))])
+    adjacent = {g[i] for g in pat.groups for i in range(1, len(g))}
+    stages = [(j in adjacent, *_stage(pat.letters, j)) for j in range(1, len(pat.letters))]
 
     def step(state, c):
         sets = iter(state)
+        grown = [(c,)]   # c alone, then the tuples of each set extended by c
         out = []
-        for stages in plans:
-            grown = [(c,)]   # c alone, then the tuples of each set extended by c
-            for replace, eq, lo, hi in stages:
-                old = next(sets)
-                if replace:
-                    out.append(frozenset(grown) if grown else _EMPTY)
-                else:
-                    out.append(old.union(grown) if grown else old)
-                if eq is not None:
-                    grown = [t + (c,) for t in old if t[eq] == c]
-                elif hi is None:
-                    grown = [t + (c,) for t in old if t[lo] < c]
-                elif lo is None:
-                    grown = [t + (c,) for t in old if c < t[hi]]
-                else:
-                    grown = [t + (c,) for t in old if t[lo] < c < t[hi]]
-            if grown:
-                return None
+        for replace, eq, lo, hi in stages:
+            old = next(sets)
+            if replace:
+                out.append(frozenset(grown) if grown else _EMPTY)
+            else:
+                out.append(old.union(grown) if grown else old)
+            if eq is not None:
+                grown = [t + (c,) for t in old if t[eq] == c]
+            elif hi is None:
+                grown = [t + (c,) for t in old if t[lo] < c]
+            elif lo is None:
+                grown = [t + (c,) for t in old if c < t[hi]]
+            else:
+                grown = [t + (c,) for t in old if t[lo] < c < t[hi]]
+        if grown:
+            return None
         return tuple(out)
 
-    return tuple(_EMPTY for stages in plans for _ in stages), step
+    root = (_EMPTY,) * len(stages)
+    return _bounded_runs(1, root, step) if primitive_only else (root, step)
 
 
 def avoider_counts(

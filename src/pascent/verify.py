@@ -210,10 +210,9 @@ def _check_maxk_boundary(p: int, n_max: int) -> Comparisons:
         yield {}, gf.eval_A(p, n_max, MultiPoly.const(1)), gf.eval_maxk(p, n_max, n_max)
 
 
-def _pattern_sources(p: int, pat: Pattern, n_max: int, primitive_only: bool):
-    """Brute counts for n = 0..n_max plus closed/gf columns where supported."""
-    brute = patterns.avoider_counts(p, pat, n_max, primitive_only)
-    columns = [("brute", brute)]
+def _closed_columns(p: int, pat: Pattern, n_max: int, primitive_only: bool):
+    """The closed and gf columns for n = 0..n_max, where supported."""
+    columns = []
     try:
         closed = [patterns.closed_count(p, pat, n, primitive_only) for n in range(n_max + 1)]
         columns.append(("closed", closed))
@@ -228,12 +227,18 @@ def _pattern_sources(p: int, pat: Pattern, n_max: int, primitive_only: bool):
 
 
 def _check_pattern_family(p: int, pattern_text: str, n_max: int) -> dict | None:
+    """Compare the brute avoider counts with each closed column, plain and primitive."""
     pat = Pattern.parse(pattern_text)
-    for primitive_only in (False, True):
-        (_, brute), *others = _pattern_sources(p, pat, n_max, primitive_only)
+    plain, primitive = (_closed_columns(p, pat, n_max, prim) for prim in (False, True))
+    if not plain and not primitive:
+        raise patterns.NoClosedFormError(
+            f"pattern {pattern_text} at p={p} has no closed form, so the suite would compare nothing"
+        )
+    for primitive_only, columns in ((False, plain), (True, primitive)):
+        brute = patterns.avoider_counts(p, pat, n_max, primitive_only)
         if not primitive_only:
             all_brute = brute   # reused by the refinement below
-        for name, col in others:
+        for name, col in columns:
             disc = _count_discrepancy(brute, col)
             if disc is not None:
                 disc["expected"] += " (brute)"
@@ -241,11 +246,9 @@ def _check_pattern_family(p: int, pattern_text: str, n_max: int) -> dict | None:
                 return disc
     if pattern_text == "10":
         # refinement: avoiders arise from primitive avoiders by repeating letters
+        closed = dict(primitive)["closed"]
         for n in range(1, n_max + 1):
-            total = sum(
-                comb(n - 1, s - 1) * patterns.closed_count(p, pat, s, primitive_only=True)
-                for s in range(1, n + 1)
-            )
+            total = sum(comb(n - 1, s - 1) * closed[s] for s in range(1, n + 1))
             if total != all_brute[n]:
                 return _mismatch(n, all_brute[n], f"{total} (repetition refinement)")
     return None
@@ -253,8 +256,7 @@ def _check_pattern_family(p: int, pattern_text: str, n_max: int) -> dict | None:
 
 def _check_vincular(n_max: int) -> dict | None:
     _guard_budget((3**n_max - 1) // 2, f"the ternary 21-2 count up to length {n_max}")
-    pat = Pattern.parse("00")
-    expected = [patterns.count_avoiders(3, pat, n) for n in range(1, n_max + 1)]
+    expected = patterns.avoider_counts(3, Pattern.parse("00"), n_max)[1:]
     actual = [patterns.count_vincular_212_ternary(n) for n in range(1, n_max + 1)]
     return _count_discrepancy(expected, actual, offset=1)
 

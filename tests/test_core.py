@@ -8,6 +8,8 @@ import pytest
 from pascent.core import (
     STAT_NAMES,
     PAscentSequence,
+    _bounded_runs,
+    _grow,
     asc,
     count_by_length,
     enumerate_sequences,
@@ -246,6 +248,13 @@ def test_count_by_length_equals_enumeration(p):
             sum(1 for w in level if all(len(list(block)) <= k for _, block in groupby(w)))
             for level in words
         ]
+        if p <= 3:
+            # the walk under the same bounded-run step lists what the DP counts
+            walked = [0] * 9
+            root, step = _bounded_runs(k)
+            for word in _grow(p, 8, state=root, step=step):
+                walked[len(word)] += 1
+            assert walked == count_by_length(p, 8, max_repeat=k), k
 
 
 def test_oracle_exponent_bound():

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from pascent import gf, patterns, verify
+from pascent.cli import main
 from pascent.series import MultiPoly, TSeries
 
 
@@ -126,6 +127,19 @@ def test_pattern_validation():
             verify.check_pattern(name, p, 6)
 
 
+def test_pattern_family_refuses_a_suite_that_compares_nothing(capsys):
+    """With no closed form and no generating function in either pass, only
+    the brute column exists, so the suite is refused instead of passing."""
+    for name, p in (("patterns_00", 1), ("patterns_00", 4), ("patterns_00", 7),
+                    ("patterns_012", 1)):
+        with pytest.raises(patterns.NoClosedFormError, match="compare nothing"):
+            verify.check_pattern(name, p, 6)
+        assert main(["verify", "--suite", name, "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pascent: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name,only", [
     ("psi", None), ("delta_gamma_calculus", None), ("fishburn_p1", 1), ("jelinek", 1),
     ("vincular_212", 3), ("bijection_10_012", 2),
@@ -188,7 +202,7 @@ REQUIRED_COVERED = (
     "eval_G1_u", "eval_G1_full", "eval_Gr", "eval_G",
     "eval_H", "eval_A", "eval_P", "eval_R", "eval_maxk",
     "psi", "eval_A1_product_form", "oracle_table",
-    "count_avoiders", "closed_count", "gf_avoiders",
+    "avoider_counts", "closed_count", "gf_avoiders",
     "count_vincular_212_ternary",
     "bijection_10_to_012", "bijection_012_to_10",
     "embed", "project",
