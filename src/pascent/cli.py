@@ -2,8 +2,9 @@
 verification suites, and OEIS-style b-file output.
 
 Exit codes: 0 on success (all checks pass), 1 on a verification failure or
-a failed kernel cancellation, 2 on a usage error or an enumeration over the
-node budget.  All output is byte-deterministic for fixed flags.
+a failed kernel cancellation, 2 on a usage error, a word walk over the node
+budget, an avoider count over the state budget, or an exponent overflow.
+All output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations

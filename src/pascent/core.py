@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import gt, lt
 from typing import Callable, Iterator, Sequence
 
-from .series import _MAX_EXP, MultiPoly, TSeries, _pack
+from .series import _MAX_EXP, MultiPoly, TSeries, _check_at_least, _pack
 
 STAT_NAMES = ("ascents", "last", "zeros", "run")
 
@@ -231,8 +231,7 @@ def enumerate_sequences(
     produced one at a time; nothing is materialized.
     """
     _check_p(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_at_least("n", n)
     start = tuple(prefix) if prefix is not None else ()
     if not is_p_ascent(start, p):
         raise ValueError(f"prefix {start} is not a {p}-ascent sequence")
@@ -255,10 +254,9 @@ def count_by_length(
     max_repeat bounds the length of any block of equal consecutive letters.
     """
     _check_p(p)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if max_repeat is not None and max_repeat < 1:
-        raise ValueError("max_repeat must be at least 1")
+    _check_at_least("n_max", n_max)
+    if max_repeat is not None:
+        _check_at_least("max_repeat", max_repeat, 1)
     k = 1 if primitive_only else max_repeat
     root, step = _bounded_runs(k) if k else ((), None)
     return [1] + [sum(level.values()) for level in _levels(p, n_max, root, step)]
@@ -286,8 +284,7 @@ def oracle_table(
     number of distinct states, not of sequences.
     """
     _check_p(p)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_at_least("n_max", n_max)
     sel = set(stat_selector)
     unknown = sel.difference(STAT_NAMES)
     if unknown:

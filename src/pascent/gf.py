@@ -37,7 +37,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .core import _check_p
-from .series import MultiPoly, TSeries
+from .series import MultiPoly, TSeries, _check_at_least
 
 _U = MultiPoly.variable("u")
 _V = MultiPoly.variable("v")
@@ -45,16 +45,10 @@ _Z = MultiPoly.variable("z")
 _X = MultiPoly.variable("x")
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-
-
 def _u_bound(order: int, u_bound: int | None) -> int:
-    _check_order(order)
+    _check_at_least("order", order)
     bound = order if u_bound is None else u_bound
-    if bound < 0:
-        raise ValueError("u_bound must be nonnegative")
+    _check_at_least("u_bound", bound)
     return bound
 
 
@@ -68,8 +62,7 @@ def one_minus_zt(order: int, z: MultiPoly = _Z) -> TSeries:
 
 def delta(k: int, order: int) -> TSeries:
     """Kernel factor u - (1-t)^k (u-1); delta(0) = 1 by convention."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_at_least("k", k)
     if k == 0:
         return TSeries.one(order)
     u = TSeries.from_poly(order, _U)
@@ -78,8 +71,7 @@ def delta(k: int, order: int) -> TSeries:
 
 def gamma(k: int, order: int) -> TSeries:
     """Kernel factor u - (1-zt)(1-t)^(k-1) (u-1); gamma(0) = 1 by convention."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_at_least("k", k)
     if k == 0:
         return TSeries.one(order)
     u = TSeries.from_poly(order, _U)
@@ -179,7 +171,7 @@ def eval_G1_full(p: int, order: int) -> TSeries:
     genuine power series.
     """
     _check_p(p)
-    _check_order(order)
+    _check_at_least("order", order)
     s1 = eval_G1_u(p, order)
     s2 = s1.subst_u_to_uv()
     numer = (
@@ -206,15 +198,14 @@ def eval_G1_full(p: int, order: int) -> TSeries:
 def eval_Gr(p: int, r: int, order: int) -> TSeries:
     """Series over sequences starting with exactly r zeros then a nonzero letter."""
     _check_p(p)
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _check_at_least("r", r, 1)
     return eval_G1_full(p, order).shift(r - 1) * MultiPoly.monomial((0, 0, r - 1, 0))
 
 
 def eval_G(p: int, order: int) -> TSeries:
     """Five-variable series over all p-ascent sequences (x marks the initial run)."""
     _check_p(p)
-    _check_order(order)
+    _check_at_least("order", order)
     all_zero = one_minus_zt(order).invert()
     zx_part = (TSeries.one(order) - TSeries.from_poly(order, _Z * _X, 1)).invert()
     return all_zero + zx_part * TSeries.from_poly(order, _X) * eval_G1_full(p, order)
@@ -246,7 +237,7 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
     ring homomorphism), with integer coefficients and no z-exponent to bound.
     """
     _check_p(p)
-    _check_order(order)
+    _check_at_least("order", order)
     inv_1mzt = one_minus_zt(order, z).invert()
     total = _binomial_sum(p, inv_1mzt, one_minus_t(order))
     return 1 + TSeries.from_poly(order, z, 1) * inv_1mzt * total
@@ -254,7 +245,7 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
 
 def eval_P(order: int) -> TSeries:
     """Series counting 1-ascent sequences by length: sum of prod_{i=1..n}(1-(1-t)^i)."""
-    _check_order(order)
+    _check_at_least("order", order)
     onemt = one_minus_t(order)
     return sum(_vanishing(_powers(onemt, onemt), order))
 
@@ -266,7 +257,7 @@ def eval_R(p: int, order: int) -> TSeries:
     the n-th summand has t-valuation n+1, so the cutoff at n = order is exact.
     """
     _check_p(p)
-    _check_order(order)
+    _check_at_least("order", order)
     one_plus_t = TSeries.one(order) + TSeries.from_poly(order, MultiPoly.const(1), 1)
     return 1 + _binomial_sum(p, one_plus_t, one_plus_t.invert()).shift(1)
 
@@ -280,9 +271,8 @@ def eval_maxk(p: int, k: int, order: int) -> TSeries:
     t/(1-t) modulo t^(order+1).
     """
     _check_p(p)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    _check_order(order)
+    _check_at_least("k", k, 1)
+    _check_at_least("order", order)
     coeffs = [MultiPoly()] + [
         MultiPoly.const(1) if 1 <= n <= k else MultiPoly() for n in range(1, order + 1)
     ]
@@ -295,7 +285,7 @@ def eval_A1_product_form(order: int) -> TSeries:
     1 + sum over m >= 1 of prod_{i=1..m}(1 - (1-t)^(i-1)(1-zt)); the m-th
     product has t-valuation m, so the cutoff at m = order is exact.
     """
-    _check_order(order)
+    _check_at_least("order", order)
     return sum(_vanishing(_powers(one_minus_t(order), one_minus_zt(order)), order))
 
 
@@ -334,6 +324,5 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     kept only to u-degree u_bound - k, and _psi_sides shares one chain
     across several m.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_at_least("m", m)
     return next(_psi_sides((m,), order, _u_bound(order, u_bound)))

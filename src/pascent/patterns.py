@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import accumulate, groupby, pairwise, product
 from math import comb
 from typing import Iterator, Sequence
 
 from .core import PAscentSequence, _bounded_runs, _check_p, _grow, _levels
-from .series import MultiPoly, TSeries
+from .series import MultiPoly, TSeries, _check_at_least
 
 
 class NoClosedFormError(ValueError):
@@ -84,15 +84,11 @@ class Pattern:
         if any(not chunk.isdigit() for chunk in chunks):
             raise ValueError(f"pattern may contain only digits and hyphens: {text!r}")
         letters = red([int(ch) for chunk in chunks for ch in chunk])
-        groups = []
-        pos = 0
-        for chunk in chunks:
-            groups.append(tuple(range(pos, pos + len(chunk))))
-            pos += len(chunk)
         if len(chunks) == 1:
             # no hyphen means classical: no adjacency constraints at all
-            groups = [(i,) for i in range(len(letters))]
-        return cls(letters, tuple(groups))
+            return cls.classical(letters)
+        ends = list(accumulate(map(len, chunks), initial=0))
+        return cls(letters, tuple(tuple(range(a, b)) for a, b in pairwise(ends)))
 
     @property
     def is_classical(self) -> bool:
@@ -210,8 +206,7 @@ def avoider_counts(
     such avoiders in memory linear in n.
     """
     _check_p(p)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_at_least("n_max", n_max)
     root, step = _avoidance(pat, primitive_only)
     levels = _levels(p, n_max, state=root, step=step, max_states=_MAX_STATES)
     return [1] + [sum(level.values()) for level in levels]
@@ -234,8 +229,7 @@ def iter_avoiders(
     word to its children and never extends a word that contains the pattern.
     """
     _check_p(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_at_least("n", n)
     root, step = _avoidance(pat, primitive_only)
     for word in _grow(p, n, state=root, step=step):
         if len(word) == n:
@@ -274,19 +268,27 @@ def _exact_shift_div(numerator: int, power: int, divisor: int = 1) -> int:
     return value
 
 
+def _closed_key(p: int, pat: Pattern) -> str:
+    """The text that picks pat's closed form, for a classical pat only: a
+    one-block vincular pattern prints like the classical one."""
+    if not pat.is_classical:
+        raise NoClosedFormError(f"no closed form for pattern {pat} with p={p}")
+    return str(pat)
+
+
 def closed_count(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> int:
     """Closed-form avoider count; raises NoClosedFormError when unsupported.
 
-    Supported: 01 (all p), 10 (all p, plain and primitive), 00 for p in
-    {2, 3} (00-avoidance forces primitivity, so both variants coincide),
-    and 012 for p = 2, 3, 4 in closed form with a recursion for larger p.
+    Supported: the classical patterns 01 (all p), 10 (all p, plain and
+    primitive), 00 for p in {2, 3} (00-avoidance forces primitivity, so both
+    variants coincide), and 012 for p = 2, 3, 4 in closed form with a
+    recursion for larger p.
     """
     _check_p(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_at_least("n", n)
+    key = _closed_key(p, pat)
     if n == 0:
         return 1
-    key = str(pat)
     if key == "01":
         return 1 if (n == 1 or not primitive_only) else 0
     if key == "10":
@@ -318,13 +320,12 @@ def closed_count(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> 
 def gf_avoiders(p: int, pat: Pattern, order: int, primitive_only: bool = False) -> TSeries:
     """Closed-form avoider generating function as an exact truncated series.
 
-    Supported: 01 (all p), 10 (all p, plain and primitive), and 00 for p=3.
-    The constant term counts the empty sequence.
+    Supported: the classical patterns 01 (all p), 10 (all p, plain and
+    primitive), and 00 for p=3.  The constant term counts the empty sequence.
     """
     _check_p(p)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    key = str(pat)
+    _check_at_least("order", order)
+    key = _closed_key(p, pat)
     one = TSeries.one(order)
     t = TSeries.from_poly(order, MultiPoly.const(1), 1)
     if key == "01":
@@ -451,8 +452,7 @@ def count_vincular_212_ternary(n: int) -> int:
 
     Forbidden: positions i, i+1, j with i+1 < j, w[i] = w[j] > w[i+1].
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_at_least("n", n, 1)
     length = n - 1
     total = 0
     for w in product((1, 2, 3), repeat=length):

@@ -86,6 +86,13 @@ def _from_scalars(values) -> "TSeries":
     return TSeries([MultiPoly({0: c}) if c else _P_ZERO for c in values])
 
 
+def _check_at_least(name: str, value: int, low: int = 0) -> None:
+    """Refuse a value below low, the one range check of every module."""
+    if value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}")
+
+
 def _check_carry(maps) -> None:
     """Refuse product maps in which any exponent reached 128."""
     if reduce(or_, chain.from_iterable(maps), 0) & _CARRY:
@@ -351,8 +358,7 @@ class TSeries:
 
     @classmethod
     def from_poly(cls, order: int, poly: MultiPoly, t_power: int = 0) -> "TSeries":
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        _check_at_least("order", order)
         coeffs = [_P_ZERO] * (order + 1)
         if 0 <= t_power <= order:
             coeffs[t_power] = poly
@@ -389,10 +395,9 @@ class TSeries:
     __hash__ = None
 
     def truncate(self, order: int) -> "TSeries":
+        _check_at_least("order", order)
         if order >= self.order:
             return self
-        if order < 0:
-            raise ValueError("order must be nonnegative")
         return TSeries(self.coeffs[: order + 1])
 
     # -- ring operations ------------------------------------------------
@@ -460,8 +465,7 @@ class TSeries:
 
     def shift(self, k: int) -> "TSeries":
         """Multiply by t^k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        _check_at_least("shift", k)
         if k == 0:
             return self
         n = self.order
@@ -588,10 +592,10 @@ class TSeries:
             if not 0 <= n <= order:
                 raise ValueError(f"t-exponent {n} outside order {order}")
             key = _pack_checked(exp[1:])
-            c = int(entry["coeff"])
-            if c:
-                coeffs[n][key] = c
-        return cls([MultiPoly(d) for d in coeffs])
+            if key in coeffs[n]:
+                raise ValueError(f"repeated exponent vector in series JSON: {exp}")
+            coeffs[n][key] = int(entry["coeff"])
+        return cls([MultiPoly({k: c for k, c in d.items() if c}) for d in coeffs])
 
     @classmethod
     def from_json(cls, text: str) -> "TSeries":

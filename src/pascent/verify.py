@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from math import comb
 
@@ -44,7 +44,7 @@ from .core import (
     oracle_table,
 )
 from .patterns import Pattern
-from .series import MultiPoly, TSeries, scalar_coefficients
+from .series import MultiPoly, TSeries, _check_at_least, scalar_coefficients
 
 
 # hard ceiling on the number of words a suite may walk
@@ -72,13 +72,7 @@ class CheckReport:
         return self.status == "pass"
 
     def to_json(self) -> str:
-        obj = {
-            "suite": self.suite,
-            "parameters": self.parameters,
-            "status": self.status,
-            "first_discrepancy": self.first_discrepancy,
-        }
-        return json.dumps(obj)
+        return json.dumps(asdict(self))
 
 
 def _mismatch(n: int, expected, actual, monomial=(0, 0, 0, 0), **tags) -> dict:
@@ -275,7 +269,7 @@ def _check_bijection(n_max: int) -> dict | None:
             images.add(image.letters)
         if images != set(target):
             return _mismatch(n, f"{len(target)} images", f"{len(images)} images")
-        closed = (n + 1) * 2 ** (n - 2) if n >= 2 else 1
+        closed = patterns.closed_count(2, pats[1], n)
         if len(source) != closed:
             return _mismatch(n, closed, len(source))
     return None
@@ -511,9 +505,9 @@ def _task_matrix(budget: int) -> list[tuple]:
 def run_all(budget: int) -> list[CheckReport]:
     """Run every suite at each p in its ps, in the order SUITES gives.
 
-    budget caps the length of every oracle-backed comparison; the pure
-    series identities run at fixed desk scales.
+    Each suite runs at its order(budget): the oracle-backed suites at the
+    budget, the pure series identities at budget + 2 or + 4 (psi 2 budget + 4
+    and jelinek 3 budget + 6, capped at 20 and 30), and the word walks capped.
     """
-    if budget < 4:
-        raise ValueError("budget must be at least 4")
+    _check_at_least("budget", budget, 4)
     return [run_suite(*task) for task in _task_matrix(budget)]

@@ -115,8 +115,10 @@ def test_printed_avoiders_3_00_bruteforce_range():
     assert avoider_counts(3, P00, 10)[1:] == gold.AVOID_3_00[:10]
 
 
+# 021 and 201 bound their last letter from below and above (the two-sided
+# stage of patterns._stage)
 AUTOMATON_PATTERNS = (
-    "01", "10", "00", "012", "10-1", "21-2",
+    "01", "10", "00", "012", "021", "201", "10-1", "21-2",
     "0102", "101", "001", "0-10", "01-0", "12-0", "0-0", "0",
 )
 
@@ -252,6 +254,30 @@ def test_gf_avoiders_unsupported():
         gf_avoiders(2, P00, 5)
     with pytest.raises(NoClosedFormError):
         gf_avoiders(2, P012, 5)
+
+
+CONSECUTIVE_00 = Pattern((0, 0), ((0, 1),))
+
+
+@pytest.mark.parametrize("pat", [
+    CONSECUTIVE_00,
+    Pattern((0, 1), ((0, 1),)),
+    Pattern((1, 0), ((0, 1),)),
+    Pattern((0, 1, 2), ((0, 1, 2),)),
+    Pattern.parse("0-12"),
+], ids=["consecutive-00", "consecutive-01", "consecutive-10", "consecutive-012", "0-12"])
+def test_closed_forms_refuse_vincular_patterns(pat):
+    with pytest.raises(NoClosedFormError):
+        closed_count(3, pat, 3)
+    with pytest.raises(NoClosedFormError):
+        gf_avoiders(3, pat, 3)
+
+
+def test_consecutive_00_is_not_classical_00():
+    # both print "00", but their avoiders differ from length 3 on
+    assert str(CONSECUTIVE_00) == "00"
+    assert avoider_counts(3, CONSECUTIVE_00, 6) == [1, 1, 3, 12, 54, 276, 1574]
+    assert avoider_counts(3, P00, 6) == [1, 1, 3, 9, 24, 57, 122]
 
 
 def test_repetition_refinement_identity():

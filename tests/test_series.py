@@ -186,6 +186,15 @@ def test_from_json_rejects_bad_exponents(exp):
         TSeries.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("coeffs", [("5", "7"), ("0", "7"), ("5", "0")], ids="-".join)
+def test_from_json_rejects_repeated_exponents(coeffs):
+    # a repeated (t, u, v, z, x) vector must not keep one of its coefficients
+    obj = {"order": 2, "vars": ["t", "u", "v", "z", "x"],
+           "terms": [{"exp": [1, 0, 0, 0, 0], "coeff": c} for c in coeffs]}
+    with pytest.raises(ValueError, match="repeated exponent vector"):
+        TSeries.from_json_obj(obj)
+
+
 @pytest.mark.parametrize("exps", [(0, 0, 0, 300), (0, -1, 0, 0), (1, 2, 3), (1, 0, 0, 0, 0)])
 def test_from_terms_rejects_bad_exponents(exps):
     with pytest.raises(ValueError, match="exponent"):

@@ -288,6 +288,16 @@ def _corrupt_closed_count(real):
     return corrupted
 
 
+def _drop_last_012_avoider(real):
+    """real, without the last 012-avoider of length 3."""
+    def corrupted(p, pat, n_max):
+        buckets = real(p, pat, n_max)
+        if str(pat) == "012":
+            buckets[3] = buckets[3][:-1]
+        return buckets
+    return corrupted
+
+
 def _corrupt_comb(real):
     return lambda n, k: real(n, k) + ((n, k) == (2, 1))
 
@@ -357,6 +367,12 @@ FAILURE_RECORDS = [
      lambda f: _swap_result(f, (0, 1), (0, 0)),
      verify.check_pattern, ("bijection_10_012", 2, 6),
      {"t_order": 2, "monomial": [0, 0, 0, 0], "expected": "(0, 1)", "actual": "round trip failed"}),
+    ("bijection_10_012_images", patterns, "_avoiders_by_length", _drop_last_012_avoider,
+     verify.check_pattern, ("bijection_10_012", 2, 6),
+     {"t_order": 3, "monomial": [0, 0, 0, 0], "expected": "7 images", "actual": "8 images"}),
+    ("bijection_10_012_closed", patterns, "closed_count", _corrupt_closed_count,
+     verify.check_pattern, ("bijection_10_012", 2, 6),
+     {"t_order": 3, "monomial": [0, 0, 0, 0], "expected": "9", "actual": "8"}),
     ("embed_roundtrip", patterns, "project",
      lambda f: _swap_result(f, (0, 1), (0, 0)),
      verify.check_pattern, ("embed_roundtrip", 2, 5),
