@@ -95,11 +95,12 @@ class Pattern:
         return all(len(g) == 1 for g in self.groups)
 
     def __str__(self) -> str:
+        """Pattern.parse syntax; one block of two or more letters prints in
+        brackets ([00]), since without hyphens it would read as classical."""
         if self.is_classical:
             return "".join(map(str, self.letters))
-        return "-".join(
-            "".join(str(self.letters[i]) for i in g) for g in self.groups
-        )
+        text = "-".join("".join(str(self.letters[i]) for i in g) for g in self.groups)
+        return f"[{text}]" if len(self.groups) == 1 else text
 
 
 def _match_groups(pat: Pattern, w: Sequence[int], starts: list[int]) -> bool:
@@ -269,8 +270,8 @@ def _exact_shift_div(numerator: int, power: int, divisor: int = 1) -> int:
 
 
 def _closed_key(p: int, pat: Pattern) -> str:
-    """The text that picks pat's closed form, for a classical pat only: a
-    one-block vincular pattern prints like the classical one."""
+    """The text that picks pat's closed form, for a classical pat only; the
+    refusal names a vincular pat as str prints it, one block in brackets."""
     if not pat.is_classical:
         raise NoClosedFormError(f"no closed form for pattern {pat} with p={p}")
     return str(pat)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -414,6 +415,15 @@ def test_verify_all_small_budget(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9d3a28f2695b3bcd38320485343c0b0ced6440a799ae6539da517ca8d59ef5dc"
     )
+
+
+def test_kernel_series_workload_outputs(capsys):
+    """The kernel_series commands print the bytes that perfbench records."""
+    workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
+    for command in workloads["workloads"]["kernel_series"]["commands"]:
+        code, out = run(capsys, *command["command"].split())
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (command["exit_code"], command["stdout_sha256"]), command
 
 
 def test_verify_k_is_used(capsys):

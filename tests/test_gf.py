@@ -1,5 +1,7 @@
 """Generating-function evaluators against frozen printed data and each other."""
 
+import itertools
+
 import pytest
 
 import golden_data as gold
@@ -286,3 +288,22 @@ def test_psi_sides_share_one_chain():
     for order, bound in ((0, 0), (1, 3), (6, 2), (8, 8), (9, 12)):
         expected = [gf.psi(m, order, bound) for m in range(7)]
         assert list(gf._psi_sides(range(7), order, bound)) == expected
+
+
+def test_gamma_sum_matches_chain_sum():
+    """Horner's sum equals the sum of each term times its chain element."""
+    for order in range(10):
+        deltas = list(itertools.islice(gf._delta_inverses(2, order), order + 2))
+        onemt = gf.one_minus_t(order)
+        terms = {
+            1: [cur - prev for prev, cur in itertools.pairwise(deltas)],
+            0: [onemt**n * d for n, d in enumerate(deltas)],
+        }
+        for first, first_terms in terms.items():
+            padding = [TSeries.zero(order)] * first
+            for bound in range(order + 1):
+                chain = gf._gamma_inverses(order, bound - first)
+                products = (term * g for term, g in zip(first_terms, chain))
+                expected = gf._u_sum(bound, padding + list(products))
+                actual = gf._gamma_sum(first_terms, first, bound, order)
+                assert actual == expected, (order, first, bound)

@@ -1,5 +1,7 @@
 """Reduction, occurrence, avoidance counts, closed forms, and bijections."""
 
+from itertools import product
+
 import pytest
 
 import golden_data as gold
@@ -273,9 +275,26 @@ def test_closed_forms_refuse_vincular_patterns(pat):
         gf_avoiders(3, pat, 3)
 
 
+def test_one_block_vincular_pattern_prints_in_brackets():
+    assert str(CONSECUTIVE_00) == "[00]"
+    assert str(Pattern((0, 1, 2), ((0, 1, 2),))) == "[012]"
+    with pytest.raises(NoClosedFormError, match=r"pattern \[00\] with p=3"):
+        closed_count(3, CONSECUTIVE_00, 3)
+    # every classical or hyphenated text of up to four letters prints as typed,
+    # except that a hyphen between every two letters is the classical pattern
+    for n in range(1, 5):
+        for letters in product(range(n), repeat=n):
+            if red(letters) != letters:
+                continue
+            digits = "".join(map(str, letters))
+            for cuts in product(("", "-"), repeat=n - 1):
+                text = digits[0] + "".join(map("".join, zip(cuts, digits[1:])))
+                assert str(Pattern.parse(text)) == (digits if all(cuts) else text)
+
+
 def test_consecutive_00_is_not_classical_00():
-    # both print "00", but their avoiders differ from length 3 on
-    assert str(CONSECUTIVE_00) == "00"
+    # they print differently, and their avoiders differ from length 3 on
+    assert (str(CONSECUTIVE_00), str(P00)) == ("[00]", "00")
     assert avoider_counts(3, CONSECUTIVE_00, 6) == [1, 1, 3, 12, 54, 276, 1574]
     assert avoider_counts(3, P00, 6) == [1, 1, 3, 9, 24, 57, 122]
 
