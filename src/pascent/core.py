@@ -67,8 +67,8 @@ class PAscentSequence:
 
     @classmethod
     def _trusted(cls, p: int, letters: tuple[int, ...]) -> "PAscentSequence":
-        """Wrap a tuple that _grow built by the p-ascent rule, without
-        validating it again."""
+        """Wrap a tuple known to be p-ascent (one that _grow built by the
+        p-ascent rule, or embed's image), without validating it again."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "p", p)
         object.__setattr__(seq, "letters", letters)

@@ -77,7 +77,11 @@ class Pattern:
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
-        """Parse CLI pattern syntax: digits for letters, hyphen between adjacency blocks."""
+        """Parse CLI pattern syntax: digits for letters, hyphen between adjacency
+        blocks, and a bracketed run of two or more digits ([00]) for one block."""
+        if len(text) > 3 and text[0] + text[-1] == "[]" and text[1:-1].isdigit():
+            letters = red([int(ch) for ch in text[1:-1]])
+            return cls(letters, (tuple(range(len(letters))),))
         if not text or text.startswith("-") or text.endswith("-") or "--" in text:
             raise ValueError(f"malformed pattern {text!r}")
         chunks = text.split("-")
@@ -353,11 +357,13 @@ def gf_avoiders(p: int, pat: Pattern, order: int, primitive_only: bool = False) 
 def embed(seq: PAscentSequence) -> PAscentSequence:
     """Encode a p-ascent sequence as a 1-ascent sequence with a (01)^(p-1) 0 prefix.
 
-    The empty sequence embeds to the empty sequence for every p.
+    The empty sequence embeds to the empty sequence for every p.  The image is
+    1-ascent without a check: (01)^(p-1) adds p-1 ascents and none at the junction
+    with the body's first 0, so a body letter's bound stays 1 + (p-1) + a = p + a.
     """
     if not seq.letters:
-        return PAscentSequence(1, ())
-    return PAscentSequence(1, (0, 1) * (seq.p - 1) + seq.letters)
+        return PAscentSequence._trusted(1, ())
+    return PAscentSequence._trusted(1, (0, 1) * (seq.p - 1) + seq.letters)
 
 
 def project(seq: PAscentSequence, p: int) -> PAscentSequence:
@@ -367,9 +373,8 @@ def project(seq: PAscentSequence, p: int) -> PAscentSequence:
         raise ValueError("project expects a 1-ascent sequence")
     if not seq.letters:
         return PAscentSequence(p, ())
-    prefix = (0, 1) * (p - 1)
     body = seq.letters
-    if len(body) < 2 * p - 1 or body[: 2 * p - 2] != prefix or body[2 * p - 2] != 0:
+    if body[: 2 * p - 1] != (0, 1) * (p - 1) + (0,):
         raise ValueError(
             f"{body} does not start with (01)^{p - 1} 0, so it is not in the image of embed"
         )
@@ -379,37 +384,35 @@ def project(seq: PAscentSequence, p: int) -> PAscentSequence:
 def bijection_10_to_012(seq: PAscentSequence) -> PAscentSequence:
     """Block rewriting from 10-avoiding to 012-avoiding 2-ascent sequences.
 
-    A 10-avoider is weakly increasing with values 0..a, possibly skipping the
-    single value a+1 and continuing a+2, a+3, ...  Its image keeps the initial
-    zero block, then writes each further block of multiplicity i as the marker
-    letter followed by i-1 zeros: marker 2 for blocks below the skip, marker 1
-    for blocks above it.
+    A 10-avoider is weakly increasing, so its blocks (maximal runs of one
+    value) rise: block i has value i + s_i with s_0 <= s_1 <= ..., and a
+    2-ascent sequence has 0 = s_0 and s_last <= 1 (the values 0..a, perhaps a
+    skipped a+1, then a+2, a+3, ...).  The image keeps block 0's zeros and
+    writes each further block i as the marker 2 - s_i followed by one zero for
+    each further letter of the block.
     """
     if seq.p != 2:
         raise ValueError("the bijection is defined for 2-ascent sequences")
     w = seq.letters
     if not w:
         return seq
-    if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
+    if any(a > b for a, b in pairwise(w)):
         raise ValueError(f"{w} contains the pattern 10")
-    blocks = [(value, len(list(run))) for value, run in groupby(w)]
-    values = [value for value, _count in blocks]
-    gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    if any(g not in (1, 2) for g in gaps) or gaps.count(2) > 1:
+    blocks = [(value - i, len(list(run))) for i, (value, run) in enumerate(groupby(w))]
+    if blocks[0][0] != 0 or blocks[-1][0] > 1:
         raise ValueError(f"{w} is not a 10-avoiding 2-ascent sequence shape")
-    split = next((i + 1 for i, g in enumerate(gaps) if g == 2), len(blocks))
-    image = [0] * blocks[0][1]
-    for _value, count in blocks[1:split]:
-        image.append(2)
-        image.extend([0] * (count - 1))
-    for _value, count in blocks[split:]:
-        image.append(1)
-        image.extend([0] * (count - 1))
+    image: list[int] = []
+    for i, (s, count) in enumerate(blocks):
+        image += [2 - s if i else 0] + [0] * (count - 1)
     return PAscentSequence(2, tuple(image))
 
 
 def bijection_012_to_10(seq: PAscentSequence) -> PAscentSequence:
-    """Inverse block rewriting, from 012-avoiding back to 10-avoiding sequences."""
+    """Inverse block rewriting, from 012-avoiding back to 10-avoiding sequences.
+
+    Block i is the i-th nonzero letter, its marker, with the zeros after it
+    (block 0: the leading zeros); each of its letters becomes i + (marker == 1).
+    """
     if seq.p != 2:
         raise ValueError("the bijection is defined for 2-ascent sequences")
     w = seq.letters
@@ -417,34 +420,10 @@ def bijection_012_to_10(seq: PAscentSequence) -> PAscentSequence:
         return seq
     if any(c > 2 for c in w):
         raise ValueError(f"{w} has a letter above 2, so it contains 012")
-    lead = 0
-    while lead < len(w) and w[lead] == 0:
-        lead += 1
-    two_counts: list[int] = []
-    one_counts: list[int] = []
-    i = lead
-    while i < len(w):
-        marker = w[i]
-        i += 1
-        count = 1
-        while i < len(w) and w[i] == 0:
-            count += 1
-            i += 1
-        if marker == 2:
-            if one_counts:
-                raise ValueError(f"{w} has a 2 after a 1, so it contains 012")
-            two_counts.append(count)
-        else:
-            one_counts.append(count)
-    letters: list[int] = [0] * lead
-    value = 0
-    for count in two_counts:
-        value += 1
-        letters.extend([value] * count)
-    value += 1  # skip one value before the 1-marked blocks
-    for count in one_counts:
-        value += 1
-        letters.extend([value] * count)
+    markers = [0] + [c for c in w if c]
+    if (1, 2) in pairwise(markers):
+        raise ValueError(f"{w} has a 2 after a 1, so it contains 012")
+    letters = [i + (markers[i] == 1) for i in accumulate(map(bool, w))]
     return PAscentSequence(2, tuple(letters))
 
 

@@ -12,6 +12,8 @@ int (8 bits per variable) so that monomial products reduce to integer
 addition, in the one loop that every product runs through, ``_scatter``.
 The one exception is a product or quotient of two series whose coefficients
 are all constants (the scalar series): those are convolved as integer lists.
+Composition in t and substitution for u are Horner evaluations over the one
+series product, so the kernel is just product and division.
 Exponent vectors from outside are checked against the field bound, and every
 product's output is checked once for an exponent that reached 128; the
 public accessors speak plain tuples.
@@ -514,15 +516,7 @@ class TSeries:
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition requires an inner series with zero constant term")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = TSeries.from_poly(n, self.coeffs[0])
-        power = TSeries.one(n)
-        for k in range(1, n + 1):
-            power = power * inner
-            if power.is_zero():
-                break
-            result = result + power * self.coeffs[k]
-        return result
+        return _horner(self.coeffs[: n + 1], inner.truncate(n))
 
     # -- substitutions ----------------------------------------------------
 
@@ -536,21 +530,12 @@ class TSeries:
         """Substitute a series for the variable u.
 
         Every coefficient must be polynomial in u (always true here), so the
-        substitution is a finite sum of repl-powers.
+        substitution is a polynomial in repl, evaluated by Horner's rule.
         """
         n = min(self.order, repl.order)
-        max_deg = max((p.max_degree("u") for p in self.coeffs[: n + 1]), default=0)
-        powers = [TSeries.one(n)]
-        for _ in range(max_deg):
-            powers.append(powers[-1] * repl)
-        rows = [[p._t for p in pw.coeffs] for pw in powers]
-        out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-        clear_u = ~(_MASK << 24)
-        for i in range(n + 1):
-            for k, c in self.coeffs[i]._t.items():
-                _scatter(out[i:], {k & clear_u: c}, rows[(k >> 24) & _MASK])
-        _check_carry(out)
-        return TSeries([MultiPoly(d) for d in out])
+        head = self.truncate(n)
+        deg = max(p.max_degree("u") for p in head.coeffs)
+        return _horner([head.coefficient_of_var("u", e) for e in range(deg + 1)], repl.truncate(n))
 
     def u_truncate(self, bound: int) -> "TSeries":
         """Drop every monomial whose u-exponent exceeds the bound."""
@@ -624,6 +609,16 @@ class TSeries:
 
     def __repr__(self) -> str:
         return f"TSeries({self})"
+
+
+def _horner(coeffs, x: TSeries) -> TSeries:
+    """coeffs[0] + coeffs[1]*x + coeffs[2]*x^2 + ... by Horner's rule, one series
+    product and one sum per step; coeffs must not be empty."""
+    *rest, top = coeffs
+    result = TSeries.zero(x.order) + top
+    for c in reversed(rest):
+        result = result * x + c
+    return result
 
 
 def scalar_coefficients(series: TSeries) -> list[int]:

@@ -62,6 +62,7 @@ def test_count_primitive(capsys):
 
 @pytest.mark.parametrize("flags", [
     (), ("--primitive",), ("--pattern", "012"), ("--pattern", "10-1", "--primitive"),
+    ("--pattern", "[00]"),
 ])
 def test_count_matches_enumeration(capsys, flags):
     """count counts by level DP; listing the words must give the same number."""

@@ -52,7 +52,7 @@ def test_pattern_parse():
     assert P212.groups == ((0, 1), (2,))
     assert str(P212) == "10-1"
     assert str(Pattern.parse("00")) == "00"
-    for bad in ("", "1-", "-1", "2--1", "ab"):
+    for bad in ("", "1-", "-1", "2--1", "ab", "[]", "[0]", "[0-1]", "[01", "01]", "[[01]]"):
         with pytest.raises(ValueError):
             Pattern.parse(bad)
 
@@ -278,6 +278,7 @@ def test_closed_forms_refuse_vincular_patterns(pat):
 def test_one_block_vincular_pattern_prints_in_brackets():
     assert str(CONSECUTIVE_00) == "[00]"
     assert str(Pattern((0, 1, 2), ((0, 1, 2),))) == "[012]"
+    assert Pattern.parse("[21]") == Pattern((1, 0), ((0, 1),))    # reduced, like 21
     with pytest.raises(NoClosedFormError, match=r"pattern \[00\] with p=3"):
         closed_count(3, CONSECUTIVE_00, 3)
     # every classical or hyphenated text of up to four letters prints as typed,
@@ -290,6 +291,14 @@ def test_one_block_vincular_pattern_prints_in_brackets():
             for cuts in product(("", "-"), repeat=n - 1):
                 text = digits[0] + "".join(map("".join, zip(cuts, digits[1:])))
                 assert str(Pattern.parse(text)) == (digits if all(cuts) else text)
+
+
+@pytest.mark.parametrize("text", AUTOMATON_PATTERNS + ("[00]", "[010]"))
+def test_parse_reads_what_str_prints(text):
+    pat = Pattern.parse(text)
+    assert Pattern.parse(str(pat)) == pat
+    if text.startswith("["):
+        assert len(pat.groups) == 1 and not pat.is_classical
 
 
 def test_consecutive_00_is_not_classical_00():

@@ -213,7 +213,8 @@ def test_monomial_coefficient_rejects_bad_exponents():
     lambda: TSeries.from_poly(1, X ** 100) * TSeries.from_poly(1, X ** 28),
     lambda: (TSeries.one(130) - TSeries.from_poly(130, Z, 1)).invert(),
     lambda: TSeries.from_poly(1, U * Z ** 100).subst_u(TSeries.from_poly(1, Z ** 100)),
-], ids=["poly_pow", "poly_carry", "series_mul", "invert", "subst_u"])
+    lambda: TSeries.from_poly(2, X ** 100, 2).compose_t(TSeries.from_poly(2, X ** 28, 1)),
+], ids=["poly_pow", "poly_carry", "series_mul", "invert", "subst_u", "compose_t"])
 def test_products_refuse_exponent_overflow(product):
     with pytest.raises(ValueError, match="exponent overflow"):
         product()
@@ -333,6 +334,17 @@ def naive_subst_u(terms, repl, order):
     return out
 
 
+def naive_compose_t(terms, inner, order):
+    out = {}
+    for (n, *exps), c in terms.items():
+        if n <= order:
+            term = {(0, *exps): c}
+            for _ in range(n):
+                term = naive_mul(term, inner, order)
+            out = naive_add(out, term)
+    return out
+
+
 # multi-term coefficients whose small integer coefficients often cancel in a
 # product, and up to two leading zero coefficients
 wide_polys = st.dictionaries(exponents, st.integers(-2, 2), max_size=4).map(
@@ -390,6 +402,20 @@ def test_invert_matches_naive(a, unit):
 def test_subst_u_matches_naive(a, repl):
     order = min(a.order, repl.order)
     assert a.subst_u(repl).terms() == naive_subst_u(a.terms(), repl.terms(), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(some_series, some_series)
+@example(TSeries([U, V, U * Z, X, MultiPoly.const(3)]),
+         TSeries([MultiPoly(), U + 1, Z]))                         # outer order above inner
+@example(TSeries([U + 1, Z]), TSeries([MultiPoly(), V, U, X]))  # inner order above outer
+@example(TSeries([U, MultiPoly.const(2), Z, V, U * X, MultiPoly.const(-1)]),
+         TSeries([MultiPoly(), MultiPoly(), U - Z, V, X, U]))     # inner t-valuation 2
+@example(TSeries([U, V, Z]), TSeries.zero(3))                    # zero inner series
+def test_compose_t_matches_naive(a, inner):
+    inner = TSeries([MultiPoly()] + inner.coeffs[1:])
+    order = min(a.order, inner.order)
+    assert a.compose_t(inner).terms() == naive_compose_t(a.terms(), inner.terms(), order)
 
 
 @settings(max_examples=100, deadline=None)
