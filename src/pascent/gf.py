@@ -175,24 +175,25 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     return _gamma_sum(steps, 1, bound, order).shift(1) * _Z
 
 
+def _kernel_rhs(p: int, f_v1: TSeries, constant: TSeries) -> TSeries:
+    """The right side of the kernel equation, given F|v=1 = f_v1:
+    ((v-1) + tv(u-1)) F = constant + t((v-1)z - v) F|v=1 + tuv^(p+1) F|v=1,u->uv."""
+    rest = f_v1 * ((_V - 1) * _Z - _V) + f_v1.subst_u_to_uv() * (_U * _V ** (p + 1))
+    return constant + rest.shift(1)
+
+
 def eval_G1_full(p: int, order: int) -> TSeries:
     """Series over sequences starting 0-then-nonzero, by length/ascents/last/zeros.
 
-    Combines the three right-hand-side terms of the defining functional
-    equation over the common denominator (v*delta_1 - 1) and divides out that
-    denominator exactly; the division has zero remainder (checked at every
-    t-order), which is the algebraic cancellation that makes the quotient a
-    genuine power series.
+    Divides the right side of the kernel equation (_kernel_rhs, F|v=1 =
+    eval_G1_u, constant t^2 uvz(v^p - 1)) exactly by v*delta_1 - 1; the
+    division has zero remainder (checked at every t-order), which is the
+    algebraic cancellation that makes the quotient a genuine power series.
     """
     _check_p(p)
     _check_at_least("order", order)
-    s1 = eval_G1_u(p, order)
-    s2 = s1.subst_u_to_uv()
-    numer = (
-        TSeries.from_poly(order, _U * _V * _Z * (_V**p - 1), 2)
-        + TSeries.from_poly(order, _Z * (_V - 1) - _V, 1) * s1
-        + TSeries.from_poly(order, _U * _V ** (p + 1), 1) * s2
-    )
+    constant = TSeries.from_poly(order, _U * _V * _Z * (_V**p - 1), 2)
+    numer = _kernel_rhs(p, eval_G1_u(p, order), constant)
     # v*delta_1 - 1 = (v - 1) + t*v*(u - 1); solve Q * that = numer order by order
     b1 = _V * (_U - 1)
     quot: list[MultiPoly] = []

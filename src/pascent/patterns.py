@@ -15,8 +15,8 @@ equal (ascents, last letter, state) and counts them: avoider_counts,
 count_avoiders and every pattern suite's brute column; a level of more than
 _MAX_STATES keys raises BudgetExceededError.  core._grow carries
 the state from word to word and lists them: iter_avoiders and the
-bijection suite.  occurs, which searches a whole word, is the independent
-ground truth that tests compare both with.
+bijection suite.  occurs places the pattern in a whole word letter by letter,
+sharing no code with the automaton: the ground truth tests compare both with.
 """
 
 from __future__ import annotations
@@ -107,30 +107,26 @@ class Pattern:
         return f"[{text}]" if len(self.groups) == 1 else text
 
 
-def _match_groups(pat: Pattern, w: Sequence[int], starts: list[int]) -> bool:
-    picked = [s + j for s, g in zip(starts, pat.groups) for j in range(len(g))]
-    return red([w[i] for i in picked]) == pat.letters
-
-
 def occurs(pat: Pattern, word: Sequence[int]) -> bool:
-    """True iff some subsequence, respecting the adjacency blocks, reduces to the pattern."""
-    w = tuple(word)
-    groups = pat.groups
-    sizes = [len(g) for g in groups]
-    total = sum(sizes)
-    if total > len(w):
-        return False
+    """True iff some subsequence, respecting the adjacency blocks, reduces to the pattern.
 
-    def place(gi: int, lo: int, starts: list[int]) -> bool:
-        if gi == len(groups):
-            return _match_groups(pat, w, starts)
-        remaining = sum(sizes[gi:])
-        for s in range(lo, len(w) - remaining + 1):
-            if place(gi + 1, s + sizes[gi], starts + [s]):
+    Places the pattern letter by letter, each only where it compares (<, =, >)
+    with every letter already placed as it does in the pattern.  A block's first
+    letter takes any later position that leaves room, its other letters the next."""
+    w, letters, k = tuple(word), pat.letters, len(pat.letters)
+    starts = {g[0] for g in pat.groups}
+
+    def place(j: int, lo: int, picked: tuple[int, ...]) -> bool:
+        if j == k:
+            return True
+        c = letters[j]
+        for i in range(lo, len(w) - k + j + 1) if j in starts else (lo,):
+            if all((w[i] < w[h]) == (c < letters[m]) and (w[i] == w[h]) == (c == letters[m])
+                   for m, h in enumerate(picked)) and place(j + 1, i + 1, picked + (i,)):
                 return True
         return False
 
-    return place(0, 0, [])
+    return place(0, 0, ())
 
 
 _EMPTY: frozenset = frozenset()

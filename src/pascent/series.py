@@ -10,8 +10,8 @@ division of 1), and checked exact polynomial division by (v - 1).
 Internally an exponent vector (e_u, e_v, e_z, e_x) is packed into a single
 int (8 bits per variable) so that monomial products reduce to integer
 addition, in the one loop that every product runs through, ``_scatter``.
-The one exception is a product or quotient of two series whose coefficients
-are all constants (the scalar series): those are convolved as integer lists.
+The one exception is a product of two series whose coefficients are all
+constants (the scalar series): those are convolved as integer lists.
 Composition in t and substitution for u are Horner evaluations over the one
 series product, so the kernel is just product and division.
 Exponent vectors from outside are checked against the field bound, and every
@@ -482,8 +482,9 @@ class TSeries:
     def __truediv__(self, other):
         """Exact quotient; the divisor's constant term must be +1 or -1.
 
-        Solves q * other = self one t-order at a time, so the work grows
-        with the divisor's size, not with the size of its inverse."""
+        Solves q * other = self one t-order at a time through _scatter, for
+        scalar series too, so the work grows with the divisor's size, not
+        with the size of its inverse."""
         if not isinstance(other, TSeries):
             return NotImplemented
         c0 = other.coeffs[0]
@@ -491,15 +492,6 @@ class TSeries:
             raise ValueError("series is not invertible: constant term must be +1 or -1")
         inv0 = c0.const_value()
         order = min(self.order, other.order)
-        a, b = _scalars(self.coeffs[: order + 1]), _scalars(other.coeffs[: order + 1])
-        if a is not None and b is not None:
-            # q_n = (a_n - b_1 q_(n-1) - ... - b_d q_(n-d)) / b_0, with d = deg b
-            deg, rev = _support(b)[1], b[::-1]  # rev[order - d .. order - 1] = b_d .. b_1
-            quot: list[int] = []
-            for n, an in enumerate(a):
-                d = min(n, deg)
-                quot.append(inv0 * (an - sum(map(mul, quot[n - d :], rev[order - d : order]))))
-            return _from_scalars(quot)
         out: list[MultiPoly] = []
         for n in range(order + 1):
             acc = {k: -c for k, c in self.coeffs[n]._t.items()}

@@ -119,14 +119,11 @@ def _counts(p: int, n_max: int, **options) -> TSeries:
 
 
 def _kernel_sides(p: int, f: TSeries, constant: TSeries) -> tuple[TSeries, TSeries]:
-    """Both sides of the kernel equation for F = f:
-    ((v-1) + tv(u-1)) F = constant + t((v-1)z - v) F|v=1 + tuv^(p+1) F|v=1,u->uv."""
+    """Both sides of the kernel equation for F = f, the right one from
+    gf._kernel_rhs, the equation that eval_G1_full solves."""
     n_max = f.order
-    f_v1 = f.specialize({"v": 1})
     lhs = (TSeries.from_poly(n_max, _V - 1) + TSeries.from_poly(n_max, _V * (_U - 1), 1)) * f
-    rhs = (constant + TSeries.from_poly(n_max, (_V - 1) * _Z - _V, 1) * f_v1
-           + TSeries.from_poly(n_max, _U * _V ** (p + 1), 1) * f_v1.subst_u_to_uv())
-    return lhs, rhs
+    return lhs, gf._kernel_rhs(p, f.specialize({"v": 1}), constant)
 
 
 def _check_kernel_G(p: int, n_max: int) -> Comparisons:

@@ -62,18 +62,23 @@ def test_count_primitive(capsys):
 
 @pytest.mark.parametrize("flags", [
     (), ("--primitive",), ("--pattern", "012"), ("--pattern", "10-1", "--primitive"),
-    ("--pattern", "[00]"),
+    ("--pattern", "[00]"), ("--updown",), ("--pattern", "0-1", "--primitive", "--updown"),
 ])
 def test_count_matches_enumeration(capsys, flags):
     """count counts by level DP; listing the words must give the same number."""
     pat = Pattern.parse(flags[flags.index("--pattern") + 1]) if "--pattern" in flags else None
+
+    def kept(w):
+        pairs = list(zip(w, w[1:]))
+        return not ("--primitive" in flags and any(a == b for a, b in pairs)
+                    # up-down: w0 < w1 > w2 < w3 ...
+                    or "--updown" in flags and any(not (a < b if i % 2 == 0 else a > b)
+                                                   for i, (a, b) in enumerate(pairs))
+                    or pat and occurs(pat, w))
+
     for p in (1, 2, 3):
         for n in range(7):
-            expected = sum(
-                1 for w in (seq.letters for seq in enumerate_sequences(p, n))
-                if not ("--primitive" in flags and any(a == b for a, b in zip(w, w[1:])))
-                and not (pat and occurs(pat, w))
-            )
+            expected = sum(1 for seq in enumerate_sequences(p, n) if kept(seq.letters))
             code, out = run(capsys, "count", "--p", str(p), "--n", str(n), *flags)
             assert (code, out) == (0, f"{expected}\n"), (p, n)
 

@@ -1,6 +1,6 @@
 """Reduction, occurrence, avoidance counts, closed forms, and bijections."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -90,6 +90,31 @@ def test_vincular_adjacency_is_enforced():
     host = (1, 2, 0, 3, 1)
     assert occurs(Pattern.classical((1, 0, 1)), host)
     assert not occurs(P212, host)
+
+
+def _block_partitions(k):
+    """Every way to cut positions 0..k-1 into runs of consecutive positions."""
+    for cuts in product((False, True), repeat=k - 1):
+        ends = [0, *(i for i, cut in enumerate(cuts, 1) if cut), k]
+        yield tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+
+
+def test_occurs_matches_the_definition():
+    """occurs holds iff some positions, each block of them consecutive, have
+    values that reduce to the pattern; every pattern of up to three letters
+    with every block partition, against every ternary word up to length 5."""
+    pats = [Pattern(letters, groups) for k in (1, 2, 3)
+            for letters in sorted({red(w) for w in product(range(k), repeat=k)})
+            for groups in _block_partitions(k)]
+    words = [w for n in range(6) for w in product(range(3), repeat=n)]
+    assert (len(pats), len(words)) == (59, 364)
+    for pat in pats:
+        for w in words:
+            defined = any(
+                red([w[i] for i in pos]) == pat.letters
+                and all(pos[j + 1] == pos[j] + 1 for g in pat.groups for j in g[:-1])
+                for pos in combinations(range(len(w)), len(pat.letters)))
+            assert occurs(pat, w) == defined, (str(pat), w)
 
 
 def test_avoid_00_means_all_distinct():

@@ -345,6 +345,10 @@ FAILURE_RECORDS = [
     ("kernel_H", verify, "oracle_table", lambda f: _bump(f, _XZ, 4),
      verify.check_identity, ("kernel_H", 2, 6),
      {"t_order": 4, "monomial": [0, 0, 2, 0], "expected": "-1", "actual": "0"}),
+    # the right side that eval_G1_full solves is the one kernel_G checks
+    ("kernel_G_rhs", gf, "_kernel_rhs", lambda f: _bump(f, MultiPoly.variable("z"), 3),
+     verify.check_identity, ("kernel_G", 2, 6),
+     {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "0", "actual": "1", "r": 1}),
     ("maxk_boundary", gf, "eval_maxk",
      lambda f: _bump(f, MultiPoly.const(1), 4, lambda p, k, order: k > 1),
      verify.check_identity, ("maxk_boundary", 2, 6),
