@@ -482,9 +482,8 @@ class TSeries:
     def __truediv__(self, other):
         """Exact quotient; the divisor's constant term must be +1 or -1.
 
-        Solves q * other = self one t-order at a time through _scatter, for
-        scalar series too, so the work grows with the divisor's size, not
-        with the size of its inverse."""
+        Solves q * other = self one t-order at a time, so the work grows
+        with the divisor's size, not with the size of its inverse."""
         if not isinstance(other, TSeries):
             return NotImplemented
         c0 = other.coeffs[0]

@@ -456,6 +456,8 @@ def test_only_scalar_operands_skip_the_sparse_loop(monkeypatch):
     assert calls == []
     # a quotient runs the sparse loop whatever its operands
     assert scalar_coefficients(scalar / scalar) == [1, 0, 0, 0]
+    assert calls != []
+    calls.clear()
     assert (scalar * mixed).coefficient(1) == U - 2
     assert calls != []
     calls.clear()
