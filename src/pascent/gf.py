@@ -18,29 +18,30 @@ two families:
 Every sum is built from lazy chains, each written once: _powers, _vanishing
 (prod (1 - f_i), stopping at n = order or at a zero product), _gamma_inverses
 and _delta_inverses.  _binomial_sum is the t-graded sum of eval_A and eval_R.
-eval_G1_u and eval_H sum u^k a_k over growing products of gammas by Horner's
-rule in _gamma_sum: from the last term down, add u^k a_k and divide by one
-gamma, so no step multiplies two large series.  psi keeps the chain instead:
-_gamma_inverses yields 1/(gamma_1..gamma_{j+1}) cut at u <= bound - j, each
-element the previous one divided by the next gamma, and _psi_sides builds it
-once and shares it across every m (psi is its one-m case), where Horner's
-rule would divide by every gamma once per m and measured 2-3x slower.
-_u_sum multiplies term k by u^k, stops at k = u_bound and makes the u-cut.
-A factor with u-powers applied after it (the (1-u) of eval_H, psi's
-prefactor) is cut again.  All these cuts are exact: u_truncate is
-reduction modulo u^(c+1), every factor here is a polynomial in u, and each
-gamma has constant term 1.
+Each kernel factor is divided through its shape 1 + (u-1)(A + zB), A and B
+integer series, by _kernel_div: order by order, from integer multiples of
+earlier quotient orders, storing no monomial above its u-cut (delta_k^-p is
+p such divisions of 1).  eval_G1_u and eval_H sum u^k a_k over growing
+products of gammas by Horner's rule in _gamma_sum: from the last term down,
+add u^k a_k and divide by one gamma.  psi keeps the chain: _gamma_inverses
+yields 1/(gamma_1..gamma_{j+1}) cut at u <= bound - j, which _psi_sides
+shares across every m, where Horner's rule would divide by every gamma once
+per m and measured 2-3x slower.  _u_sum multiplies term k by u^k, stops at
+k = u_bound and makes the u-cut, and a factor with u-powers applied after it
+(the (1-u) of eval_H, psi's prefactor) is cut again.  Every cut is exact: it
+is reduction modulo a power of u, every factor is a polynomial in u and each
+kernel factor has constant term 1.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, islice, pairwise, repeat, takewhile
+from itertools import accumulate, count, islice, pairwise, repeat, takewhile
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator
 
 from .core import _check_p
-from .series import MultiPoly, TSeries, _check_at_least
+from .series import _SHIFT, MultiPoly, TSeries, _check_at_least, _check_carry
 
 _U = MultiPoly.variable("u")
 _V = MultiPoly.variable("v")
@@ -106,25 +107,61 @@ def _vanishing(factors: Iterable[TSeries], order: int) -> Iterator[TSeries]:
     return takewhile(lambda s: not s.is_zero(), islice(prods, order + 1))
 
 
+def _kernel_div(numer: TSeries, m: int, z: bool, bound: int) -> TSeries:
+    """numer / gamma_(m+1) if z else numer / delta_m, cut at u <= bound.
+
+    Both are 1 + (u-1)(A + zB), A = 1 - (1-t)^m, B = t(1-t)^m for gamma and
+    0 for delta.  So q_n = numer_n - (u-1)(S_n + z T_n), S_n = sum_j A_j
+    q_(n-j), T_n = q_(n-1) - S_(n-1): integer multiples of earlier quotients,
+    with z and u as key shifts.  A key at or above u^(bound+1) is never stored."""
+    a = [(-1) ** (j + 1) * comb(m, j) for j in range(1, m + 1)]
+    u1, z1 = 1 << _SHIFT["u"], 1 << _SHIFT["z"]  # the packed keys of u and z
+    limit = (bound + 1) * u1  # u is the top field, so key < limit is u <= bound
+    out: list[dict[int, int]] = []
+    t_n: dict[int, int] = {}
+    for poly in numer.coeffs:
+        s: dict[int, int] = {}
+        for c, prev in zip(a, reversed(out)):
+            for k, d in prev.items():
+                s[k] = s.get(k, 0) + c * d
+        w = dict(s)
+        for k, d in t_n.items():
+            w[k + z1] = w.get(k + z1, 0) + d
+        q = {k: c for k, c in poly._t.items() if k < limit}
+        for k, c in w.items():
+            q[k] = q.get(k, 0) + c
+            if (ku := k + u1) < limit:
+                q[ku] = q.get(ku, 0) - c
+        q = {k: c for k, c in q.items() if c}
+        _check_carry((q,))
+        out.append(q)
+        if z:
+            t_n = dict(q)
+            for k, c in s.items():
+                t_n[k] = t_n.get(k, 0) - c
+    return TSeries([MultiPoly(q) for q in out])
+
+
 def _gamma_inverses(order: int, bound: int) -> Iterator[TSeries]:
     """1/(gamma_1..gamma_{j+1}) cut at u <= bound - j, for j = 0..bound.
 
     Every caller multiplies element j by u^j or a higher power and then cuts
     at u <= bound, so the monomials above bound - j never count.  Element j
-    is element j - 1, cut at u <= bound - j, divided by gamma_{j+1} and cut
-    again; dividing by the few monomials of gamma_{j+1} costs far less than
-    multiplying by its inverse."""
+    is element j - 1 divided by gamma_{j+1}, cut at u <= bound - j as it goes."""
     prod = TSeries.one(order)
     for j in range(bound + 1):
-        cut = bound - j
-        prod = (prod.u_truncate(cut) / gamma(j + 1, order)).u_truncate(cut)
+        prod = _kernel_div(prod, j, True, bound - j)
         yield prod
 
 
 def _delta_inverses(p: int, order: int) -> Iterator[TSeries]:
-    """delta_k^-p for k = 0, 1, 2, ... (delta_0 = 1)."""
-    later = ((delta(k, order) ** p).invert() for k in count(1))
-    return chain([TSeries.one(order)], later)
+    """delta_k^-p for k = 0, 1, 2, ... (delta_0 = 1), by p divisions of 1 by
+    delta_k; at t^n the u-degree is at most n, so the cut at order is exact."""
+    for k in count():
+        inverse = TSeries.one(order)
+        for _ in range(p):
+            inverse = _kernel_div(inverse, k, False, order)
+        yield inverse
 
 
 def _u_sum(bound: int, terms: Iterable[TSeries]) -> TSeries:
@@ -140,13 +177,13 @@ def _gamma_sum(terms: Iterable[TSeries], first: int, bound: int, order: int) -> 
     """Sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1}) over j, cut at u <= bound.
 
     Horner's rule from the last term down, T <- (u^(first+j) terms[j] + T) /
-    gamma_{j+1}, so each step divides once by a gamma of a few monomials and
+    gamma_{j+1}, so each step divides once by a gamma, through its shape, and
     no step multiplies by a chain element.  Terms past j = bound - first only
     add monomials above the cut and are not taken."""
     total = TSeries.zero(order)
     for j, term in reversed(list(enumerate(islice(terms, bound - first + 1)))):
-        numer = (term * MultiPoly.monomial((first + j, 0, 0, 0)) + total).u_truncate(bound)
-        total = (numer / gamma(j + 1, order)).u_truncate(bound)
+        numer = term * MultiPoly.monomial((first + j, 0, 0, 0)) + total
+        total = _kernel_div(numer, j, True, bound)
     return total
 
 

@@ -521,12 +521,16 @@ class TSeries:
         """Substitute a series for the variable u.
 
         Every coefficient must be polynomial in u (always true here), so the
-        substitution is a polynomial in repl, evaluated by Horner's rule.
+        substitution is a polynomial in repl, evaluated by Horner's rule over
+        its u-coefficients, filed in one pass: rows[e][i] is that of u^e t^i.
         """
         n = min(self.order, repl.order)
-        head = self.truncate(n)
-        deg = max(p.max_degree("u") for p in head.coeffs)
-        return _horner([head.coefficient_of_var("u", e) for e in range(deg + 1)], repl.truncate(n))
+        head = self.coeffs[: n + 1]
+        rows = [[{} for _ in head] for _ in range(max(p.max_degree("u") for p in head) + 1)]
+        for i, p in enumerate(head):
+            for k, c in p._t.items():
+                rows[k >> 24][i][k & 0xFFFFFF] = c
+        return _horner([TSeries(list(map(MultiPoly, row))) for row in rows], repl.truncate(n))
 
     def u_truncate(self, bound: int) -> "TSeries":
         """Drop every monomial whose u-exponent exceeds the bound."""

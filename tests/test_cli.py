@@ -423,6 +423,15 @@ def test_verify_all_small_budget(capsys):
     )
 
 
+def test_verify_all_budget_6_digest(capsys):
+    """Budget 6 runs psi's gamma chain deeper than budget 4 does."""
+    code, out = run(capsys, "verify", "--suite", "all", "--budget", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e97ac0bf4cad70142662ca39f27012b0d5bec2f63332e054bbd39f56d917ec63"
+    )
+
+
 def test_kernel_series_workload_outputs(capsys):
     """The kernel_series commands print the bytes that perfbench records."""
     workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())

@@ -284,6 +284,43 @@ def test_gamma_chain_cut_is_exact():
                 assert element == uncut[j].u_truncate(bound - j), (order, bound, j)
 
 
+def _kernel_numerator(order):
+    """A series with u, v and z terms at every t-order, and a u^2 term at t^0."""
+    terms = {(0, 0, 0, 0): 1, (2, 0, 1, 0): 3, (1, 1, 0, 0): -2}
+    coeffs = [MultiPoly.from_terms(terms)]
+    for n in range(1, order + 1):
+        coeffs.append(MultiPoly.from_terms({(n % 3, 1, 0, 0): n, (0, 0, n % 2, 0): -1, (3, 0, 2, 1): 5}))
+    return TSeries(coeffs)
+
+
+def test_kernel_div_matches_the_generic_division():
+    """The shaped division by gamma_k and delta_k, cut as it goes, equals the
+    generic quotient cut afterwards, at every bound."""
+    for order in range(10):
+        numer = _kernel_numerator(order)
+        for k in range(1, 7):
+            by_gamma, by_delta = numer / gf.gamma(k, order), numer / gf.delta(k, order)
+            for bound in range(order + 2):
+                assert gf._kernel_div(numer, k - 1, True, bound) == by_gamma.u_truncate(bound)
+                assert gf._kernel_div(numer, k, False, bound) == by_delta.u_truncate(bound)
+
+
+def test_delta_inverses_match_inverted_powers():
+    for p in range(1, 5):
+        for order in range(8):
+            inverses = list(itertools.islice(gf._delta_inverses(p, order), 7))
+            assert inverses == [(gf.delta(k, order) ** p).invert() for k in range(7)], (p, order)
+
+
+def test_kernel_div_refuses_exponent_overflow():
+    """z^100 over gamma_1 reaches z^128 at t^28, which both divisions refuse."""
+    numer = TSeries.from_poly(30, MultiPoly.monomial((0, 0, 100, 0)))
+    with pytest.raises(ValueError, match="exponent overflow"):
+        numer / gf.gamma(1, 30)
+    with pytest.raises(ValueError, match="exponent overflow"):
+        gf._kernel_div(numer, 0, True, 30)
+
+
 def test_psi_sides_share_one_chain():
     for order, bound in ((0, 0), (1, 3), (6, 2), (8, 8), (9, 12)):
         expected = [gf.psi(m, order, bound) for m in range(7)]
