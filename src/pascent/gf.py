@@ -16,19 +16,17 @@ two families:
   larger bound to order; psi does not, as its sides have higher u-degrees.
 
 Every sum is built from lazy chains, each written once: _powers, _vanishing
-(prod (1 - f_i), stopping at n = order or at a zero product), _gamma_inverses
-and _delta_inverses.  _binomial_sum is the t-graded sum of eval_A and eval_R.
+(prod (1 - f_i), stopping at n = order or at a zero product) and
+_delta_inverses.  _binomial_sum is the t-graded sum of eval_A and eval_R.
 Each kernel factor is divided through its shape 1 + (u-1)(A + zB), A and B
 integer series, by _kernel_div: order by order, from integer multiples of
 earlier quotient orders, storing no monomial above its u-cut (delta_k^-p is
-p such divisions of 1).  eval_G1_u and eval_H sum u^k a_k over growing
-products of gammas by Horner's rule in _gamma_sum: from the last term down,
-add u^k a_k and divide by one gamma.  psi keeps the chain: _gamma_inverses
-yields 1/(gamma_1..gamma_{j+1}) cut at u <= bound - j, which _psi_sides
-shares across every m, where Horner's rule would divide by every gamma once
-per m and measured 2-3x slower.  _u_sum multiplies term k by u^k, stops at
-k = u_bound and makes the u-cut, and a factor with u-powers applied after it
-(the (1-u) of eval_H, psi's prefactor) is cut again.  Every cut is exact: it
+p such divisions of 1).  eval_G1_u, eval_H and psi's left side sum u^k a_k
+over growing products of gammas by Horner's rule in _gamma_sum: from the
+last term down, add u^k a_k and divide by one gamma.  _u_sum (psi's right
+side) multiplies term k by u^k, stops at k = u_bound and makes the u-cut,
+and a factor with u-powers applied after a sum (the (1-u) of eval_H, psi's
+prefactor) is cut again.  Every cut is exact: it
 is reduction modulo a power of u, every factor is a polynomial in u and each
 kernel factor has constant term 1.
 """
@@ -140,18 +138,6 @@ def _kernel_div(numer: TSeries, m: int, z: bool, bound: int) -> TSeries:
             for k, c in s.items():
                 t_n[k] = t_n.get(k, 0) - c
     return TSeries([MultiPoly(q) for q in out])
-
-
-def _gamma_inverses(order: int, bound: int) -> Iterator[TSeries]:
-    """1/(gamma_1..gamma_{j+1}) cut at u <= bound - j, for j = 0..bound.
-
-    Every caller multiplies element j by u^j or a higher power and then cuts
-    at u <= bound, so the monomials above bound - j never count.  Element j
-    is element j - 1 divided by gamma_{j+1}, cut at u <= bound - j as it goes."""
-    prod = TSeries.one(order)
-    for j in range(bound + 1):
-        prod = _kernel_div(prod, j, True, bound - j)
-        yield prod
 
 
 def _delta_inverses(p: int, order: int) -> Iterator[TSeries]:
@@ -337,29 +323,6 @@ def eval_A1_product_form(order: int) -> TSeries:
     return sum(_vanishing(_powers(one_minus_t(order), one_minus_zt(order)), order))
 
 
-def _psi_sides(ms: Iterable[int], order: int, bound: int) -> Iterator[tuple[TSeries, TSeries]]:
-    """psi(m, order, bound) for each m in ms, from one gamma chain.
-
-    The chain is built at the first step and dropped with the generator."""
-    one = TSeries.one(order)
-    onemt = one_minus_t(order)
-    uz = TSeries.from_poly(order, _U - 1) * one_minus_zt(order)
-    gammas = list(_gamma_inverses(order, bound))
-    for m in ms:
-        uz_pows = list(islice(_powers(uz, one), m + 2))  # ((u-1)(1-zt))^j, j = 0..m+1
-        onemt_pows = list(islice(_powers(onemt, onemt), m + 1))  # (1-t)^i, i = 1..m+1
-
-        steps = _powers(onemt_pows[m], one)
-        inner = _u_sum(bound, (w * g for w, g in zip(steps, gammas)))
-        lhs = (uz_pows[m + 1] * inner).u_truncate(bound)
-
-        # j runs down from m, so prod_{i=j+1..m} gains one factor, 1-(1-t)^(j+1),
-        # per step; the term of index j carries u^(m-j).
-        prods = _vanishing(reversed(onemt_pows[:m]), order)
-        rhs = _u_sum(bound, (uz_pows[j] * prod for j, prod in zip(range(m, -1, -1), prods)))
-        yield lhs, -rhs
-
-
 def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSeries]:
     """Both sides of the kernel summation identity for the gamma family.
 
@@ -368,9 +331,21 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     cut at k = u_bound (default: order).  Right side: the closed polynomial
       -sum_{j=0..m} (u-1)^j (1-zt)^j u^(m-j) prod_{i=j+1..m}(1-(1-t)^i).
     Both are returned with u-exponents above the bound dropped; on that
-    region they agree identically.  The k-th element of the gamma chain is
-    kept only to u-degree u_bound - k, and _psi_sides shares one chain
-    across several m.
+    region they agree identically.
     """
     _check_at_least("m", m)
-    return next(_psi_sides((m,), order, _u_bound(order, u_bound)))
+    bound = _u_bound(order, u_bound)
+    one = TSeries.one(order)
+    uz = TSeries.from_poly(order, _U - 1) * one_minus_zt(order)
+    uz_pows = list(islice(_powers(uz, one), m + 2))  # ((u-1)(1-zt))^j, j = 0..m+1
+    onemt = one_minus_t(order)
+    onemt_pows = list(islice(_powers(onemt, onemt), m + 1))  # (1-t)^i, i = 1..m+1
+
+    inner = _gamma_sum(_powers(onemt_pows[m], one), 0, bound, order)
+    lhs = (uz_pows[m + 1] * inner).u_truncate(bound)
+
+    # j runs down from m, so prod_{i=j+1..m} gains one factor, 1-(1-t)^(j+1),
+    # per step; the term of index j carries u^(m-j).
+    prods = _vanishing(reversed(onemt_pows[:m]), order)
+    rhs = _u_sum(bound, (uz_pows[j] * prod for j, prod in zip(range(m, -1, -1), prods)))
+    return lhs, -rhs

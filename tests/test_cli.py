@@ -424,7 +424,7 @@ def test_verify_all_small_budget(capsys):
 
 
 def test_verify_all_budget_6_digest(capsys):
-    """Budget 6 runs psi's gamma chain deeper than budget 4 does."""
+    """Budget 6 runs psi's Horner sums over the gammas deeper than budget 4 does."""
     code, out = run(capsys, "verify", "--suite", "all", "--budget", "6")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -270,20 +270,6 @@ def test_chains_at_orders_0_and_1():
         assert [side.terms() for side in gf.psi(m, 1, 0)] == [u_free] * 2
 
 
-def test_gamma_chain_cut_is_exact():
-    """Element j of the cut chain is 1/(gamma_1..gamma_{j+1}) cut at u <= bound - j."""
-    for order in range(9):
-        uncut, prod = [], TSeries.one(order)
-        for k in range(1, order + 2):
-            prod = prod * gf.gamma(k, order).invert()
-            uncut.append(prod)
-        for bound in range(order + 1):
-            chain = list(gf._gamma_inverses(order, bound))
-            assert len(chain) == bound + 1
-            for j, element in enumerate(chain):
-                assert element == uncut[j].u_truncate(bound - j), (order, bound, j)
-
-
 def _kernel_numerator(order):
     """A series with u, v and z terms at every t-order, and a u^2 term at t^0."""
     terms = {(0, 0, 0, 0): 1, (2, 0, 1, 0): 3, (1, 1, 0, 0): -2}
@@ -321,26 +307,35 @@ def test_kernel_div_refuses_exponent_overflow():
         gf._kernel_div(numer, 0, True, 30)
 
 
-def test_psi_sides_share_one_chain():
+def test_psi_agrees_above_the_order():
+    """psi keeps a bound above the order; its right side divides by no gamma,
+    so it checks the Horner left side independently."""
     for order, bound in ((0, 0), (1, 3), (6, 2), (8, 8), (9, 12)):
-        expected = [gf.psi(m, order, bound) for m in range(7)]
-        assert list(gf._psi_sides(range(7), order, bound)) == expected
+        for m in range(7):
+            lhs, rhs = gf.psi(m, order, bound)
+            assert lhs == rhs, (order, bound, m)
 
 
-def test_gamma_sum_matches_chain_sum():
-    """Horner's sum equals the sum of each term times its chain element."""
+def test_gamma_sum_matches_the_generic_chain():
+    """Horner's sum equals the sum of each term times u^(first+j) and the
+    uncut product of generic gamma inverses, cut at the bound afterwards."""
     for order in range(10):
-        deltas = list(itertools.islice(gf._delta_inverses(2, order), order + 2))
+        deltas = list(itertools.islice(gf._delta_inverses(2, order), order + 3))
         onemt = gf.one_minus_t(order)
         terms = {
             1: [cur - prev for prev, cur in itertools.pairwise(deltas)],
             0: [onemt**n * d for n, d in enumerate(deltas)],
         }
+        chain, prod = [], TSeries.one(order)
+        for k in range(1, order + 4):
+            prod = prod * gf.gamma(k, order).invert()
+            chain.append(prod)
         for first, first_terms in terms.items():
-            padding = [TSeries.zero(order)] * first
-            for bound in range(order + 1):
-                chain = gf._gamma_inverses(order, bound - first)
-                products = (term * g for term, g in zip(first_terms, chain))
-                expected = gf._u_sum(bound, padding + list(products))
+            for bound in range(order + 3):
+                expected = sum(
+                    (term * g * MultiPoly.monomial((first + j, 0, 0, 0))
+                     for j, (term, g) in enumerate(zip(first_terms, chain))),
+                    TSeries.zero(order),
+                ).u_truncate(bound)
                 actual = gf._gamma_sum(first_terms, first, bound, order)
                 assert actual == expected, (order, first, bound)
