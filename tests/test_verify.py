@@ -322,7 +322,11 @@ FAILURE_RECORDS = [
     ("rel16", gf, "eval_Gr", lambda f: _bump(f, MultiPoly.variable("z"), 3),
      verify.check_identity, ("rel16", 2, 6),
      {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "r": 2}),
-    ("psi", gf, "psi", _corrupt_psi,
+    # the left side's Horner sum, then the public psi's right side
+    ("psi", gf, "_gamma_sum", lambda f: _bump(f, MultiPoly.variable("z"), 3),
+     verify.check_identity, ("psi", None, 6),
+     {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "0", "actual": "-1", "m": 0}),
+    ("psi_public", gf, "psi", _corrupt_psi,
      verify.check_identity, ("psi", None, 6),
      {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "m": 2}),
     ("delta_gamma_calculus", gf, "delta",
