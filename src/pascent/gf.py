@@ -15,25 +15,24 @@ two families:
   at most n - 1 ascents.  For the same reason eval_G1_u and eval_H lower a
   larger bound to order; psi does not, as its sides have higher u-degrees.
 
-Every sum is built from lazy chains, each written once: _powers, _vanishing
-(prod (1 - f_i), stopping at n = order or at a zero product) and
-_delta_inverses.  _binomial_sum is the t-graded sum of eval_A and eval_R.
-Each kernel factor is divided through its shape 1 + (u-1)(A + zB), A and B
-integer series, by _kernel_div: order by order, from integer multiples of
-earlier quotient orders, storing no monomial above its u-cut (delta_k^-p is
-p such divisions of 1).  eval_G1_u, eval_H and psi's left side sum u^k a_k
+Every sum is built from lazy chains, each written once: _powers and _vanishing
+(prod (1 - f_i), stopping at n = order or at a zero product).  _binomial_sum
+is the t-graded sum of eval_A and eval_R.  Each kernel factor is divided
+through its shape 1 + (u-1)(A + zB), A and B integer series, by _kernel_div:
+order by order, from integer multiples of earlier quotient orders, storing no
+monomial above its u-cut.  _over_deltas divides the k-th term by delta_k^p
+with p such divisions.  eval_G1_u, eval_H and psi's left side sum u^k a_k
 over growing products of gammas by Horner's rule in _gamma_sum: from the
-last term down, add u^k a_k and divide by one gamma.  _u_sum (psi's right
-side) multiplies term k by u^k, stops at k = u_bound and makes the u-cut,
-and a factor with u-powers applied after a sum (the (1-u) of eval_H, psi's
-prefactor) is cut again.  Every cut is exact: it
+last term down, add u^k a_k and divide by one gamma.  A factor with u-powers
+applied after a sum (the (1-u) of eval_H, psi's prefactor) is cut again,
+and psi's right side, a polynomial, is cut once.  Every cut is exact: it
 is reduction modulo a power of u, every factor is a polynomial in u and each
 kernel factor has constant term 1.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, count, islice, pairwise, repeat, takewhile
+from itertools import accumulate, islice, pairwise, repeat, takewhile
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator
@@ -140,23 +139,14 @@ def _kernel_div(numer: TSeries, m: int, z: bool, bound: int) -> TSeries:
     return TSeries([MultiPoly(q) for q in out])
 
 
-def _delta_inverses(p: int, order: int) -> Iterator[TSeries]:
-    """delta_k^-p for k = 0, 1, 2, ... (delta_0 = 1), by p divisions of 1 by
-    delta_k; at t^n the u-degree is at most n, so the cut at order is exact."""
-    for k in count():
-        inverse = TSeries.one(order)
+def _over_deltas(p: int, numers: Iterable[TSeries], order: int) -> Iterator[TSeries]:
+    """numers[k] / delta_k^p for k = 0, 1, 2, ... (delta_0 = 1), by p divisions
+    through delta_k's shape, cut at u <= order.  At t^n the u-degree of
+    1/delta_k is at most n, so the cut is exact when no numerator has u."""
+    for k, quot in enumerate(numers):
         for _ in range(p):
-            inverse = _kernel_div(inverse, k, False, order)
-        yield inverse
-
-
-def _u_sum(bound: int, terms: Iterable[TSeries]) -> TSeries:
-    """Sum of u^k terms[k] over k <= bound, monomials above u^bound dropped.
-
-    Each term is a polynomial in u, so terms past k = bound only add
-    monomials above the cut."""
-    powers = (MultiPoly.monomial((k, 0, 0, 0)) for k in range(bound + 1))
-    return sum(term * u_k for u_k, term in zip(powers, terms)).u_truncate(bound)
+            quot = _kernel_div(quot, k, False, order)
+        yield quot
 
 
 def _gamma_sum(terms: Iterable[TSeries], first: int, bound: int, order: int) -> TSeries:
@@ -194,7 +184,8 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
-    steps = (cur - prev for prev, cur in pairwise(_delta_inverses(p, order)))
+    inverses = _over_deltas(p, repeat(TSeries.one(order)), order)
+    steps = (cur - prev for prev, cur in pairwise(inverses))
     return _gamma_sum(steps, 1, bound, order).shift(1) * _Z
 
 
@@ -257,8 +248,8 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
-    factors = zip(_powers(one_minus_t(order), TSeries.one(order)), _delta_inverses(p, order))
-    total = _gamma_sum((w * d for w, d in factors), 0, bound, order)
+    terms = _over_deltas(p, _powers(one_minus_t(order), TSeries.one(order)), order)
+    total = _gamma_sum(terms, 0, bound, order)
     return (total.shift(1) * (_Z - _Z * _U)).u_truncate(bound)
 
 
@@ -337,15 +328,12 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     bound = _u_bound(order, u_bound)
     one = TSeries.one(order)
     uz = TSeries.from_poly(order, _U - 1) * one_minus_zt(order)
-    uz_pows = list(islice(_powers(uz, one), m + 2))  # ((u-1)(1-zt))^j, j = 0..m+1
     onemt = one_minus_t(order)
-    onemt_pows = list(islice(_powers(onemt, onemt), m + 1))  # (1-t)^i, i = 1..m+1
-
-    inner = _gamma_sum(_powers(onemt_pows[m], one), 0, bound, order)
-    lhs = (uz_pows[m + 1] * inner).u_truncate(bound)
-
-    # j runs down from m, so prod_{i=j+1..m} gains one factor, 1-(1-t)^(j+1),
-    # per step; the term of index j carries u^(m-j).
-    prods = _vanishing(reversed(onemt_pows[:m]), order)
-    rhs = _u_sum(bound, (uz_pows[j] * prod for j, prod in zip(range(m, -1, -1), prods)))
-    return lhs, -rhs
+    # R_0 = 1, R_j = u(1 - (1-t)^j) R_(j-1) + uz^j, and the right side is -R_m
+    rhs, uz_j, onemt_j = one, one, one
+    for _ in range(m):
+        uz_j, onemt_j = uz_j * uz, onemt_j * onemt
+        rhs = (one - onemt_j) * (rhs * _U) + uz_j
+    inner = _gamma_sum(_powers(onemt_j * onemt, one), 0, bound, order)
+    lhs = (uz_j * uz * inner).u_truncate(bound)
+    return lhs, -rhs.u_truncate(bound)

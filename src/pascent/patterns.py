@@ -67,8 +67,8 @@ class Pattern:
         flat = [i for g in self.groups for i in g]
         if flat != list(range(len(self.letters))):
             raise ValueError("groups must partition the pattern positions in order")
-        if any(g[j + 1] != g[j] + 1 for g in self.groups for j in range(len(g) - 1)):
-            raise ValueError("each group must consist of consecutive positions")
+        if not all(self.groups):
+            raise ValueError("each group must be nonempty")
 
     @classmethod
     def classical(cls, letters: Sequence[int]) -> "Pattern":

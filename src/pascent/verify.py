@@ -158,17 +158,19 @@ def _check_delta_gamma(n_max: int) -> Comparisons:
     u_series = TSeries.from_poly(n_max, _U)
     uv_series = TSeries.from_poly(n_max, uv)
     u_minus_1 = TSeries.from_poly(n_max, _U - 1)
+    # each family member is built once, for every index s + k reaches
+    deltas = [gf.delta(j, n_max) for j in range(2 * _DEPTH + 1)]
+    gammas = [gf.gamma(j, n_max) for j in range(2 * _DEPTH + 1)]
+    u_over = [u_series / d for d in deltas]
     for k in range(1, _DEPTH + 1):
         tag = {"k": k}
-        d_k = gf.delta(k, n_max)
-        repl = u_series * d_k.invert()
+        d_k, repl = deltas[k], u_over[k]
         onemt_k = gf.one_minus_t(n_max) ** k
         yield tag, onemt_k * u_minus_1, u_minus_1.subst_u(repl) * d_k
         for s in range(1, _DEPTH + 1):
-            yield tag, gf.delta(s + k, n_max), gf.delta(s, n_max).subst_u(repl) * d_k
-            yield tag, gf.gamma(s + k, n_max), gf.gamma(s, n_max).subst_u(repl) * d_k
-            u_over_ds = u_series * gf.delta(s, n_max).invert()
-            yield tag, u_series * gf.delta(s + k, n_max).invert(), u_over_ds.subst_u(repl)
+            yield tag, deltas[s + k], deltas[s].subst_u(repl) * d_k
+            yield tag, gammas[s + k], gammas[s].subst_u(repl) * d_k
+            yield tag, u_over[s + k], u_over[s].subst_u(repl)
         # delta_bar and gamma_bar against their formulas, written with uv
         yield tag, uv_series - onemt_k * (uv - 1), gf.delta_bar(k, n_max)
         onemzt_onemt = gf.one_minus_zt(n_max) * gf.one_minus_t(n_max) ** (k - 1)

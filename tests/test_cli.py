@@ -277,6 +277,53 @@ def test_set_rejects_a_variable_given_twice(capsys, spec, var):
     assert captured.err == f"pascent: --set gives {var} more than once\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bfile", "--gf", "A", "--p", "2", "--order", "3", "--set", "z"],
+     "bad --set entry 'z': expected var=int"),
+    (["bfile", "--gf", "A", "--p", "2", "--order", "3", "--set", "z=x"],
+     "bad --set value 'x': must be an integer"),
+    (["bfile", "--gf", "A", "--p", "2", "--order", "3", "--set", "w=1"],
+     "unknown variable 'w' in --set (use u, v, z, x or all)"),
+    (["bijection", "--map", "10-to-012", "--seq", "0,a"],
+     "bad sequence '0,a': letters must be comma-separated integers"),
+    (["bijection", "--map", "embed", "--seq", "0"],
+     "--map embed requires --p (the parameter of the input)"),
+    (["bijection", "--map", "project", "--seq", "0"],
+     "--map project requires --p (the parameter of the output)"),
+    (["bfile", "--gf", "A", "--avoid", "--p", "2", "--order", "3"],
+     "choose one of --gf and --avoid"),
+], ids=["set_entry", "set_value", "set_variable", "seq_letter", "embed_without_p",
+        "project_without_p", "gf_and_avoid"])
+def test_usage_errors_print_one_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"pascent: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["avoid", "--p", "2", "--pattern", "01", "--n", "-1"], "--n must be nonnegative"),
+    (["series", "--gf", "P", "--order", "-1"], "--order must be nonnegative"),
+], ids=["avoid_n", "series_order"])
+def test_negative_sizes_exit_through_argparse(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"pascent: error: {message}"
+
+
+def test_avoid_both_exits_1_when_the_columns_disagree(capsys, monkeypatch):
+    real = patterns.closed_count
+    monkeypatch.setattr(patterns, "closed_count",
+                        lambda p, pat, n, primitive_only=False: real(p, pat, n) + (n == 3))
+    code = main(["avoid", "--p", "2", "--pattern", "012", "--n", "4", "--both"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "1 1 1\n2 3 3\n3 9 8\n4 20 20\n"
+    assert captured.err == "pascent: closed form and brute force disagree\n"
+
+
 def test_A_with_z_set_passes_order_127(capsys):
     # --set z=... is substituted while A is built, so no z-exponent reaches 128
     code, out = run(capsys, "bfile", "--gf", "A", "--p", "1", "--order", "200", "--set", "all=1")

@@ -291,11 +291,16 @@ def test_kernel_div_matches_the_generic_division():
                 assert gf._kernel_div(numer, k, False, bound) == by_delta.u_truncate(bound)
 
 
-def test_delta_inverses_match_inverted_powers():
+def test_over_deltas_match_generic_quotients():
+    """Each term divided by delta_k^p through the shape equals the generic
+    quotient, for numerators without u and with u, v and z terms."""
     for p in range(1, 5):
         for order in range(8):
-            inverses = list(itertools.islice(gf._delta_inverses(p, order), 7))
-            assert inverses == [(gf.delta(k, order) ** p).invert() for k in range(7)], (p, order)
+            for numer in (TSeries.one(order), _kernel_numerator(order)):
+                numers = itertools.repeat(numer)
+                quotients = list(itertools.islice(gf._over_deltas(p, numers, order), 7))
+                expected = [(numer / gf.delta(k, order) ** p).u_truncate(order) for k in range(7)]
+                assert quotients == expected, (p, order)
 
 
 def test_kernel_div_refuses_exponent_overflow():
@@ -320,7 +325,7 @@ def test_gamma_sum_matches_the_generic_chain():
     """Horner's sum equals the sum of each term times u^(first+j) and the
     uncut product of generic gamma inverses, cut at the bound afterwards."""
     for order in range(10):
-        deltas = list(itertools.islice(gf._delta_inverses(2, order), order + 3))
+        deltas = [(gf.delta(k, order) ** 2).invert() for k in range(order + 3)]
         onemt = gf.one_minus_t(order)
         terms = {
             1: [cur - prev for prev, cur in itertools.pairwise(deltas)],
@@ -339,3 +344,21 @@ def test_gamma_sum_matches_the_generic_chain():
                 ).u_truncate(bound)
                 actual = gf._gamma_sum(first_terms, first, bound, order)
                 assert actual == expected, (order, first, bound)
+
+
+def test_psi_right_side_is_the_closed_polynomial():
+    """The right side is -sum_{j=0..m} (u-1)^j (1-zt)^j u^(m-j)
+    prod_{i=j+1..m}(1-(1-t)^i), written term by term and cut at the bound."""
+    for order in range(10):
+        one, onemt = TSeries.one(order), gf.one_minus_t(order)
+        uz = TSeries.from_poly(order, U - 1) * gf.one_minus_zt(order)
+        for m in range(7):
+            closed = TSeries.zero(order)
+            for j in range(m + 1):
+                term = uz**j * MultiPoly.monomial((m - j, 0, 0, 0))
+                for i in range(j + 1, m + 1):
+                    term = term * (one - onemt**i)
+                closed = closed - term
+            for bound in (0, 1, order, order + 2):
+                _lhs, rhs = gf.psi(m, order, bound)
+                assert rhs == closed.u_truncate(bound), (order, m, bound)

@@ -64,6 +64,13 @@ def test_pattern_invariants():
         Pattern((0, 1), ((1,), (0,)))           # groups out of order
 
 
+def test_pattern_refuses_an_empty_block():
+    """An empty block would print as 0--1, which parse refuses, and would
+    make occurs index past the pattern."""
+    with pytest.raises(ValueError, match="nonempty"):
+        Pattern((0, 1), ((0,), (), (1,)))
+
+
 def test_occurs_classical():
     assert occurs(P012, (0, 1, 0, 2))
     assert not occurs(P012, (0, 2, 0, 2))

@@ -178,11 +178,18 @@ def test_json_round_trip_and_sorting():
     [1, 0, 0, 0, 256],         # carried into z
     [1, 0, 0, 0],
     [1, 0, 0, 0, 0, 0],
+    [3, 0, 0, 0, 0],           # t beyond the order
 ])
 def test_from_json_rejects_bad_exponents(exp):
     obj = {"order": 2, "vars": ["t", "u", "v", "z", "x"],
            "terms": [{"exp": exp, "coeff": "1"}]}
     with pytest.raises(ValueError, match="exponent"):
+        TSeries.from_json_obj(obj)
+
+
+def test_from_json_rejects_a_wrong_variable_list():
+    obj = {"order": 2, "vars": ["t", "u", "v", "z"], "terms": []}
+    with pytest.raises(ValueError, match="unexpected variable list in series JSON"):
         TSeries.from_json_obj(obj)
 
 
@@ -218,6 +225,23 @@ def test_monomial_coefficient_rejects_bad_exponents():
 def test_products_refuse_exponent_overflow(product):
     with pytest.raises(ValueError, match="exponent overflow"):
         product()
+
+
+def test_subst_u_to_uv_refuses_v_overflow():
+    # u^60 v^50 would become u^60 v^110, past the bound of 100 on exponents
+    with pytest.raises(ValueError, match="v-exponent overflow in u -> uv substitution"):
+        TSeries.from_poly(1, MultiPoly.monomial((60, 50, 0, 0))).subst_u_to_uv()
+
+
+@pytest.mark.parametrize("n", [-1, 2.0])
+def test_power_refuses_an_exponent_other_than_a_nonnegative_int(n):
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+        TSeries.one(2) ** n
+
+
+def test_variable_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=r"unknown variable 'w'; use one of \('u', 'v', 'z', 'x'\)"):
+        MultiPoly.variable("w")
 
 
 def test_products_keep_exponent_127():
