@@ -67,8 +67,9 @@ class PAscentSequence:
 
     @classmethod
     def _trusted(cls, p: int, letters: tuple[int, ...]) -> "PAscentSequence":
-        """Wrap a tuple known to be p-ascent (one that _grow built by the
-        p-ascent rule, or embed's image), without validating it again."""
+        """Wrap a tuple known to be p-ascent without validating it again: a word
+        that _grow built by the p-ascent rule, or the image of embed, project or
+        either 10<->012 map in patterns (each docstring has its proof)."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "p", p)
         object.__setattr__(seq, "letters", letters)

@@ -64,6 +64,8 @@ class Pattern:
             raise ValueError("pattern must be nonempty")
         if red(self.letters) != self.letters:
             raise ValueError(f"pattern letters must be reduced: {self.letters}")
+        if max(self.letters) > 9:
+            raise ValueError(f"pattern letters must be at most 9, one digit each: {self.letters}")
         flat = [i for g in self.groups for i in g]
         if flat != list(range(len(self.letters))):
             raise ValueError("groups must partition the pattern positions in order")
@@ -363,18 +365,20 @@ def embed(seq: PAscentSequence) -> PAscentSequence:
 
 
 def project(seq: PAscentSequence, p: int) -> PAscentSequence:
-    """Inverse of embed: strip the (01)^(p-1) prefix of a 1-ascent sequence."""
+    """Inverse of embed: strip the (01)^(p-1) prefix of a 1-ascent sequence.
+
+    The image is p-ascent without a check, by embed's proof run backwards: the
+    prefix has p-1 ascents and none at the junction, so a body letter's bound
+    1 + (p-1) + a is p + a."""
     _check_p(p)
     if seq.p != 1:
         raise ValueError("project expects a 1-ascent sequence")
-    if not seq.letters:
-        return PAscentSequence(p, ())
     body = seq.letters
-    if body[: 2 * p - 1] != (0, 1) * (p - 1) + (0,):
+    if body and body[: 2 * p - 1] != (0, 1) * (p - 1) + (0,):
         raise ValueError(
             f"{body} does not start with (01)^{p - 1} 0, so it is not in the image of embed"
         )
-    return PAscentSequence(p, body[2 * p - 2 :])
+    return PAscentSequence._trusted(p, body[2 * p - 2 :])
 
 
 def bijection_10_to_012(seq: PAscentSequence) -> PAscentSequence:
@@ -382,25 +386,20 @@ def bijection_10_to_012(seq: PAscentSequence) -> PAscentSequence:
 
     A 10-avoider is weakly increasing, so its blocks (maximal runs of one
     value) rise: block i has value i + s_i with s_0 <= s_1 <= ..., and a
-    2-ascent sequence has 0 = s_0 and s_last <= 1 (the values 0..a, perhaps a
-    skipped a+1, then a+2, a+3, ...).  The image keeps block 0's zeros and
-    writes each further block i as the marker 2 - s_i followed by one zero for
-    each further letter of the block.
+    2-ascent sequence has s_0 = 0 and s_i <= 1, as block i follows i-1 ascents.
+    The image keeps block 0's zeros and writes each further block i as the
+    marker 2 - s_i followed by one zero for each further letter of the block,
+    so it is 2-ascent without a check: its letters are at most 2, the first 0.
     """
     if seq.p != 2:
         raise ValueError("the bijection is defined for 2-ascent sequences")
     w = seq.letters
-    if not w:
-        return seq
     if any(a > b for a, b in pairwise(w)):
         raise ValueError(f"{w} contains the pattern 10")
-    blocks = [(value - i, len(list(run))) for i, (value, run) in enumerate(groupby(w))]
-    if blocks[0][0] != 0 or blocks[-1][0] > 1:
-        raise ValueError(f"{w} is not a 10-avoiding 2-ascent sequence shape")
     image: list[int] = []
-    for i, (s, count) in enumerate(blocks):
-        image += [2 - s if i else 0] + [0] * (count - 1)
-    return PAscentSequence(2, tuple(image))
+    for i, (value, run) in enumerate(groupby(w)):
+        image += [2 - (value - i) if i else 0] + [0] * (len(list(run)) - 1)
+    return PAscentSequence._trusted(2, tuple(image))
 
 
 def bijection_012_to_10(seq: PAscentSequence) -> PAscentSequence:
@@ -408,19 +407,19 @@ def bijection_012_to_10(seq: PAscentSequence) -> PAscentSequence:
 
     Block i is the i-th nonzero letter, its marker, with the zeros after it
     (block 0: the leading zeros); each of its letters becomes i + (marker == 1).
+    The image is 2-ascent without a check: past both refusals the markers are 2s
+    then 1s, so block i, after i-1 ascents, has the value i or i+1 <= 2 + (i-1).
     """
     if seq.p != 2:
         raise ValueError("the bijection is defined for 2-ascent sequences")
     w = seq.letters
-    if not w:
-        return seq
     if any(c > 2 for c in w):
         raise ValueError(f"{w} has a letter above 2, so it contains 012")
     markers = [0] + [c for c in w if c]
     if (1, 2) in pairwise(markers):
         raise ValueError(f"{w} has a 2 after a 1, so it contains 012")
     letters = [i + (markers[i] == 1) for i in accumulate(map(bool, w))]
-    return PAscentSequence(2, tuple(letters))
+    return PAscentSequence._trusted(2, tuple(letters))
 
 
 def count_vincular_212_ternary(n: int) -> int:

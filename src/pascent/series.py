@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from itertools import chain
-from operator import mul, or_
+from operator import index, mul, or_
 from typing import Iterable, Mapping
 
 VARS = ("u", "v", "z", "x")
@@ -130,13 +130,13 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: int) -> "MultiPoly":
-        value = int(value)
+        value = index(value)
         return cls({0: value} if value else {})
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "MultiPoly":
         key = _pack_checked(exps)
-        coeff = int(coeff)
+        coeff = index(coeff)
         return cls({key: coeff} if coeff else {})
 
     @classmethod
@@ -148,7 +148,7 @@ class MultiPoly:
     @classmethod
     def from_terms(cls, terms: Mapping[tuple[int, int, int, int], int]) -> "MultiPoly":
         # in-range exponents pack one-to-one, so distinct keys stay distinct
-        out = {_pack_checked(exps): int(c) for exps, c in terms.items()}
+        out = {_pack_checked(exps): index(c) for exps, c in terms.items()}
         return cls({k: c for k, c in out.items() if c})
 
     # -- queries ----------------------------------------------------------
@@ -361,8 +361,9 @@ class TSeries:
     @classmethod
     def from_poly(cls, order: int, poly: MultiPoly, t_power: int = 0) -> "TSeries":
         _check_at_least("order", order)
+        _check_at_least("t_power", t_power)
         coeffs = [_P_ZERO] * (order + 1)
-        if 0 <= t_power <= order:
+        if t_power <= order:
             coeffs[t_power] = poly
         return cls(coeffs)
 
@@ -562,7 +563,9 @@ class TSeries:
     def from_json_obj(cls, obj: dict) -> "TSeries":
         if obj.get("vars") != ["t", "u", "v", "z", "x"]:
             raise ValueError("unexpected variable list in series JSON")
-        order = int(obj["order"])
+        order = obj["order"]
+        if type(order) is not int:
+            raise ValueError(f"series order must be an integer: {order!r}")
         coeffs = [dict() for _ in range(order + 1)]
         for entry in obj["terms"]:
             exp = entry["exp"]
@@ -574,7 +577,10 @@ class TSeries:
             key = _pack_checked(exp[1:])
             if key in coeffs[n]:
                 raise ValueError(f"repeated exponent vector in series JSON: {exp}")
-            coeffs[n][key] = int(entry["coeff"])
+            c = entry["coeff"]   # an int, or the decimal string that to_json writes
+            if not (type(c) is int or isinstance(c, str) and c.removeprefix("-").isdecimal()):
+                raise ValueError(f"series coefficient must be an integer or decimal text: {c!r}")
+            coeffs[n][key] = int(c)
         return cls([MultiPoly({k: c for k, c in d.items() if c}) for d in coeffs])
 
     @classmethod

@@ -71,6 +71,14 @@ def test_pattern_refuses_an_empty_block():
         Pattern((0, 1), ((0,), (), (1,)))
 
 
+def test_pattern_refuses_a_letter_above_9():
+    # str writes one digit per letter, so 10 would print as the letters 1, 0
+    with pytest.raises(ValueError, match="at most 9"):
+        Pattern.classical(range(11))
+    ten = Pattern.classical(range(10))
+    assert Pattern.parse(str(ten)) == ten
+
+
 def test_occurs_classical():
     assert occurs(P012, (0, 1, 0, 2))
     assert not occurs(P012, (0, 2, 0, 2))
@@ -366,6 +374,18 @@ def test_embed_project():
         project(PAscentSequence(2, (0, 1, 0)), 2)   # input must have p = 1
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_project_images_are_p_ascent(p):
+    """project builds its image unvalidated; each one is p-ascent and equals
+    the validated sequence of its letters (bodies of length up to 6)."""
+    cut = 2 * p - 2
+    words = [()] + list(_grow(1, cut + 6, (0, 1) * (p - 1) + (0,)))
+    for letters in words:
+        image = project(PAscentSequence._trusted(1, letters), p)
+        assert is_p_ascent(image.letters, p)
+        assert image == PAscentSequence(p, image.letters)
+
+
 def test_embed_validity_equivalence_small():
     for p in (2, 3):
         for n in range(6):
@@ -408,6 +428,17 @@ def test_bijection_is_bijection_small():
             assert bijection_012_to_10(bijection_10_to_012(seq)) == seq
         expected = (n + 1) * 2 ** (n - 2) if n >= 2 else 1
         assert len(source) == len(target) == expected
+
+
+def test_bijection_images_are_2_ascent():
+    """Both maps build their images unvalidated; each one is 2-ascent and
+    equals the validated sequence of its letters, up to length 9."""
+    for n in range(10):
+        for source, bijection in ((P10, bijection_10_to_012), (P012, bijection_012_to_10)):
+            for seq in iter_avoiders(2, source, n):
+                image = bijection(seq)
+                assert is_p_ascent(image.letters, 2)
+                assert image == PAscentSequence(2, image.letters)
 
 
 def test_vincular_counts():

@@ -202,6 +202,45 @@ def test_from_json_rejects_repeated_exponents(coeffs):
         TSeries.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("order, coeff", [
+    (1.9, "1"), ("1", "1"), (True, "1"),
+    (1, 1.9), (1, "1.9"), (1, "1e3"), (1, " 1"), (1, True), (1, None),
+], ids=["order_float", "order_text", "order_bool", "coeff_float", "coeff_float_text",
+        "coeff_exponent_text", "coeff_space", "coeff_bool", "coeff_null"])
+def test_from_json_refuses_a_non_integer_order_or_coefficient(order, coeff):
+    # the order and the coefficient were truncated by int(): 1.9 read as 1
+    obj = {"order": order, "vars": ["t", "u", "v", "z", "x"],
+           "terms": [{"exp": [1, 0, 0, 0, 0], "coeff": coeff}]}
+    with pytest.raises(ValueError, match="must be an integer"):
+        TSeries.from_json_obj(obj)
+
+
+def test_from_json_reads_an_int_or_a_decimal_string_coefficient():
+    obj = {"order": 1, "vars": ["t", "u", "v", "z", "x"],
+           "terms": [{"exp": [0, 0, 0, 0, 0], "coeff": 7},
+                     {"exp": [1, 1, 0, 0, 0], "coeff": "-12"}]}
+    assert TSeries.from_json_obj(obj) == TSeries.const(1, 7) + TSeries.from_poly(1, -12 * U, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MultiPoly.const(2.5),
+    lambda: MultiPoly.monomial((1, 0, 0, 0), 2.5),
+    lambda: MultiPoly.from_terms({(0, 0, 0, 0): 1.5}),
+    lambda: TSeries.const(2, 2.5),
+], ids=["const", "monomial", "from_terms", "series_const"])
+def test_constructors_refuse_a_non_integer_coefficient(make):
+    # int() truncated these: const(2.5) was 2
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_from_poly_refuses_a_negative_t_power():
+    # it returned the zero series
+    with pytest.raises(ValueError, match="t_power must be nonnegative"):
+        TSeries.from_poly(3, MultiPoly.const(1), -1)
+    assert TSeries.from_poly(3, MultiPoly.const(1), 4) == TSeries.zero(3)
+
+
 @pytest.mark.parametrize("exps", [(0, 0, 0, 300), (0, -1, 0, 0), (1, 2, 3), (1, 0, 0, 0, 0)])
 def test_from_terms_rejects_bad_exponents(exps):
     with pytest.raises(ValueError, match="exponent"):

@@ -291,10 +291,6 @@ def _drop_last_012_avoider(real):
     return corrupted
 
 
-def _corrupt_comb(real):
-    return lambda n, k: real(n, k) + ((n, k) == (2, 1))
-
-
 def _corrupt_count_by_length(real):
     """real, counting one word too many at length 3."""
     def corrupted(p, n_max, **options):
@@ -353,10 +349,6 @@ FAILURE_RECORDS = [
     ("patterns_10_closed", patterns, "closed_count", _corrupt_closed_count,
      verify.check_pattern, ("patterns_10", 2, 6),
      {"t_order": 3, "monomial": [0, 0, 0, 0], "expected": "8 (brute)", "actual": "9 (closed)"}),
-    ("patterns_10_refinement", verify, "comb", _corrupt_comb,
-     verify.check_pattern, ("patterns_10", 2, 6),
-     {"t_order": 3, "monomial": [0, 0, 0, 0], "expected": "8",
-      "actual": "10 (repetition refinement)"}),
     ("vincular_212", patterns, "count_vincular_212_ternary",
      lambda f: lambda n: f(n) + (n == 4),
      verify.check_pattern, ("vincular_212", 3, 6),
