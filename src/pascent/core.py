@@ -12,7 +12,7 @@ automaton of patterns, the run bound of _bounded_runs, or oracle_table's step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import gt, lt
 from typing import Callable, Iterator, Sequence
 
@@ -53,7 +53,7 @@ def is_p_ascent(word: Sequence[int], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAscentSequence:
     """A validated p-ascent sequence together with its allowance p."""
 
@@ -69,10 +69,14 @@ class PAscentSequence:
     def _trusted(cls, p: int, letters: tuple[int, ...]) -> "PAscentSequence":
         """Wrap a tuple known to be p-ascent without validating it again: a word
         that _grow built by the p-ascent rule, or the image of embed, project or
-        either 10<->012 map in patterns (each docstring has its proof)."""
+        either 10<->012 map in patterns (each docstring has its proof).
+
+        It skips the frozen __init__ and __post_init__ and fills the two slots
+        through their descriptors; the result equals PAscentSequence(p, letters).
+        """
         seq = object.__new__(cls)
-        object.__setattr__(seq, "p", p)
-        object.__setattr__(seq, "letters", letters)
+        _set_p(seq, p)
+        _set_letters(seq, letters)
         return seq
 
     def __len__(self) -> int:
@@ -83,6 +87,10 @@ class PAscentSequence:
 
     def __str__(self) -> str:
         return ",".join(map(str, self.letters))
+
+
+_set_p = PAscentSequence.p.__set__
+_set_letters = PAscentSequence.letters.__set__
 
 
 @dataclass(frozen=True)
@@ -106,33 +114,38 @@ class StatProfile:
     up_down: bool
 
 
+_STAT_FIELDS = tuple(f.name for f in fields(StatProfile))
+
+
 def stats(seq: PAscentSequence) -> StatProfile:
-    """Compute the full statistic profile of a sequence."""
+    """Compute the full statistic profile of a sequence.
+
+    A nonempty word's profile is filled in without the frozen __init__, as
+    _trusted fills a sequence; it equals the StatProfile of the same values.
+    """
     w = seq.letters
     n = len(w)
     if not n:
         return StatProfile(0, 0, 0, 0, None, 0, None, 0, True, True)
-    ascents = sum(map(lt, w, w[1:]))
-    descents = sum(map(gt, w, w[1:]))
+    tail = w[1:]
+    odd = w[1::2]
+    ascents = sum(map(lt, w, tail))
+    descents = sum(map(gt, w, tail))
     zeros = w.count(0)
     run = 0
     if zeros < n:
         while not w[run]:
             run += 1
-    return StatProfile(
-        length=n,
-        ascents=ascents,
-        descents=descents,
-        zeros=zeros,
-        last=w[-1],
-        run=run,
-        max=max(w),
-        sum=sum(w),
-        # no two adjacent letters are equal
-        primitive=ascents + descents == n - 1,
-        # rises at even positions i (w[i] < w[i+1]), falls at odd ones
-        up_down=all(map(lt, w[::2], w[1::2])) and all(map(gt, w[1::2], w[2::2])),
+    values = (
+        n, ascents, descents, zeros, w[-1], run, max(w), sum(w),
+        # primitive: no two adjacent letters are equal
+        ascents + descents == n - 1,
+        # up_down: rises at even positions i (w[i] < w[i+1]), falls at odd ones
+        all(map(lt, w[::2], odd)) and all(map(gt, odd, w[2::2])),
     )
+    profile = object.__new__(StatProfile)
+    profile.__dict__.update(zip(_STAT_FIELDS, values))
+    return profile
 
 
 def _grow(

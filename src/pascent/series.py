@@ -571,6 +571,9 @@ class TSeries:
             exp = entry["exp"]
             if len(exp) != 5:
                 raise ValueError(f"exponent vector must have 5 entries (t, u, v, z, x): {exp}")
+            if not all(type(e) is int for e in exp):
+                # bool is an int subclass: true would read as an exponent of 1
+                raise ValueError(f"series exponents must be integers: {exp!r}")
             n = exp[0]
             if not 0 <= n <= order:
                 raise ValueError(f"t-exponent {n} outside order {order}")

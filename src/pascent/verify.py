@@ -450,6 +450,9 @@ def _run(kind: str, name: str, p: int | None, n_max: int, k: int | None = None) 
     except ArithmeticError as exc:
         # a failed exact division or kernel cancellation fails this suite only
         disc = {"error": f"{type(exc).__name__}: {exc}"}
+    except BudgetExceededError as exc:
+        at = f"order {n_max}" if p is None else f"p = {p}, order {n_max}"
+        raise BudgetExceededError(f"{name} at {at}: {exc}") from exc
     return CheckReport(name, params, "pass" if disc is None else "fail", disc)
 
 

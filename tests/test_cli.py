@@ -93,6 +93,16 @@ def test_count_pattern_over_state_budget(capsys, monkeypatch):
         assert "state budget of 500" in captured.err
 
 
+def test_verify_budget_error_names_its_suite(capsys, monkeypatch):
+    """A budget error says which suite at which p and order ran out."""
+    monkeypatch.setattr(patterns, "_MAX_STATES", 500)
+    code = main(["verify", "--suite", "patterns_10", "--p", "4", "--order", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("pascent: patterns_10 at p = 4, order 10: length 10 holds"
+                            " more than the state budget of 500 states\n")
+
+
 def test_verify_avoider_walks_over_node_budget(capsys):
     for argv in (["--suite", "bijection_10_012", "--order", "30"],
                  ["--suite", "vincular_212", "--order", "20"]):

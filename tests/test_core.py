@@ -1,6 +1,9 @@
 """Sequence validation, statistics, enumeration, and the oracle table."""
 
+import copy
+import pickle
 from collections import Counter
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from itertools import combinations, groupby
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from pascent.core import (
     STAT_NAMES,
     PAscentSequence,
+    StatProfile,
     _bounded_runs,
     _grow,
     asc,
@@ -48,6 +52,43 @@ def test_sequence_validation():
         PAscentSequence(0, ())
 
 
+def test_sequence_record():
+    seq = PAscentSequence(2, [0, 2, 0])
+    trusted = PAscentSequence._trusted(2, (0, 2, 0))
+    assert seq == trusted and hash(seq) == hash(trusted)
+    assert {seq: "found"}[trusted] == "found"
+    assert seq != PAscentSequence(3, (0, 2, 0))
+    assert seq != PAscentSequence(2, (0, 2))
+    assert seq != (0, 2, 0)
+    assert repr(trusted) == "PAscentSequence(p=2, letters=(0, 2, 0))"
+    assert str(trusted) == "0,2,0" and list(trusted) == [0, 2, 0]
+    assert not hasattr(seq, "__dict__")
+    for name, value in (("p", 3), ("letters", (0,))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(trusted, name, value)
+    # a name that is no field is refused too; CPython 3.11's slotted frozen
+    # dataclass says so with a TypeError
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        trusted.other = 1
+    assert trusted == seq
+    assert replace(trusted, p=3) == PAscentSequence(3, (0, 2, 0))
+    with pytest.raises(ValueError):
+        replace(trusted, p=1)
+    with pytest.raises(ValueError):
+        replace(trusted, letters=[1])
+    for twin in (pickle.loads(pickle.dumps(trusted)), copy.deepcopy(trusted), copy.copy(trusted)):
+        assert type(twin) is PAscentSequence and twin == seq
+        assert (twin.p, twin.letters) == (2, (0, 2, 0))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_trusted_equals_the_validating_constructor(p):
+    for w in _grow(p, 5):
+        trusted, built = PAscentSequence._trusted(p, w), PAscentSequence(p, w)
+        assert trusted == built and hash(trusted) == hash(built)
+        assert repr(trusted) == repr(built)
+
+
 def test_stats_examples():
     s = stats(PAscentSequence(1, (0, 0, 1, 0)))
     assert (s.run, s.zeros, s.ascents, s.descents, s.last) == (2, 3, 1, 1, 0)
@@ -83,9 +124,10 @@ def test_stats_match_their_definitions(p):
                 all(a != b for a, b in pairs),
                 all((a < b) == (i % 2 == 0) and a != b for i, (a, b) in enumerate(pairs)),
             )
-            s = stats(seq)
-            assert (s.length, s.ascents, s.descents, s.zeros, s.last, s.run, s.max, s.sum,
-                    s.primitive, s.up_down) == expected, w
+            s, built = stats(seq), StatProfile(*expected)
+            assert s == built and hash(s) == hash(built), w
+            assert repr(s) == repr(built)
+            assert asdict(s) == dict(zip((f.name for f in fields(StatProfile)), expected))
 
 
 def test_enumerate_basic():

@@ -187,6 +187,22 @@ def test_from_json_rejects_bad_exponents(exp):
         TSeries.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("exp", [
+    [True, 0, 0, 0, 0],        # read as t^1
+    [1, 0, 0, False, 0],
+    [1.0, 0, 0, 0, 0],         # a float t-exponent indexed the coefficient list
+    [1, 0, 0, 0, 1.0],         # a float u..x exponent reached the packing's |
+    [1, 0, "1", 0, 0],
+    [1, 0, 0, 0, None],
+    "10000",                   # five characters, not five exponents
+])
+def test_from_json_refuses_a_non_integer_exponent(exp):
+    obj = {"order": 2, "vars": ["t", "u", "v", "z", "x"],
+           "terms": [{"exp": exp, "coeff": "1"}]}
+    with pytest.raises(ValueError, match="exponent"):
+        TSeries.from_json_obj(obj)
+
+
 def test_from_json_rejects_a_wrong_variable_list():
     obj = {"order": 2, "vars": ["t", "u", "v", "z"], "terms": []}
     with pytest.raises(ValueError, match="unexpected variable list in series JSON"):
