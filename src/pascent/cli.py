@@ -240,11 +240,12 @@ def _cmd_bfile(args, out) -> int:
     raise _UsageError("bfile needs either --gf or --avoid")
 
 
-def _suite_reports(args) -> list[verify.CheckReport]:
+def _suite_reports(args, emit) -> list[verify.CheckReport]:
+    """Run the suites that args name, passing each report to emit as it finishes."""
     if args.suite == "all":
         if (args.p, args.order, args.k) != (None, None, None):
             raise _UsageError("--suite all takes no --p, --order or --k; --budget sizes it")
-        return verify.run_all(6 if args.budget is None else args.budget)
+        return verify.run_all(6 if args.budget is None else args.budget, emit)
     suite = verify.SUITES.get(args.suite)
     if suite is None:
         raise _UsageError(f"unknown suite {args.suite!r}")
@@ -258,13 +259,17 @@ def _suite_reports(args) -> list[verify.CheckReport]:
     # verify.run_suite refuses a p that the suite does not take
     p = args.p if args.p is not None else (suite.ps[0] if len(suite.ps) == 1 else 2)
     order = suite.default_order if args.order is None else args.order
-    return [verify.run_suite(args.suite, p, order, 2 if args.k is None else args.k)]
+    report = verify.run_suite(args.suite, p, order, 2 if args.k is None else args.k)
+    emit(report)
+    return [report]
 
 
 def _cmd_verify(args, out) -> int:
-    reports = _suite_reports(args)
-    for report in reports:
+    def emit(report: verify.CheckReport) -> None:
         out.write(report.to_json() + "\n")
+        out.flush()
+
+    reports = _suite_reports(args, emit)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -12,7 +12,7 @@ automaton of patterns, the run bound of _bounded_runs, or oracle_table's step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from operator import gt, lt
 from typing import Callable, Iterator, Sequence
 
@@ -91,6 +91,21 @@ class PAscentSequence:
 
 _set_p = PAscentSequence.p.__set__
 _set_letters = PAscentSequence.letters.__set__
+
+
+# CPython 3.11's slots=True rebuilds the class, and the generated frozen
+# __setattr__/__delattr__ still name the old one, so a write to a name that
+# is no field fails with a TypeError from super().  These refuse every name.
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+PAscentSequence.__setattr__ = _refuse_set
+PAscentSequence.__delattr__ = _refuse_del
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ two families:
 
 * t-graded sums (eval_A, eval_P, eval_R, eval_maxk, the product form of the
   p=1 zeros identity): the n-th summand has t-valuation at least n, so the
-  sum is cut at n = order and every retained coefficient is exact.
+  sum is cut at n = order and every retained coefficient is exact.  Each is
+  sum_n w_n prod_{i<=n} r t q_i, summed by Horner's rule in _t_graded_sum
+  from the last term down.  The partial sum from term n on is held at order
+  order - n, and each valuation-0 factor q_i (such as (1 - base^i)/t) is
+  built at that order from its binomial coefficients, so no power chain is
+  kept.
 
 * u-graded sums (eval_G1_u, eval_H, the psi kernel sum): the k-th summand
   carries a factor u^k, so cutting at k = u_bound makes all monomials with
@@ -15,10 +20,9 @@ two families:
   at most n - 1 ascents.  For the same reason eval_G1_u and eval_H lower a
   larger bound to order; psi does not, as its sides have higher u-degrees.
 
-Every sum is built from lazy chains, each written once: _powers and _vanishing
-(prod (1 - f_i), stopping at n = order or at a zero product).  _binomial_sum
-is the t-graded sum of eval_A and eval_R.  Each kernel factor is divided
-through its shape 1 + (u-1)(A + zB), A and B integer series, by _kernel_div:
+The u-graded sums take their powers from one lazy chain, _powers.  Each
+kernel factor is divided through its shape 1 + (u-1)(A + zB), A and B
+integer series, by _kernel_div:
 order by order, from integer multiples of earlier quotient orders, storing no
 monomial above its u-cut.  _over_deltas divides the k-th term by delta_k^p
 with p such divisions.  eval_G1_u, eval_H and psi's left side sum u^k a_k
@@ -32,13 +36,15 @@ kernel factor has constant term 1.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice, pairwise, repeat, takewhile
+from itertools import accumulate, islice, pairwise, repeat
 from math import comb
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import _check_p
-from .series import _SHIFT, MultiPoly, TSeries, _check_at_least, _check_carry
+from .series import (
+    _P_ZERO, _SHIFT, MultiPoly, TSeries, _check_at_least, _check_carry, _from_scalars,
+)
 
 _U = MultiPoly.variable("u")
 _V = MultiPoly.variable("v")
@@ -92,16 +98,6 @@ def gamma_bar(k: int, order: int) -> TSeries:
 def _powers(base: TSeries, first: TSeries) -> Iterator[TSeries]:
     """first, first*base, first*base^2, ... (each product made when asked for)."""
     return accumulate(repeat(base), mul, initial=first)
-
-
-def _vanishing(factors: Iterable[TSeries], order: int) -> Iterator[TSeries]:
-    """prod_{i=1..n}(1 - f_i) for n = 0, 1, ..., up to n = order.
-
-    Every 1 - f_i passed here has t-valuation at least 1, so the products
-    past n = order are zero, and so is everything after a zero product."""
-    one = TSeries.one(order)
-    prods = accumulate((one - f for f in factors), mul, initial=one)
-    return takewhile(lambda s: not s.is_zero(), islice(prods, order + 1))
 
 
 def _kernel_div(numer: TSeries, m: int, z: bool, bound: int) -> TSeries:
@@ -163,14 +159,38 @@ def _gamma_sum(terms: Iterable[TSeries], first: int, bound: int, order: int) -> 
     return total
 
 
-def _binomial_sum(p: int, ratio: TSeries, base: TSeries) -> TSeries:
-    """Sum over n of C(p-1+n, n) ratio^n prod_{i=1..n}(1 - base^i), to n = order."""
-    one = TSeries.one(ratio.order)
-    prods = _vanishing(_powers(base, base), ratio.order)
-    return sum(
-        comb(p - 1 + n, n) * r * prod
-        for n, (prod, r) in enumerate(zip(prods, _powers(ratio, one)))
-    )
+def _t_graded_sum(
+    order: int, factor: Callable[[int, int], TSeries], p: int = 1, ratio: TSeries | None = None
+) -> TSeries:
+    """Sum over n <= order of C(p-1+n, n) prod_{i=1..n} ratio t factor(i), to t^order.
+
+    Horner's rule from the last term down, T <- C(p-2+n, n-1) + t (factor(n) T)
+    ratio: term n carries t^n, so T is held at order - n, factor(n, order - n)
+    is built at that order and ratio (if any, at least order) is cut to it by
+    the product.  The t-graded twin of _gamma_sum."""
+    total = TSeries.const(0, comb(p - 1 + order, order))
+    for n in range(order, 0, -1):
+        total = _plus_t_times(comb(p - 2 + n, n - 1), factor(n, order - n) * total, ratio)
+    return total
+
+
+def _plus_t_times(const: int, series: TSeries, ratio: TSeries | None = None) -> TSeries:
+    """const + t * series * ratio, one order above series (ratio at least that order)."""
+    lifted = TSeries([_P_ZERO, *series.coeffs])
+    if ratio is not None:
+        lifted = lifted * ratio
+    # the product with t has no constant term, so const is its t^0 coefficient
+    return TSeries([MultiPoly.const(const), *lifted.coeffs[1:]])
+
+
+def _q_one_minus_t(n: int, order: int) -> TSeries:
+    """(1 - (1-t)^n)/t: its t^k coefficient is (-1)^k C(n, k+1)."""
+    return _from_scalars((-1) ** k * comb(n, k + 1) for k in range(order + 1))
+
+
+def _q_one_plus_t_inverse(n: int, order: int) -> TSeries:
+    """(1 - (1+t)^-n)/t: its t^k coefficient is (-1)^k C(n+k, k+1)."""
+    return _from_scalars((-1) ** k * comb(n + k, k + 1) for k in range(order + 1))
 
 
 def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
@@ -263,16 +283,17 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
     """
     _check_p(p)
     _check_at_least("order", order)
+    if order == 0:
+        return TSeries.one(0)
     inv_1mzt = one_minus_zt(order, z).invert()
-    total = _binomial_sum(p, inv_1mzt, one_minus_t(order))
-    return 1 + TSeries.from_poly(order, z, 1) * inv_1mzt * total
+    total = _t_graded_sum(order - 1, _q_one_minus_t, p, inv_1mzt)
+    return _plus_t_times(1, total * z, inv_1mzt)
 
 
 def eval_P(order: int) -> TSeries:
     """Series counting 1-ascent sequences by length: sum of prod_{i=1..n}(1-(1-t)^i)."""
     _check_at_least("order", order)
-    onemt = one_minus_t(order)
-    return sum(_vanishing(_powers(onemt, onemt), order))
+    return _t_graded_sum(order, _q_one_minus_t)
 
 
 def eval_R(p: int, order: int) -> TSeries:
@@ -283,8 +304,10 @@ def eval_R(p: int, order: int) -> TSeries:
     """
     _check_p(p)
     _check_at_least("order", order)
+    if order == 0:
+        return TSeries.one(0)
     one_plus_t = TSeries.one(order) + TSeries.from_poly(order, MultiPoly.const(1), 1)
-    return 1 + _binomial_sum(p, one_plus_t, one_plus_t.invert()).shift(1)
+    return _plus_t_times(1, _t_graded_sum(order - 1, _q_one_plus_t_inverse, p, one_plus_t))
 
 
 def eval_maxk(p: int, k: int, order: int) -> TSeries:
@@ -311,7 +334,13 @@ def eval_A1_product_form(order: int) -> TSeries:
     product has t-valuation m, so the cutoff at m = order is exact.
     """
     _check_at_least("order", order)
-    return sum(_vanishing(_powers(one_minus_t(order), one_minus_zt(order)), order))
+
+    def factor(i: int, prec: int) -> TSeries:
+        # (1 - (1-t)^(i-1)(1-zt))/t = (1 - (1-t)^(i-1))/t + z (1-t)^(i-1)
+        powers = _from_scalars((-1) ** k * comb(i - 1, k) for k in range(prec + 1))
+        return _q_one_minus_t(i - 1, prec) + powers * _Z
+
+    return _t_graded_sum(order, factor)
 
 
 def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSeries]:

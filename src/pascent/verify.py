@@ -490,12 +490,21 @@ def _task_matrix(budget: int) -> list[tuple]:
     return tasks
 
 
-def run_all(budget: int) -> list[CheckReport]:
+def run_all(
+    budget: int, emit: Callable[[CheckReport], object] | None = None
+) -> list[CheckReport]:
     """Run every suite at each p in its ps, in the order SUITES gives.
 
     Each suite runs at its order(budget): the oracle-backed suites at the
     budget, the pure series identities at budget + 2 or + 4 (psi 2 budget + 4
     and jelinek 3 budget + 6, capped at 20 and 30), and the word walks capped.
+    emit, if given, receives each report as its suite finishes, so an error
+    in a later suite does not withhold the reports before it.
     """
     _check_at_least("budget", budget, 4)
-    return [run_suite(*task) for task in _task_matrix(budget)]
+    reports = []
+    for task in _task_matrix(budget):
+        reports.append(run_suite(*task))
+        if emit is not None:
+            emit(reports[-1])
+    return reports

@@ -103,6 +103,24 @@ def test_verify_budget_error_names_its_suite(capsys, monkeypatch):
                             " more than the state budget of 500 states\n")
 
 
+def test_verify_all_prints_the_reports_before_a_budget_error(capsys, monkeypatch):
+    """Each report is written when its suite finishes: a budget error in a late
+    suite exits 2 with its one line, after every report before it."""
+    monkeypatch.setattr(patterns, "_MAX_STATES", 50)
+    code = main(["verify", "--suite", "all", "--budget", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("pascent: patterns_012 at p = 5, order 4: length 4 holds"
+                            " more than the state budget of 50 states\n")
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    tasks = verify._task_matrix(4)
+    assert len(reports) == tasks.index(("patterns_012", 5, 4))
+    assert [(r["suite"], r["parameters"]["p"]) for r in reports] == [
+        (name, p) for name, p, _order in tasks[: len(reports)]
+    ]
+    assert all(r["status"] == "pass" for r in reports)
+
+
 def test_verify_avoider_walks_over_node_budget(capsys):
     for argv in (["--suite", "bijection_10_012", "--order", "30"],
                  ["--suite", "vincular_212", "--order", "20"]):
@@ -489,10 +507,12 @@ def test_verify_all_budget_6_digest(capsys):
     )
 
 
-def test_kernel_series_workload_outputs(capsys):
-    """The kernel_series commands print the bytes that perfbench records."""
+@pytest.mark.parametrize("workload", ["kernel_series", "scalar_series"])
+def test_kernel_series_workload_outputs(capsys, workload):
+    """The kernel_series and scalar_series commands print the bytes that
+    perfbench records."""
     workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
-    for command in workloads["workloads"]["kernel_series"]["commands"]:
+    for command in workloads["workloads"][workload]["commands"]:
         code, out = run(capsys, *command["command"].split())
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == (command["exit_code"], command["stdout_sha256"]), command
@@ -529,7 +549,7 @@ def test_verify_rejects_flags_a_suite_would_drop(capsys, argv):
 
 def test_verify_all_budget_defaults_to_6(capsys, monkeypatch):
     budgets = []
-    monkeypatch.setattr(verify, "run_all", lambda budget: budgets.append(budget) or [])
+    monkeypatch.setattr(verify, "run_all", lambda budget, emit: budgets.append(budget) or [])
     assert run(capsys, "verify", "--suite", "all") == (0, "")
     assert budgets == [6]
 

@@ -1,6 +1,7 @@
 """Generating-function evaluators against frozen printed data and each other."""
 
 import itertools
+import math
 
 import pytest
 
@@ -252,7 +253,11 @@ def test_chains_at_orders_0_and_1():
         assert gf.eval_A(p, 0).terms() == gf.eval_R(p, 0).terms() == {one: 1}
         assert gf.eval_A(p, 1).terms() == {one: 1, zt: 1}
         assert gf.eval_R(p, 1).terms() == {one: 1, t: 1}
+        for z in (1, -2):
+            assert gf.eval_A(p, 0, MultiPoly.const(z)).terms() == {one: 1}
+            assert gf.eval_A(p, 1, MultiPoly.const(z)).terms() == {one: 1, t: z}
         for order in (0, 1):
+            assert gf.eval_maxk(p, 2, order) == gf.eval_R(p, order)
             assert gf.eval_G1_u(p, order).is_zero()
         assert gf.eval_H(p, 0).is_zero()
         assert gf.eval_H(p, 1).terms() == gf.eval_H(p, 1, 0).terms() == {zt: 1}
@@ -362,3 +367,38 @@ def test_psi_right_side_is_the_closed_polynomial():
             for bound in (0, 1, order, order + 2):
                 _lhs, rhs = gf.psi(m, order, bound)
                 assert rhs == closed.u_truncate(bound), (order, m, bound)
+
+
+def _forward_sum(order, weight, ratio, factor):
+    """sum over n <= order of weight(n) ratio^n prod_{i=1..n} factor(i), each
+    term built forward from full-order products."""
+    total, power, prod = TSeries.zero(order), TSeries.one(order), TSeries.one(order)
+    for n in range(order + 1):
+        if n:
+            power, prod = power * ratio, prod * factor(n)
+        total = total + weight(n) * power * prod
+    return total
+
+
+def test_t_graded_sums_match_the_forward_products():
+    """Horner's t-graded sums, each factor built at the order its term needs,
+    equal the forward sums of full-order products and powers."""
+    for order in range(15):
+        one, onemt = TSeries.one(order), gf.one_minus_t(order)
+        one_plus_t = one + TSeries.from_poly(order, MultiPoly.const(1), 1)
+        vanishing = lambda i: one - onemt**i  # noqa: E731
+        assert gf.eval_P(order) == _forward_sum(order, lambda n: 1, one, vanishing), order
+        product_form = _forward_sum(
+            order, lambda n: 1, one, lambda i: one - onemt ** (i - 1) * gf.one_minus_zt(order)
+        )
+        assert gf.eval_A1_product_form(order) == product_form, order
+        for p in range(1, 5):
+            weight = lambda n, p=p: math.comb(p - 1 + n, n)  # noqa: E731
+            primitive = _forward_sum(order, weight, one_plus_t,
+                                     lambda i: one - one_plus_t.invert() ** i)
+            assert gf.eval_R(p, order) == 1 + primitive.shift(1), (order, p)
+            for z in (Z, MultiPoly.const(1), MultiPoly.const(-2)):
+                inv = gf.one_minus_zt(order, z).invert()
+                zeros = _forward_sum(order, weight, inv, vanishing)
+                expected = 1 + TSeries.from_poly(order, z, 1) * inv * zeros
+                assert gf.eval_A(p, order, z) == expected, (order, p, z)
