@@ -6,11 +6,15 @@ two families:
 * t-graded sums (eval_A, eval_P, eval_R, eval_maxk, the product form of the
   p=1 zeros identity): the n-th summand has t-valuation at least n, so the
   sum is cut at n = order and every retained coefficient is exact.  Each is
-  sum_n w_n prod_{i<=n} r t q_i, summed by Horner's rule in _t_graded_sum
-  from the last term down.  The partial sum from term n on is held at order
-  order - n, and each valuation-0 factor q_i (such as (1 - base^i)/t) is
-  built at that order from its binomial coefficients, so no power chain is
-  kept.
+  sum_n w_n prod_{i<=n} t q_i / d, summed by Horner's rule from the last
+  term down, with the partial sum from term n on held at order order - n.
+  _t_graded_sum builds each valuation-0 factor q_i (such as (1 - base^i)/t)
+  at that order from its binomial coefficients, so no power chain is kept,
+  and divides by d (1 - zt for eval_A) through the series quotient.  Over
+  the integers (eval_P, and eval_A at an integer z) _int_graded_sum runs the
+  same steps on a list of ints: t q_n T = T - (1-t)^n T is n passes of
+  differences and dividing by 1 - zt is one running sum, so no step
+  multiplies.
 
 * u-graded sums (eval_G1_u, eval_H, the psi kernel sum): the k-th summand
   carries a factor u^k, so cutting at k = u_bound makes all monomials with
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from itertools import accumulate, islice, pairwise, repeat
 from math import comb
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator
 
 from .core import _check_p
@@ -160,27 +164,54 @@ def _gamma_sum(terms: Iterable[TSeries], first: int, bound: int, order: int) -> 
 
 
 def _t_graded_sum(
-    order: int, factor: Callable[[int, int], TSeries], p: int = 1, ratio: TSeries | None = None
+    order: int, factor: Callable[[int, int], TSeries], p: int = 1, divisor: TSeries | None = None
 ) -> TSeries:
-    """Sum over n <= order of C(p-1+n, n) prod_{i=1..n} ratio t factor(i), to t^order.
+    """Sum over n <= order of C(p-1+n, n) prod_{i=1..n} t factor(i) / divisor, to t^order.
 
     Horner's rule from the last term down, T <- C(p-2+n, n-1) + t (factor(n) T)
-    ratio: term n carries t^n, so T is held at order - n, factor(n, order - n)
-    is built at that order and ratio (if any, at least order) is cut to it by
-    the product.  The t-graded twin of _gamma_sum."""
+    / divisor: term n carries t^n, so T is held at order - n, factor(n, order - n)
+    is built at that order and divisor (if any, at least order) is cut to it by
+    the quotient.  The t-graded twin of _gamma_sum."""
     total = TSeries.const(0, comb(p - 1 + order, order))
     for n in range(order, 0, -1):
-        total = _plus_t_times(comb(p - 2 + n, n - 1), factor(n, order - n) * total, ratio)
+        total = _plus_t_times(comb(p - 2 + n, n - 1), factor(n, order - n) * total, divisor)
     return total
 
 
-def _plus_t_times(const: int, series: TSeries, ratio: TSeries | None = None) -> TSeries:
-    """const + t * series * ratio, one order above series (ratio at least that order)."""
+def _plus_t_times(const: int, series: TSeries, divisor: TSeries | None = None) -> TSeries:
+    """const + t * series / divisor, one order above series (divisor at least that order)."""
     lifted = TSeries([_P_ZERO, *series.coeffs])
-    if ratio is not None:
-        lifted = lifted * ratio
-    # the product with t has no constant term, so const is its t^0 coefficient
+    if divisor is not None:
+        lifted = lifted / divisor
+    # the quotient of t * series has no constant term, so const is its t^0 coefficient
     return TSeries([MultiPoly.const(const), *lifted.coeffs[1:]])
+
+
+def _int_graded_sum(order: int, p: int, z: int) -> list[int]:
+    """_t_graded_sum with factor (1 - (1-t)^n)/t and divisor 1 - zt, z an integer,
+    on a list of ints.
+
+    The step T <- C(p-2+n, n-1) + (T - (1-t)^n T) / (1 - zt) needs no
+    multiplication: (1-t)^n T is n passes of differences of T and T shifted by
+    one, with T padded by a zero (the t^(order-n+1) coefficient of T - (1-t)^n T
+    does not read it), and 1/(1 - zt) is one running sum, none for z = 0."""
+    total = [comb(p - 1 + order, order)]
+    for n in range(order, 0, -1):
+        total.append(0)
+        power = total
+        for _ in range(n):
+            power = list(map(sub, power, [0, *power]))
+        total = _plus_over_one_minus_zt(comb(p - 2 + n, n - 1), map(sub, total, power), z)
+    return total
+
+
+def _plus_over_one_minus_zt(const: int, values: Iterable[int], z: int) -> list[int]:
+    """const + values / (1 - zt) as ints, where values has no constant term."""
+    if z == 1:
+        values = accumulate(values)
+    elif z:
+        values = accumulate(values, lambda acc, c: acc * z + c)
+    return [const, *islice(values, 1, None)]
 
 
 def _q_one_minus_t(n: int, order: int) -> TSeries:
@@ -188,9 +219,10 @@ def _q_one_minus_t(n: int, order: int) -> TSeries:
     return _from_scalars((-1) ** k * comb(n, k + 1) for k in range(order + 1))
 
 
-def _q_one_plus_t_inverse(n: int, order: int) -> TSeries:
-    """(1 - (1+t)^-n)/t: its t^k coefficient is (-1)^k C(n+k, k+1)."""
-    return _from_scalars((-1) ** k * comb(n + k, k + 1) for k in range(order + 1))
+def _q_primitive(n: int, order: int) -> TSeries:
+    """(1+t)(1 - (1+t)^-n)/t = 1 + (1 - (1+t)^-(n-1))/t: its t^k coefficient
+    is [k = 0] + (-1)^k C(n-1+k, k+1)."""
+    return _from_scalars((k == 0) + (-1) ** k * comb(n - 1 + k, k + 1) for k in range(order + 1))
 
 
 def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
@@ -285,15 +317,19 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
     _check_at_least("order", order)
     if order == 0:
         return TSeries.one(0)
-    inv_1mzt = one_minus_zt(order, z).invert()
-    total = _t_graded_sum(order - 1, _q_one_minus_t, p, inv_1mzt)
-    return _plus_t_times(1, total * z, inv_1mzt)
+    if z.is_const():
+        c = z.const_value()
+        total = _int_graded_sum(order - 1, p, c)
+        return _from_scalars(_plus_over_one_minus_zt(1, [0, *(c * v for v in total)], c))
+    one_mzt = one_minus_zt(order, z)
+    total = _t_graded_sum(order - 1, _q_one_minus_t, p, one_mzt)
+    return _plus_t_times(1, total * z, one_mzt)
 
 
 def eval_P(order: int) -> TSeries:
     """Series counting 1-ascent sequences by length: sum of prod_{i=1..n}(1-(1-t)^i)."""
     _check_at_least("order", order)
-    return _t_graded_sum(order, _q_one_minus_t)
+    return _from_scalars(_int_graded_sum(order, 1, 0))
 
 
 def eval_R(p: int, order: int) -> TSeries:
@@ -306,8 +342,7 @@ def eval_R(p: int, order: int) -> TSeries:
     _check_at_least("order", order)
     if order == 0:
         return TSeries.one(0)
-    one_plus_t = TSeries.one(order) + TSeries.from_poly(order, MultiPoly.const(1), 1)
-    return _plus_t_times(1, _t_graded_sum(order - 1, _q_one_plus_t_inverse, p, one_plus_t))
+    return _plus_t_times(1, _t_graded_sum(order - 1, _q_primitive, p))
 
 
 def eval_maxk(p: int, k: int, order: int) -> TSeries:

@@ -13,7 +13,9 @@ addition, in the one loop that every product runs through, ``_scatter``.
 The one exception is a product of two series whose coefficients are all
 constants (the scalar series): those are convolved as integer lists.
 Composition in t and substitution for u are Horner evaluations over the one
-series product, so the kernel is just product and division.
+series product, so the kernel is just product and division; composition
+holds the partial sum for coefficient j at order N - j, since it is
+multiplied by the j-th power of a series without constant term.
 Exponent vectors from outside are checked against the field bound, and every
 product's output is checked once for an exponent that reached 128; the
 public accessors speak plain tuples.
@@ -504,11 +506,20 @@ class TSeries:
         return TSeries(out)
 
     def compose_t(self, inner: "TSeries") -> "TSeries":
-        """Substitute inner(t) for t; inner must have zero constant term."""
+        """Substitute inner(t) for t; inner must have zero constant term.
+
+        Horner's rule from the top coefficient down: the partial sum from
+        coefficient j on is multiplied by inner^j, of t-valuation j, so it is
+        held at order n - j, and each step multiplies it by inner/t and sets
+        coefficient j as its t^0 coefficient."""
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition requires an inner series with zero constant term")
         n = min(self.order, inner.order)
-        return _horner(self.coeffs[: n + 1], inner.truncate(n))
+        inner_over_t = TSeries(inner.coeffs[1 : n + 1] or [_P_ZERO])
+        result = TSeries([self.coeffs[n]])
+        for c in reversed(self.coeffs[:n]):
+            result = TSeries([c, *(result * inner_over_t).coeffs])
+        return result
 
     # -- substitutions ----------------------------------------------------
 

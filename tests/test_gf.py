@@ -103,7 +103,9 @@ def test_R_printed(p, row):
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("c", [-2, 0, 1, 3])
 def test_A_built_at_a_constant_z_is_A_specialized(p, c):
-    assert gf.eval_A(p, 10, z=MultiPoly.const(c)) == gf.eval_A(p, 10).specialize({"z": c})
+    for order in (0, 1, 10, 30):
+        expected = gf.eval_A(p, order).specialize({"z": c})
+        assert gf.eval_A(p, order, z=MultiPoly.const(c)) == expected, order
 
 
 def test_P_matches_A1():
@@ -382,12 +384,12 @@ def _forward_sum(order, weight, ratio, factor):
 
 def test_t_graded_sums_match_the_forward_products():
     """Horner's t-graded sums, each factor built at the order its term needs,
-    equal the forward sums of full-order products and powers."""
+    equal the forward sums of full-order products and powers (a forward sum
+    cut to a lower order is the sum at that order)."""
     for order in range(15):
         one, onemt = TSeries.one(order), gf.one_minus_t(order)
         one_plus_t = one + TSeries.from_poly(order, MultiPoly.const(1), 1)
         vanishing = lambda i: one - onemt**i  # noqa: E731
-        assert gf.eval_P(order) == _forward_sum(order, lambda n: 1, one, vanishing), order
         product_form = _forward_sum(
             order, lambda n: 1, one, lambda i: one - onemt ** (i - 1) * gf.one_minus_zt(order)
         )
@@ -397,8 +399,24 @@ def test_t_graded_sums_match_the_forward_products():
             primitive = _forward_sum(order, weight, one_plus_t,
                                      lambda i: one - one_plus_t.invert() ** i)
             assert gf.eval_R(p, order) == 1 + primitive.shift(1), (order, p)
-            for z in (Z, MultiPoly.const(1), MultiPoly.const(-2)):
-                inv = gf.one_minus_zt(order, z).invert()
-                zeros = _forward_sum(order, weight, inv, vanishing)
-                expected = 1 + TSeries.from_poly(order, z, 1) * inv * zeros
-                assert gf.eval_A(p, order, z) == expected, (order, p, z)
+            inv = gf.one_minus_zt(order).invert()
+            zeros = _forward_sum(order, weight, inv, vanishing)
+            expected = 1 + TSeries.from_poly(order, Z, 1) * inv * zeros
+            assert gf.eval_A(p, order) == expected, (order, p)
+    # eval_P and eval_A at an integer z run on lists of ints; they are checked
+    # at every order up to 40, as cuts of one forward sum
+    top = 40
+    one, onemt = TSeries.one(top), gf.one_minus_t(top)
+    vanishing = [None, *(one - onemt**i for i in range(1, top + 1))]
+    fishburn = _forward_sum(top, lambda n: 1, one, vanishing.__getitem__)
+    for order in range(top + 1):
+        assert gf.eval_P(order) == fishburn.truncate(order), order
+    for p in range(1, 5):
+        weight = lambda n, p=p: math.comb(p - 1 + n, n)  # noqa: E731
+        for c in (0, 1, -2, 3):
+            z = MultiPoly.const(c)
+            inv = gf.one_minus_zt(top, z).invert()
+            zeros = _forward_sum(top, weight, inv, vanishing.__getitem__)
+            expected = 1 + TSeries.from_poly(top, z, 1) * inv * zeros
+            for order in range(top + 1):
+                assert gf.eval_A(p, order, z) == expected.truncate(order), (order, p, c)

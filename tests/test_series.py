@@ -282,6 +282,12 @@ def test_products_refuse_exponent_overflow(product):
         product()
 
 
+def test_compose_t_refuses_no_overflow_that_lies_above_the_result():
+    # X^100 (t + X^30 t^2)^2 = X^100 t^2 + O(t^3): X^130 t^3 is past the order
+    inner = TSeries([MultiPoly(), MultiPoly.const(1), X ** 30])
+    assert TSeries.from_poly(2, X ** 100, 2).compose_t(inner) == TSeries.from_poly(2, X ** 100, 2)
+
+
 def test_subst_u_to_uv_refuses_v_overflow():
     # u^60 v^50 would become u^60 v^110, past the bound of 100 on exponents
     with pytest.raises(ValueError, match="v-exponent overflow in u -> uv substitution"):
