@@ -11,10 +11,11 @@ two families:
   _t_graded_sum builds each valuation-0 factor q_i (such as (1 - base^i)/t)
   at that order from its binomial coefficients, so no power chain is kept,
   and divides by d (1 - zt for eval_A) through the series quotient.  Over
-  the integers (eval_P, and eval_A at an integer z) _int_graded_sum runs the
-  same steps on a list of ints: t q_n T = T - (1-t)^n T is n passes of
-  differences and dividing by 1 - zt is one running sum, so no step
-  multiplies.
+  the integers (eval_P, eval_A at an integer z, and eval_R) _int_graded_sum
+  runs the same steps on a list of ints: t q_n is 1 - (1-t)^n (for eval_R,
+  summed at t -> -t, (1-t) - (1-t)^(1-n)), (1-t)^e T is e passes of
+  differences or -e running sums, and 1/(1 - zt) one running sum, so no
+  step multiplies.
 
 * u-graded sums (eval_G1_u, eval_H, the psi kernel sum): the k-th summand
   carries a factor u^k, so cutting at k = u_bound makes all monomials with
@@ -187,42 +188,51 @@ def _plus_t_times(const: int, series: TSeries, divisor: TSeries | None = None) -
     return TSeries([MultiPoly.const(const), *lifted.coeffs[1:]])
 
 
-def _int_graded_sum(order: int, p: int, z: int) -> list[int]:
-    """_t_graded_sum with factor (1 - (1-t)^n)/t and divisor 1 - zt, z an integer,
-    on a list of ints.
+def _int_graded_sum(order: int, p: int, step: Callable) -> list[int]:
+    """_t_graded_sum over the integers, on a list of ints: T <- C(p-2+n, n-1) +
+    step(n, T), where step(n, T) is t factor(n) T / divisor past its t^0
+    coefficient.
 
-    The step T <- C(p-2+n, n-1) + (T - (1-t)^n T) / (1 - zt) needs no
-    multiplication: (1-t)^n T is n passes of differences of T and T shifted by
-    one, with T padded by a zero (the t^(order-n+1) coefficient of T - (1-t)^n T
-    does not read it), and 1/(1 - zt) is one running sum, none for z = 0."""
+    T is padded by a zero, as t factor(n) has no constant term: the
+    t^(order-n+1) coefficient of the step does not read the pad."""
     total = [comb(p - 1 + order, order)]
     for n in range(order, 0, -1):
         total.append(0)
-        power = total
-        for _ in range(n):
-            power = list(map(sub, power, [0, *power]))
-        total = _plus_over_one_minus_zt(comb(p - 2 + n, n - 1), map(sub, total, power), z)
+        total = [comb(p - 2 + n, n - 1), *islice(step(n, total), 1, None)]
     return total
 
 
-def _plus_over_one_minus_zt(const: int, values: Iterable[int], z: int) -> list[int]:
-    """const + values / (1 - zt) as ints, where values has no constant term."""
+def _times_one_minus_t(values: list[int], e: int) -> list[int]:
+    """values (1-t)^e as ints, as long as values: e passes of differences of
+    values and values shifted by one, or -e running sums for e < 0."""
+    for _ in range(e):
+        values = list(map(sub, values, [0, *values]))
+    for _ in range(-e):
+        values = list(accumulate(values))
+    return values
+
+
+def _over_one_minus_zt(values: Iterable[int], z: int) -> Iterable[int]:
+    """values / (1 - zt) as ints: one running sum, none for z = 0."""
     if z == 1:
-        values = accumulate(values)
-    elif z:
-        values = accumulate(values, lambda acc, c: acc * z + c)
-    return [const, *islice(values, 1, None)]
+        return accumulate(values)
+    return accumulate(values, lambda acc, c: acc * z + c) if z else values
+
+
+def _zeros_step(z: int) -> Callable:
+    """The step of eval_A at an integer z (eval_P: z = 0), (T - (1-t)^n T) / (1 - zt)."""
+    return lambda n, total: _over_one_minus_zt(map(sub, total, _times_one_minus_t(total, n)), z)
+
+
+def _primitive_step(n: int, total: list[int]) -> Iterable[int]:
+    """The step of eval_R, (1+t)(1 - (1+t)^-n) T, for S(t) = T(-t): (1-t) S -
+    (1-t)^(1-n) S, one difference pass and n - 1 running sums."""
+    return map(sub, _times_one_minus_t(total, 1), _times_one_minus_t(total, 1 - n))
 
 
 def _q_one_minus_t(n: int, order: int) -> TSeries:
     """(1 - (1-t)^n)/t: its t^k coefficient is (-1)^k C(n, k+1)."""
     return _from_scalars((-1) ** k * comb(n, k + 1) for k in range(order + 1))
-
-
-def _q_primitive(n: int, order: int) -> TSeries:
-    """(1+t)(1 - (1+t)^-n)/t = 1 + (1 - (1+t)^-(n-1))/t: its t^k coefficient
-    is [k = 0] + (-1)^k C(n-1+k, k+1)."""
-    return _from_scalars((k == 0) + (-1) ** k * comb(n - 1 + k, k + 1) for k in range(order + 1))
 
 
 def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
@@ -319,8 +329,8 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
         return TSeries.one(0)
     if z.is_const():
         c = z.const_value()
-        total = _int_graded_sum(order - 1, p, c)
-        return _from_scalars(_plus_over_one_minus_zt(1, [0, *(c * v for v in total)], c))
+        total = _int_graded_sum(order - 1, p, _zeros_step(c))
+        return _from_scalars([1, *(c * v for v in _over_one_minus_zt(total, c))])
     one_mzt = one_minus_zt(order, z)
     total = _t_graded_sum(order - 1, _q_one_minus_t, p, one_mzt)
     return _plus_t_times(1, total * z, one_mzt)
@@ -329,7 +339,7 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
 def eval_P(order: int) -> TSeries:
     """Series counting 1-ascent sequences by length: sum of prod_{i=1..n}(1-(1-t)^i)."""
     _check_at_least("order", order)
-    return _from_scalars(_int_graded_sum(order, 1, 0))
+    return _from_scalars(_int_graded_sum(order, 1, _zeros_step(0)))
 
 
 def eval_R(p: int, order: int) -> TSeries:
@@ -342,7 +352,8 @@ def eval_R(p: int, order: int) -> TSeries:
     _check_at_least("order", order)
     if order == 0:
         return TSeries.one(0)
-    return _plus_t_times(1, _t_graded_sum(order - 1, _q_primitive, p))
+    total = _int_graded_sum(order - 1, p, _primitive_step)  # the sum at t -> -t
+    return _from_scalars([1, *(-v if k & 1 else v for k, v in enumerate(total))])
 
 
 def eval_maxk(p: int, k: int, order: int) -> TSeries:

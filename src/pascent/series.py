@@ -10,8 +10,6 @@ division of 1), and checked exact polynomial division by (v - 1).
 Internally an exponent vector (e_u, e_v, e_z, e_x) is packed into a single
 int (8 bits per variable) so that monomial products reduce to integer
 addition, in the one loop that every product runs through, ``_scatter``.
-The one exception is a product of two series whose coefficients are all
-constants (the scalar series): those are convolved as integer lists.
 Composition in t and substitution for u are Horner evaluations over the one
 series product, so the kernel is just product and division; composition
 holds the partial sum for coefficient j at order N - j, since it is
@@ -26,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from itertools import chain
-from operator import index, mul, or_
+from operator import index, or_
 from typing import Iterable, Mapping
 
 VARS = ("u", "v", "z", "x")
@@ -71,19 +69,6 @@ def _scatter(accs, a: dict[int, int], bs) -> None:
                     acc[k] = s
                 elif k in acc:
                     del acc[k]
-
-
-def _scalars(polys) -> list[int] | None:
-    """The values of the polynomials if every one is a constant, else None."""
-    maps = [p._t for p in polys]
-    # a constant's map has no key but 0, the packed exponent of 1
-    return None if any(map(any, maps)) else [t.get(0, 0) for t in maps]
-
-
-def _support(values: list[int]) -> tuple[int, int]:
-    """First and last index of a nonzero value; (len, -1) when there is none."""
-    nonzero = [i for i, c in enumerate(values) if c]
-    return (nonzero[0], nonzero[-1]) if nonzero else (len(values), -1)
 
 
 def _from_scalars(values) -> "TSeries":
@@ -444,16 +429,6 @@ class TSeries:
         if not isinstance(other, TSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = _scalars(self.coeffs[: n + 1]), _scalars(other.coeffs[: n + 1])
-        if a is not None and b is not None:
-            # t^k gets the dot product of a[i] and b[k - i] over both supports
-            sa, sb = _support(a), _support(b)
-            vals = [0] * (n + 1)
-            rev = b[::-1]  # rev[n - k + i] = b[k - i]
-            for k in range(sa[0] + sb[0], min(n, sa[1] + sb[1]) + 1):
-                lo, hi = max(sa[0], k - sb[1]), min(sa[1], k - sb[0]) + 1
-                vals[k] = sum(map(mul, a[lo:hi], rev[n - k + lo : n - k + hi]))
-            return _from_scalars(vals)
         out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
         b = [p._t for p in other.coeffs[: n + 1]]
         for i in range(n + 1):
@@ -572,16 +547,23 @@ class TSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TSeries":
+        if not isinstance(obj, dict):
+            raise ValueError(f"series JSON must be an object, not {type(obj).__name__}")
         if obj.get("vars") != ["t", "u", "v", "z", "x"]:
             raise ValueError("unexpected variable list in series JSON")
-        order = obj["order"]
+        order, terms = obj.get("order"), obj.get("terms")
         if type(order) is not int:
             raise ValueError(f"series order must be an integer: {order!r}")
+        _check_at_least("series order", order)
+        if not isinstance(terms, list) or not all(isinstance(e, dict) for e in terms):
+            raise ValueError("series terms must be a list of objects")
         coeffs = [dict() for _ in range(order + 1)]
-        for entry in obj["terms"]:
-            exp = entry["exp"]
-            if len(exp) != 5:
-                raise ValueError(f"exponent vector must have 5 entries (t, u, v, z, x): {exp}")
+        for entry in terms:
+            exp = entry.get("exp")
+            if not isinstance(exp, list) or len(exp) != 5:
+                raise ValueError(
+                    f"exponent vector must be a list of 5 entries (t, u, v, z, x): {exp!r}"
+                )
             if not all(type(e) is int for e in exp):
                 # bool is an int subclass: true would read as an exponent of 1
                 raise ValueError(f"series exponents must be integers: {exp!r}")
@@ -591,7 +573,7 @@ class TSeries:
             key = _pack_checked(exp[1:])
             if key in coeffs[n]:
                 raise ValueError(f"repeated exponent vector in series JSON: {exp}")
-            c = entry["coeff"]   # an int, or the decimal string that to_json writes
+            c = entry.get("coeff")   # an int, or the decimal string that to_json writes
             if not (type(c) is int or isinstance(c, str) and c.removeprefix("-").isdecimal()):
                 raise ValueError(f"series coefficient must be an integer or decimal text: {c!r}")
             coeffs[n][key] = int(c)

@@ -472,11 +472,13 @@ def check_pattern(name: str, p: int | None, n_max: int) -> CheckReport:
 
 
 def run_suite(name: str, p: int | None, n_max: int, k: int = 2) -> CheckReport:
-    """Run the suite of this report name through its kind's check function."""
-    kind = SUITES[name].kind
-    if kind == "oracle":
+    """Run the suite of this report name through its kind's public check function."""
+    suite = SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}")
+    if suite.kind == "oracle":
         return check_oracle_vs(name[len("oracle_"):], p, n_max, k)
-    if kind == "identity":
+    if suite.kind == "identity":
         return check_identity(name, p, n_max)
     return check_pattern(name, p, n_max)
 

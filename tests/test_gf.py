@@ -388,7 +388,6 @@ def test_t_graded_sums_match_the_forward_products():
     cut to a lower order is the sum at that order)."""
     for order in range(15):
         one, onemt = TSeries.one(order), gf.one_minus_t(order)
-        one_plus_t = one + TSeries.from_poly(order, MultiPoly.const(1), 1)
         vanishing = lambda i: one - onemt**i  # noqa: E731
         product_form = _forward_sum(
             order, lambda n: 1, one, lambda i: one - onemt ** (i - 1) * gf.one_minus_zt(order)
@@ -396,18 +395,18 @@ def test_t_graded_sums_match_the_forward_products():
         assert gf.eval_A1_product_form(order) == product_form, order
         for p in range(1, 5):
             weight = lambda n, p=p: math.comb(p - 1 + n, n)  # noqa: E731
-            primitive = _forward_sum(order, weight, one_plus_t,
-                                     lambda i: one - one_plus_t.invert() ** i)
-            assert gf.eval_R(p, order) == 1 + primitive.shift(1), (order, p)
             inv = gf.one_minus_zt(order).invert()
             zeros = _forward_sum(order, weight, inv, vanishing)
             expected = 1 + TSeries.from_poly(order, Z, 1) * inv * zeros
             assert gf.eval_A(p, order) == expected, (order, p)
-    # eval_P and eval_A at an integer z run on lists of ints; they are checked
-    # at every order up to 40, as cuts of one forward sum
+    # eval_P, eval_A at an integer z and eval_R run on lists of ints; they are
+    # checked at every order up to 40, as cuts of one forward sum
     top = 40
     one, onemt = TSeries.one(top), gf.one_minus_t(top)
     vanishing = [None, *(one - onemt**i for i in range(1, top + 1))]
+    one_plus_t = one + TSeries.from_poly(top, MultiPoly.const(1), 1)
+    inv_one_plus_t = one_plus_t.invert()
+    primitive_factors = [None, *(one - inv_one_plus_t**i for i in range(1, top + 1))]
     fishburn = _forward_sum(top, lambda n: 1, one, vanishing.__getitem__)
     for order in range(top + 1):
         assert gf.eval_P(order) == fishburn.truncate(order), order
@@ -420,3 +419,7 @@ def test_t_graded_sums_match_the_forward_products():
             expected = 1 + TSeries.from_poly(top, z, 1) * inv * zeros
             for order in range(top + 1):
                 assert gf.eval_A(p, order, z) == expected.truncate(order), (order, p, c)
+        primitive = _forward_sum(top, weight, one_plus_t, primitive_factors.__getitem__)
+        expected = 1 + primitive.shift(1)
+        for order in range(top + 1):
+            assert gf.eval_R(p, order) == expected.truncate(order), (order, p)

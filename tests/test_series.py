@@ -1,10 +1,11 @@
 """Ring arithmetic of MultiPoly and TSeries, including the algebraic laws."""
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pascent import series as series_module
 from pascent.series import MultiPoly, TSeries, scalar_coefficients
 
 U = MultiPoly.variable("u")
@@ -231,6 +232,30 @@ def test_from_json_refuses_a_non_integer_order_or_coefficient(order, coeff):
         TSeries.from_json_obj(obj)
 
 
+_VARS = ["t", "u", "v", "z", "x"]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"vars": _VARS, "terms": []}, "series order must be an integer: None"),
+    ({"order": -1, "vars": _VARS, "terms": []}, "series order must be nonnegative"),
+    ({"order": 1, "vars": _VARS}, "series terms must be a list of objects"),
+    ({"order": 1, "vars": _VARS, "terms": {"exp": [0, 0, 0, 0, 0]}}, "terms must be a list"),
+    ({"order": 1, "vars": _VARS, "terms": [[0, 0, 0, 0, 0]]}, "terms must be a list of objects"),
+    ({"order": 1, "vars": _VARS, "terms": [{"exp": 1, "coeff": "1"}]},
+     "exponent vector must be a list of 5 entries"),
+    ({"order": 1, "vars": _VARS, "terms": [{"exp": [0, 0, 0, 0, 0]}]},
+     "series coefficient must be an integer or decimal text: None"),
+    ([1], "series JSON must be an object, not list"),
+    ("{}", "series JSON must be an object, not str"),
+], ids=["no_order", "negative_order", "no_terms", "dict_terms", "list_term", "int_exp",
+        "no_coeff", "list", "text"])
+def test_from_json_refuses_malformed_input_with_a_value_error(obj, message):
+    # these raised KeyError, TypeError or AttributeError, and a negative order
+    # was refused as "a series needs at least the t^0 coefficient"
+    with pytest.raises(ValueError, match=message):
+        TSeries.from_json(json.dumps(obj))
+
+
 def test_from_json_reads_an_int_or_a_decimal_string_coefficient():
     obj = {"order": 1, "vars": ["t", "u", "v", "z", "x"],
            "terms": [{"exp": [0, 0, 0, 0, 0], "coeff": 7},
@@ -444,8 +469,8 @@ def sparse_series(order, coefficients=wide_polys):
 
 
 any_series = st.integers(0, 4).flatmap(sparse_series)
-# constant coefficients only, zero about every other time, so that the
-# products and quotients take the integer-list path over gapped supports
+# constant coefficients only, zero about every other time: products and
+# quotients of scalar series with gapped supports
 constants = st.one_of(st.just(0), st.integers(-3, 3)).map(MultiPoly.const)
 scalar_series = st.integers(0, 8).flatmap(lambda n: sparse_series(n, constants))
 some_series = any_series | scalar_series
@@ -529,22 +554,3 @@ def test_division_is_multiplication_by_the_inverse(numerator, divisor, unit):
 def test_division_refuses_a_constant_term_other_than_a_unit(numerator, divisor):
     with pytest.raises(ValueError, match=r"not invertible: constant term must be \+1 or -1"):
         numerator / divisor
-
-
-def test_only_scalar_operands_skip_the_sparse_loop(monkeypatch):
-    calls = []
-    scatter = series_module._scatter
-    monkeypatch.setattr(series_module, "_scatter", lambda *args: calls.append(args) or scatter(*args))
-    scalar = TSeries([MultiPoly.const(c) for c in (1, -2, 0, 3)])
-    mixed = TSeries([MultiPoly.const(1), U, MultiPoly(), Z])
-    assert scalar_coefficients(scalar * scalar) == [1, -4, 4, 6]
-    assert calls == []
-    # a quotient runs the sparse loop whatever its operands
-    assert scalar_coefficients(scalar / scalar) == [1, 0, 0, 0]
-    assert calls != []
-    calls.clear()
-    assert (scalar * mixed).coefficient(1) == U - 2
-    assert calls != []
-    calls.clear()
-    assert (mixed / scalar).coefficient(1) == U + 2
-    assert calls != []

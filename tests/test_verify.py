@@ -151,6 +151,12 @@ def test_single_p_suites_take_none_or_their_p(name, only):
         assert report.parameters["p"] == only
 
 
+def test_run_suite_refuses_an_unknown_name():
+    # this raised KeyError: 'nope'
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope", 2, 4)
+
+
 def test_pattern_suites_small():
     for name, p in (
         ("patterns_01", 2),
