@@ -25,14 +25,11 @@ two families:
   at most n - 1 ascents.  For the same reason eval_G1_u and eval_H lower a
   larger bound to order; psi does not, as its sides have higher u-degrees.
 
-The u-graded sums take their powers from one lazy chain, _powers.  Each
-kernel factor is divided through its shape 1 + (u-1)(A + zB), A and B
-integer series, by _kernel_div:
-order by order, from integer multiples of earlier quotient orders, storing no
-monomial above its u-cut.  _over_deltas divides the k-th term by delta_k^p
-with p such divisions.  eval_G1_u, eval_H and psi's left side sum u^k a_k
-over growing products of gammas by Horner's rule in _gamma_sum: from the
-last term down, add u^k a_k and divide by one gamma.  A factor with u-powers
+The u-graded sums run on rows of ints, row k the t-list of the u^k
+coefficient, and no step divides: _delta_rows writes (1-t)^(ek) / delta_k^p
+in closed form, and _gamma_sum sums u^k a_k over growing products of gammas
+by Horner's rule, solving each gamma along u with z an integer 2^B wide
+enough to decode every coefficient.  A factor with u-powers
 applied after a sum (the (1-u) of eval_H, psi's prefactor) is cut again,
 and psi's right side, a polynomial, is cut once.  Every cut is exact: it
 is reduction modulo a power of u, every factor is a polynomial in u and each
@@ -41,14 +38,14 @@ kernel factor has constant term 1.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice, pairwise, repeat
+from itertools import accumulate, chain, count, islice, pairwise
 from math import comb
-from operator import mul, sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from .core import _check_p
 from .series import (
-    _P_ZERO, _SHIFT, MultiPoly, TSeries, _check_at_least, _check_carry, _from_scalars,
+    _OVERFLOW, _P_ZERO, _SHIFT, MultiPoly, TSeries, _check_at_least, _from_scalars, _pack_checked,
 )
 
 _U = MultiPoly.variable("u")
@@ -100,67 +97,73 @@ def gamma_bar(k: int, order: int) -> TSeries:
     return gamma(k, order).subst_u_to_uv()
 
 
-def _powers(base: TSeries, first: TSeries) -> Iterator[TSeries]:
-    """first, first*base, first*base^2, ... (each product made when asked for)."""
-    return accumulate(repeat(base), mul, initial=first)
+def _delta_terms(p: int, e: int, bound: int, order: int) -> Iterator[list[list[int]]]:
+    """_delta_rows of k = 0..bound, cut at u <= bound - k; past k = 0 they reach u^order."""
+    if bound and order >= 128:
+        raise ValueError(_OVERFLOW)
+    return (_delta_rows(p, e, k, bound - k, order) for k in range(bound + 1))
 
 
-def _kernel_div(numer: TSeries, m: int, z: bool, bound: int) -> TSeries:
-    """numer / gamma_(m+1) if z else numer / delta_m, cut at u <= bound.
-
-    Both are 1 + (u-1)(A + zB), A = 1 - (1-t)^m, B = t(1-t)^m for gamma and
-    0 for delta.  So q_n = numer_n - (u-1)(S_n + z T_n), S_n = sum_j A_j
-    q_(n-j), T_n = q_(n-1) - S_(n-1): integer multiples of earlier quotients,
-    with z and u as key shifts.  A key at or above u^(bound+1) is never stored."""
-    a = [(-1) ** (j + 1) * comb(m, j) for j in range(1, m + 1)]
-    u1, z1 = 1 << _SHIFT["u"], 1 << _SHIFT["z"]  # the packed keys of u and z
-    limit = (bound + 1) * u1  # u is the top field, so key < limit is u <= bound
-    out: list[dict[int, int]] = []
-    t_n: dict[int, int] = {}
-    for poly in numer.coeffs:
-        s: dict[int, int] = {}
-        for c, prev in zip(a, reversed(out)):
-            for k, d in prev.items():
-                s[k] = s.get(k, 0) + c * d
-        w = dict(s)
-        for k, d in t_n.items():
-            w[k + z1] = w.get(k + z1, 0) + d
-        q = {k: c for k, c in poly._t.items() if k < limit}
-        for k, c in w.items():
-            q[k] = q.get(k, 0) + c
-            if (ku := k + u1) < limit:
-                q[ku] = q.get(ku, 0) - c
-        q = {k: c for k, c in q.items() if c}
-        _check_carry((q,))
-        out.append(q)
-        if z:
-            t_n = dict(q)
-            for k, c in s.items():
-                t_n[k] = t_n.get(k, 0) - c
-    return TSeries([MultiPoly(q) for q in out])
+def _delta_rows(p: int, e: int, k: int, top: int, order: int) -> list[list[int]]:
+    """Rows 0..top (top <= order) of (1-t)^(ek) / delta_k^p, row j the t-list of u^j.
+    delta_k = w + u(1 - w), w = (1-t)^k, so row j is (-1)^j C(p-1+j, j) L_j,
+    L_0 = w^(e-p), L_j = (1/w - 1) L_(j-1): k running sums less L_(j-1), of
+    t-valuation j, so only the tail from t^j on is summed."""
+    tail = _times_one_minus_t([1] + [0] * order, k * (e - p))
+    rows = []
+    for j in range(top + 1):
+        rows.append([0] * j + [(-1) ** j * comb(p - 1 + j, j) * c for c in tail])
+        tail = list(map(sub, _times_one_minus_t(tail, -k), tail))[1:]
+    return rows
 
 
-def _over_deltas(p: int, numers: Iterable[TSeries], order: int) -> Iterator[TSeries]:
-    """numers[k] / delta_k^p for k = 0, 1, 2, ... (delta_0 = 1), by p divisions
-    through delta_k's shape, cut at u <= order.  At t^n the u-degree of
-    1/delta_k is at most n, so the cut is exact when no numerator has u."""
-    for k, quot in enumerate(numers):
-        for _ in range(p):
-            quot = _kernel_div(quot, k, False, order)
-        yield quot
-
-
-def _gamma_sum(terms: Iterable[TSeries], first: int, bound: int, order: int) -> TSeries:
+def _gamma_sum(terms: Iterable[list[list[int]]], first: int, bound: int, order: int) -> TSeries:
     """Sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1}) over j, cut at u <= bound.
 
-    Horner's rule from the last term down, T <- (u^(first+j) terms[j] + T) /
-    gamma_{j+1}, so each step divides once by a gamma, through its shape, and
-    no step multiplies by a chain element.  Terms past j = bound - first only
-    add monomials above the cut and are not taken."""
-    total = TSeries.zero(order)
-    for j, term in reversed(list(enumerate(islice(terms, bound - first + 1)))):
-        numer = term * MultiPoly.monomial((first + j, 0, 0, 0)) + total
-        total = _kernel_div(numer, j, True, bound)
+    A term is rows of ints; terms past j = bound - first are not taken.  Horner's
+    rule from the last term down (_gamma_rows) is Z-linear or multiplies by z,
+    so it runs at z = 2^B, and a balanced base-2^B decode is exact once every
+    coefficient is below 2^(B-1) in size: B comes from the pass at z = 1 on
+    |terms| with subtraction made addition, which bounds the sum of |coefficients|
+    over z at each u^k t^n, as 1/g has nonnegative coefficients.  The digits run
+    to u^bound and z^order (z^n comes with t^n), so an index of 128 or more is
+    refused before any is packed."""
+    if bound < first:
+        return TSeries.zero(order)
+    _pack_checked((bound, 0, 0, 0))  # u^bound multiplies the last term
+    if order >= 128:
+        raise ValueError(_OVERFLOW)
+    terms = list(islice(terms, bound - first + 1))
+    sizes = [[[*map(abs, row)] for row in rows] for rows in terms]
+    width = max(map(int.bit_length, chain(*_gamma_rows(sizes, first, bound, order, 1, add)))) + 2
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coeffs: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for k, row in enumerate(_gamma_rows(terms, first, bound, order, 1 << width, sub)):
+        for poly, value in zip(coeffs, row):
+            key = k << _SHIFT["u"]
+            while value:  # the balanced digits of value, z^0 first
+                digit = ((value + half) & mask) - half
+                if digit:
+                    poly[key] = digit
+                value = (value - digit) >> width
+                key += 1 << _SHIFT["z"]
+    return TSeries(list(map(MultiPoly, coeffs)))
+
+
+def _gamma_rows(terms: list, first: int, bound: int, order: int, z: int, op: Callable) -> list:
+    """_gamma_sum's Horner pass on rows 0..bound at an integer z; op is sub, or add
+    for the majorant.  gamma_(j+1) = g + u(1 - g), g = (1-zt)(1-t)^j, so row k
+    of N / gamma_(j+1) is q_k = g^-1 (N_k - q_(k-1)) + q_(k-1), read from N_0..N_k
+    only (so the cut is exact), and rows below u^(first+j) stay zero."""
+    total = [[0] * (order + 1) for _ in range(bound + 1)]
+    for j in range(len(terms) - 1, -1, -1):
+        low = first + j
+        for k, row in enumerate(terms[j][: bound - low + 1], low):
+            total[k] = list(map(add, total[k], row))
+        prev = [0] * (order + 1)
+        for k in range(low, bound + 1):
+            quot = _over_one_minus_zt(_times_one_minus_t(list(map(op, total[k], prev)), -j), z)
+            prev = total[k] = list(map(add, quot, prev))
     return total
 
 
@@ -246,8 +249,8 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
-    inverses = _over_deltas(p, repeat(TSeries.one(order)), order)
-    steps = (cur - prev for prev, cur in pairwise(inverses))
+    inverses = _delta_terms(p, 0, bound, order)
+    steps = ([[*map(sub, a, b)] for a, b in zip(cur, prev)] for prev, cur in pairwise(inverses))
     return _gamma_sum(steps, 1, bound, order).shift(1) * _Z
 
 
@@ -310,8 +313,7 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
-    terms = _over_deltas(p, _powers(one_minus_t(order), TSeries.one(order)), order)
-    total = _gamma_sum(terms, 0, bound, order)
+    total = _gamma_sum(_delta_terms(p, 1, bound, order), 0, bound, order)
     return (total.shift(1) * (_Z - _Z * _U)).u_truncate(bound)
 
 
@@ -367,10 +369,7 @@ def eval_maxk(p: int, k: int, order: int) -> TSeries:
     _check_p(p)
     _check_at_least("k", k, 1)
     _check_at_least("order", order)
-    coeffs = [MultiPoly()] + [
-        MultiPoly.const(1) if 1 <= n <= k else MultiPoly() for n in range(1, order + 1)
-    ]
-    return eval_R(p, order).compose_t(TSeries(coeffs))
+    return eval_R(p, order).compose_t(_from_scalars(int(1 <= n <= k) for n in range(order + 1)))
 
 
 def eval_A1_product_form(order: int) -> TSeries:
@@ -409,6 +408,6 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     for _ in range(m):
         uz_j, onemt_j = uz_j * uz, onemt_j * onemt
         rhs = (one - onemt_j) * (rhs * _U) + uz_j
-    inner = _gamma_sum(_powers(onemt_j * onemt, one), 0, bound, order)
-    lhs = (uz_j * uz * inner).u_truncate(bound)
+    terms = ([_times_one_minus_t([1] + [0] * order, (m + 1) * k)] for k in count())
+    lhs = (uz_j * uz * _gamma_sum(terms, 0, bound, order)).u_truncate(bound)
     return lhs, -rhs.u_truncate(bound)

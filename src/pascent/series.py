@@ -33,6 +33,7 @@ _SHIFT = {"u": 24, "v": 16, "z": 8, "x": 0}
 _MASK = 0xFF
 _MAX_EXP = 100  # bound on exponents that arrive from outside
 _CARRY = 0x80808080  # top bit of each field: products stop at 127, so no field carries
+_OVERFLOW = "exponent overflow: a product has an exponent of 128 or more"
 
 
 def _pack(exps: Iterable[int]) -> int:
@@ -85,7 +86,7 @@ def _check_at_least(name: str, value: int, low: int = 0) -> None:
 def _check_carry(maps) -> None:
     """Refuse product maps in which any exponent reached 128."""
     if reduce(or_, chain.from_iterable(maps), 0) & _CARRY:
-        raise ValueError("exponent overflow: a product has an exponent of 128 or more")
+        raise ValueError(_OVERFLOW)
 
 
 def _power(base, n: int, one):

@@ -368,6 +368,35 @@ def test_A_with_z_set_passes_order_127(capsys):
     assert len(message) == 1 and message[0].startswith("pascent: exponent overflow")
 
 
+_OVERFLOW = "exponent overflow: a product has an exponent of 128 or more"
+
+
+_U_GRADED_REFUSALS = [
+    ("series --gf H --p 1 --order 130", _OVERFLOW),
+    ("series --gf H --p 1 --order 130 --udeg 0", _OVERFLOW),
+    ("series --gf G1u --p 1 --order 129", _OVERFLOW),
+    ("series --gf G --p 1 --order 128", _OVERFLOW),
+    ("verify --suite cancellation --p 1 --order 128", _OVERFLOW),
+    ("series --gf H --p 1 --order 110", "exponents must lie in [0, 100]: (110, 0, 0, 0)"),
+    ("verify --suite psi --order 110", "exponents must lie in [0, 100]: (110, 0, 0, 0)"),
+    ("verify --suite psi --order 130", "exponents must lie in [0, 100]: (130, 0, 0, 0)"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _U_GRADED_REFUSALS, ids=[a for a, _ in _U_GRADED_REFUSALS])
+def test_u_graded_sums_refuse_before_summing(capsys, monkeypatch, argv, message):
+    """A u-graded sum out of range is refused before any row is built or
+    summed: with both row passes made to raise, each command still exits 2
+    with its one line."""
+    def unreachable(*args):
+        raise AssertionError("rows summed before the refusal")
+    monkeypatch.setattr(gf, "_delta_rows", unreachable)
+    monkeypatch.setattr(gf, "_gamma_rows", unreachable)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"pascent: {message}\n")
+
+
 def test_bfile_requires_scalars(capsys):
     code, _ = run(capsys, "bfile", "--gf", "A", "--p", "2", "--order", "4")
     assert code == 2

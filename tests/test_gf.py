@@ -277,46 +277,49 @@ def test_chains_at_orders_0_and_1():
         assert [side.terms() for side in gf.psi(m, 1, 0)] == [u_free] * 2
 
 
-def _kernel_numerator(order):
-    """A series with u, v and z terms at every t-order, and a u^2 term at t^0."""
-    terms = {(0, 0, 0, 0): 1, (2, 0, 1, 0): 3, (1, 1, 0, 0): -2}
-    coeffs = [MultiPoly.from_terms(terms)]
-    for n in range(1, order + 1):
-        coeffs.append(MultiPoly.from_terms({(n % 3, 1, 0, 0): n, (0, 0, n % 2, 0): -1, (3, 0, 2, 1): 5}))
-    return TSeries(coeffs)
+def _series(rows, order):
+    """The z-free series whose u^k t^n coefficient is rows[k][n]."""
+    return TSeries([
+        MultiPoly.from_terms({(k, 0, 0, 0): row[n] for k, row in enumerate(rows)})
+        for n in range(order + 1)
+    ])
 
 
-def test_kernel_div_matches_the_generic_division():
-    """The shaped division by gamma_k and delta_k, cut as it goes, equals the
-    generic quotient cut afterwards, at every bound."""
-    for order in range(10):
-        numer = _kernel_numerator(order)
-        for k in range(1, 7):
-            by_gamma, by_delta = numer / gf.gamma(k, order), numer / gf.delta(k, order)
-            for bound in range(order + 2):
-                assert gf._kernel_div(numer, k - 1, True, bound) == by_gamma.u_truncate(bound)
-                assert gf._kernel_div(numer, k, False, bound) == by_delta.u_truncate(bound)
+def _rows(series):
+    """rows[k][n] is the u^k t^n coefficient of a z-free series."""
+    top = max(poly.max_degree("u") for poly in series.coeffs)
+    return [[series.monomial_coefficient((n, k, 0, 0, 0)) for n in range(series.order + 1)]
+            for k in range(top + 1)]
 
 
-def test_over_deltas_match_generic_quotients():
-    """Each term divided by delta_k^p through the shape equals the generic
-    quotient, for numerators without u and with u, v and z terms."""
-    for p in range(1, 5):
-        for order in range(8):
-            for numer in (TSeries.one(order), _kernel_numerator(order)):
-                numers = itertools.repeat(numer)
-                quotients = list(itertools.islice(gf._over_deltas(p, numers, order), 7))
-                expected = [(numer / gf.delta(k, order) ** p).u_truncate(order) for k in range(7)]
-                assert quotients == expected, (p, order)
+def test_delta_rows_match_generic_quotients():
+    """(1-t)^(ek) / delta_k^p in closed form equals the generic quotient; at
+    t^n its u-degree is at most n, so order + 1 rows hold all of it, and
+    fewer rows are its cut."""
+    for order in range(9):
+        for p in range(1, 5):
+            for k in range(8):
+                inverse = TSeries.one(order) / gf.delta(k, order) ** p
+                for e in (0, 1):
+                    rows = gf._delta_rows(p, e, k, order, order)
+                    expected = gf.one_minus_t(order) ** (e * k) * inverse
+                    assert _series(rows, order) == expected, (order, p, k, e)
+                    for top in range(order):
+                        assert gf._delta_rows(p, e, k, top, order) == rows[: top + 1]
 
 
-def test_kernel_div_refuses_exponent_overflow():
-    """z^100 over gamma_1 reaches z^128 at t^28, which both divisions refuse."""
-    numer = TSeries.from_poly(30, MultiPoly.monomial((0, 0, 100, 0)))
+def test_gamma_sum_refuses_exponents_before_packing():
+    """u^bound past 100 is refused as an exponent from outside, and z^n at
+    t^n for an order of 128 or more as an overflow; at order 127, 1/gamma_1
+    keeps z^127 t^127."""
+    with pytest.raises(ValueError, match=r"exponents must lie in \[0, 100\]: \(101, 0, 0, 0\)"):
+        gf._gamma_sum(iter([[[1]]]), 0, 101, 0)
     with pytest.raises(ValueError, match="exponent overflow"):
-        numer / gf.gamma(1, 30)
+        gf.psi(0, 128, 1)
+    unit = [1] + [0] * 127
+    assert gf._gamma_sum(iter([[unit]]), 0, 0, 127) == gf.one_minus_zt(127).invert()
     with pytest.raises(ValueError, match="exponent overflow"):
-        gf._kernel_div(numer, 0, True, 30)
+        gf._gamma_sum(iter([[unit + [0]]]), 0, 0, 128)
 
 
 def test_psi_agrees_above_the_order():
@@ -329,28 +332,39 @@ def test_psi_agrees_above_the_order():
 
 
 def test_gamma_sum_matches_the_generic_chain():
-    """Horner's sum equals the sum of each term times u^(first+j) and the
-    uncut product of generic gamma inverses, cut at the bound afterwards."""
+    """Horner's sum on rows equals the sum of each term times u^(first+j) and
+    the uncut product of generic gamma inverses, cut at the bound afterwards:
+    for the terms of eval_G1_u and eval_H, and for signed terms past 2^64,
+    whose z-coefficients are decoded from several limbs, many negative."""
     for order in range(10):
         deltas = [(gf.delta(k, order) ** 2).invert() for k in range(order + 3)]
         onemt = gf.one_minus_t(order)
-        terms = {
-            1: [cur - prev for prev, cur in itertools.pairwise(deltas)],
-            0: [onemt**n * d for n, d in enumerate(deltas)],
-        }
+        big = [
+            _series([[(-1) ** (i * n + j) * (3 ** (41 + i + n + j) - n) if (i + n + j) % 4 else 0
+                      for n in range(order + 1)] for i in range(3)], order)
+            for j in range(order + 3)
+        ]
+        terms = [
+            (1, [cur - prev for prev, cur in itertools.pairwise(deltas)]),
+            (0, [onemt**n * d for n, d in enumerate(deltas)]),
+            (0, big),
+            (2, big),
+        ]
         chain, prod = [], TSeries.one(order)
         for k in range(1, order + 4):
             prod = prod * gf.gamma(k, order).invert()
             chain.append(prod)
-        for first, first_terms in terms.items():
+        for first, first_terms in terms:
+            rows = [_rows(term) for term in first_terms]
             for bound in range(order + 3):
                 expected = sum(
                     (term * g * MultiPoly.monomial((first + j, 0, 0, 0))
                      for j, (term, g) in enumerate(zip(first_terms, chain))),
                     TSeries.zero(order),
                 ).u_truncate(bound)
-                actual = gf._gamma_sum(first_terms, first, bound, order)
+                actual = gf._gamma_sum(iter(rows), first, bound, order)
                 assert actual == expected, (order, first, bound)
+    assert min(actual.terms().values()) < -(2**64)
 
 
 def test_psi_right_side_is_the_closed_polynomial():
