@@ -29,11 +29,11 @@ The u-graded sums run on rows of ints, row k the t-list of the u^k
 coefficient, and no step divides: _delta_rows writes (1-t)^(ek) / delta_k^p
 in closed form, and _gamma_sum sums u^k a_k over growing products of gammas
 by Horner's rule, solving each gamma along u with z an integer 2^B wide
-enough to decode every coefficient.  A factor with u-powers
-applied after a sum (the (1-u) of eval_H, psi's prefactor) is cut again,
-and psi's right side, a polynomial, is cut once.  Every cut is exact: it
-is reduction modulo a power of u, every factor is a polynomial in u and each
-kernel factor has constant term 1.
+enough to decode every coefficient.  psi applies its prefactor to those
+rows, and builds its right side on rows; _decode reads both back.  The
+(1-u) of eval_H is applied after the sum and cut again.  Every cut is exact:
+it is reduction modulo a power of u, every factor is a polynomial in u and
+each kernel factor has constant term 1.
 """
 
 from __future__ import annotations
@@ -117,17 +117,16 @@ def _delta_rows(p: int, e: int, k: int, top: int, order: int) -> list[list[int]]
     return rows
 
 
-def _gamma_sum(terms: Iterable[list[list[int]]], first: int, bound: int, order: int) -> TSeries:
-    """Sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1}) over j, cut at u <= bound.
+def _gamma_sum(terms: Iterable, first: int, bound: int, order: int, e: int = 0) -> TSeries:
+    """((u-1)(1-zt))^e times the sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1})
+    over j, cut at u <= bound.
 
-    A term is rows of ints; terms past j = bound - first are not taken.  Horner's
-    rule from the last term down (_gamma_rows) is Z-linear or multiplies by z,
-    so it runs at z = 2^B, and a balanced base-2^B decode is exact once every
-    coefficient is below 2^(B-1) in size: B comes from the pass at z = 1 on
-    |terms| with subtraction made addition, which bounds the sum of |coefficients|
-    over z at each u^k t^n, as 1/g has nonnegative coefficients.  The digits run
-    to u^bound and z^order (z^n comes with t^n), so an index of 128 or more is
-    refused before any is packed."""
+    A term is rows of ints; terms past j = bound - first are not taken.  Horner's rule
+    (_gamma_rows) and the prefactor are Z-linear or multiply by z, so they run at z = 2^B.
+    B comes from the pass at z = 1 on |terms| with subtraction made addition, which
+    bounds the sum of |coefficients| over z at each u^k t^n (1/g has nonnegative
+    coefficients), plus 2 bits per factor (u-1)(1-zt), of l1 norm 4.  The digits run to
+    u^bound and z^order (z^n comes with t^n): an index of 128 or more is refused first."""
     if bound < first:
         return TSeries.zero(order)
     _pack_checked((bound, 0, 0, 0))  # u^bound multiplies the last term
@@ -135,19 +134,35 @@ def _gamma_sum(terms: Iterable[list[list[int]]], first: int, bound: int, order: 
         raise ValueError(_OVERFLOW)
     terms = list(islice(terms, bound - first + 1))
     sizes = [[[*map(abs, row)] for row in rows] for rows in terms]
-    width = max(map(int.bit_length, chain(*_gamma_rows(sizes, first, bound, order, 1, add)))) + 2
+    width = max(chain(*_gamma_rows(sizes, first, bound, order, 1, add))).bit_length() + 2 + 2 * e
+    rows = _gamma_rows(terms, first, bound, order, 1 << width, sub)
+    for _ in range(e):
+        rows = _times_uz(rows, 1 << width)
+    return _decode(rows, width)
+
+
+def _decode(rows: list[list[int]], width: int) -> TSeries:
+    """The series whose u^k t^n coefficient, a z-polynomial, is rows[k][n] at z = 2^width:
+    balanced digits, z^0 first, exact if every z-coefficient is below 2^(width-1) in size."""
     half, mask = 1 << (width - 1), (1 << width) - 1
-    coeffs: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for k, row in enumerate(_gamma_rows(terms, first, bound, order, 1 << width, sub)):
+    coeffs: list[dict[int, int]] = [{} for _ in rows[0]]
+    for k, row in enumerate(rows):
         for poly, value in zip(coeffs, row):
             key = k << _SHIFT["u"]
-            while value:  # the balanced digits of value, z^0 first
+            while value:
                 digit = ((value + half) & mask) - half
                 if digit:
                     poly[key] = digit
                 value = (value - digit) >> width
                 key += 1 << _SHIFT["z"]
     return TSeries(list(map(MultiPoly, coeffs)))
+
+
+def _times_uz(rows: list[list[int]], z: int) -> list[list[int]]:
+    """rows times (u-1)(1-zt) at an integer z, as many rows: row k of the product
+    reads rows k-1 and k only, so the cut stays exact."""
+    rows = [list(map(sub, row, [0, *(c * z for c in row[:-1])])) for row in rows]
+    return [list(map(sub, low, row)) for low, row in zip([[0] * len(rows[0]), *rows], rows)]
 
 
 def _gamma_rows(terms: list, first: int, bound: int, order: int, z: int, op: Callable) -> list:
@@ -393,21 +408,32 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
 
     Left side: sum over k >= 0 of
       (u-1)^(m+1) (1-zt)^(m+1) u^k (1-t)^(k(m+1)) / prod_{i=1..k+1} gamma_i,
-    cut at k = u_bound (default: order).  Right side: the closed polynomial
+    cut at k = u_bound (default: order), its prefactor applied before the decode.
+    Right side: the closed polynomial, built on rows and reading no gamma,
       -sum_{j=0..m} (u-1)^j (1-zt)^j u^(m-j) prod_{i=j+1..m}(1-(1-t)^i).
-    Both are returned with u-exponents above the bound dropped; on that
-    region they agree identically.
+    Both drop u-exponents above the bound; there they agree identically.
     """
     _check_at_least("m", m)
     bound = _u_bound(order, u_bound)
-    one = TSeries.one(order)
-    uz = TSeries.from_poly(order, _U - 1) * one_minus_zt(order)
-    onemt = one_minus_t(order)
-    # R_0 = 1, R_j = u(1 - (1-t)^j) R_(j-1) + uz^j, and the right side is -R_m
-    rhs, uz_j, onemt_j = one, one, one
-    for _ in range(m):
-        uz_j, onemt_j = uz_j * uz, onemt_j * onemt
-        rhs = (one - onemt_j) * (rhs * _U) + uz_j
-    terms = ([_times_one_minus_t([1] + [0] * order, (m + 1) * k)] for k in count())
-    lhs = (uz_j * uz * _gamma_sum(terms, 0, bound, order)).u_truncate(bound)
-    return lhs, -rhs.u_truncate(bound)
+    terms = ([[(-1) ** n * comb((m + 1) * k, n) for n in range(order + 1)]] for k in count())
+    lhs = _gamma_sum(terms, 0, bound, order, m + 1)  # refuses before any row is built
+    # |c| <= the l1 norm of R_m, submultiplicative and never raised by a cut: N_0 = 1,
+    # N_j = 2^j N_(j-1) + 4^j, so N_m = sum_j 4^j 2^(m(m+1)/2 - j(j+1)/2) < 2^(m(m+1)/2 + 3)
+    width = m * (m + 1) // 2 + 4
+    return lhs, _decode(_psi_rhs_rows(m, min(m, bound), order, 1 << width), width)
+
+
+def _psi_rhs_rows(m: int, top: int, order: int, z: int) -> list[list[int]]:
+    """Rows 0..top of psi's right side -R_m at an integer z: R_(-1) = 0, R_j = u(1 -
+    (1-t)^j) R_(j-1) + ((u-1)(1-zt))^j, u a row shift, so row k reads rows k-1 and k
+    and the cut is exact; R_j enters R_m times u^(m-j), so steps before j = m - top are cut."""
+    zero = [0] * (order + 1)  # no step writes into a row, so rows may share it
+    power = [[1, *zero[1:]], *[zero] * top]  # ((u-1)(1-zt))^j
+    rows = [zero] * (top + 1)
+    for j in range(m + 1):
+        if j:
+            power = _times_uz(power, z)
+        if j >= m - top:
+            rows = [list(map(sub, map(sub, r, _times_one_minus_t(r, j)), p))
+                    for r, p in zip([zero, *rows], power)]
+    return rows

@@ -536,12 +536,10 @@ class TSeries:
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        entries = sorted(self.terms().items())
-        return {
-            "order": self.order,
-            "vars": ["t", "u", "v", "z", "x"],
-            "terms": [{"exp": list(exp), "coeff": str(c)} for exp, c in entries],
-        }
+        # every field is below 128, so packed keys sort as their exponent vectors
+        terms = [{"exp": [n, *_unpack(k)], "coeff": str(c)}
+                 for n, poly in enumerate(self.coeffs) for k, c in sorted(poly._t.items())]
+        return {"order": self.order, "vars": ["t", "u", "v", "z", "x"], "terms": terms}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())

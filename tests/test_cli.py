@@ -386,12 +386,12 @@ _U_GRADED_REFUSALS = [
 @pytest.mark.parametrize("argv,message", _U_GRADED_REFUSALS, ids=[a for a, _ in _U_GRADED_REFUSALS])
 def test_u_graded_sums_refuse_before_summing(capsys, monkeypatch, argv, message):
     """A u-graded sum out of range is refused before any row is built or
-    summed: with both row passes made to raise, each command still exits 2
-    with its one line."""
+    summed: with every row pass made to raise, psi's right side included,
+    each command still exits 2 with its one line."""
     def unreachable(*args):
         raise AssertionError("rows summed before the refusal")
-    monkeypatch.setattr(gf, "_delta_rows", unreachable)
-    monkeypatch.setattr(gf, "_gamma_rows", unreachable)
+    for name in ("_delta_rows", "_gamma_rows", "_psi_rhs_rows"):
+        monkeypatch.setattr(gf, name, unreachable)
     code = main(argv.split())
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"pascent: {message}\n")

@@ -266,8 +266,9 @@ def test_chains_at_orders_0_and_1():
     assert gf.eval_P(0).terms() == gf.eval_A1_product_form(0).terms() == {one: 1}
     assert gf.eval_P(1).terms() == {one: 1, t: 1}
     assert gf.eval_A1_product_form(1).terms() == {one: 1, zt: 1}
-    for m in range(4):
-        # both sides of psi(m, 1): (-1)^(m+1) ((1 - m u) + (m^2 uz - m z - m u) t)
+    for m in range(8):
+        # both sides of psi(m, 1): (-1)^(m+1) ((1 - m u) + (m^2 uz - m z - m u) t);
+        # from m = 4 on, the left side decodes only with B widened for the prefactor
         s = (-1) ** (m + 1)
         full = {one: s, u: -s * m, zt: -s * m, ut: -s * m, uzt: s * m * m}
         expected = {k: c for k, c in full.items() if c}
@@ -365,6 +366,44 @@ def test_gamma_sum_matches_the_generic_chain():
                 actual = gf._gamma_sum(iter(rows), first, bound, order)
                 assert actual == expected, (order, first, bound)
     assert min(actual.terms().values()) < -(2**64)
+
+
+def test_psi_left_side_is_the_prefactor_times_the_sum():
+    """The left side, its prefactor applied to the rows before the decode,
+    equals the generic prefactor ((u-1)(1-zt))^(m+1) times the Horner sum,
+    cut at the bound afterwards."""
+    for order in range(13):
+        uz = TSeries.from_poly(order, U - 1) * gf.one_minus_zt(order)
+        for m in range(8):
+            prefactor = uz ** (m + 1)
+            for bound in sorted({0, 1, order, order + 2}):
+                terms = ([[(-1) ** n * math.comb((m + 1) * k, n) for n in range(order + 1)]]
+                         for k in itertools.count())
+                expected = (prefactor * gf._gamma_sum(terms, 0, bound, order)).u_truncate(bound)
+                lhs, _rhs = gf.psi(m, order, bound)
+                assert lhs == expected, (order, m, bound)
+
+
+def test_psi_answers_where_the_prefactor_reached_u_128():
+    """Rows past u^bound are never built, so psi answers at any m where the
+    generic prefactor (u-1)^(m+1) times the sum reached u^128 and was refused:
+    both sides agree, and the right side is the closed polynomial with a
+    u-cut after each product."""
+    for order in range(4):
+        one, onemt = TSeries.one(order), gf.one_minus_t(order)
+        uz = TSeries.from_poly(order, U - 1) * gf.one_minus_zt(order)
+        for m in range(124, 131):
+            for bound in (0, 2):
+                closed, uz_j = TSeries.zero(order), TSeries.one(order)
+                for j in range(m + 1):
+                    if m - j <= bound:  # u^(m-j) with m - j > bound is cut whole
+                        term = uz_j * MultiPoly.monomial((m - j, 0, 0, 0))
+                        for i in range(j + 1, m + 1):
+                            term = (term * (one - onemt**i)).u_truncate(bound)
+                        closed = closed - term
+                    uz_j = (uz_j * uz).u_truncate(bound)
+                lhs, rhs = gf.psi(m, order, bound)
+                assert lhs == rhs == closed, (order, m, bound)
 
 
 def test_psi_right_side_is_the_closed_polynomial():
