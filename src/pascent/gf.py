@@ -8,14 +8,12 @@ two families:
   sum is cut at n = order and every retained coefficient is exact.  Each is
   sum_n w_n prod_{i<=n} t q_i / d, summed by Horner's rule from the last
   term down, with the partial sum from term n on held at order order - n.
-  _t_graded_sum builds each valuation-0 factor q_i (such as (1 - base^i)/t)
-  at that order from its binomial coefficients, so no power chain is kept,
-  and divides by d (1 - zt for eval_A) through the series quotient.  Over
-  the integers (eval_P, eval_A at an integer z, and eval_R) _int_graded_sum
-  runs the same steps on a list of ints: t q_n is 1 - (1-t)^n (for eval_R,
-  summed at t -> -t, (1-t) - (1-t)^(1-n)), (1-t)^e T is e passes of
-  differences or -e running sums, and 1/(1 - zt) one running sum, so no
-  step multiplies.
+  _int_graded_sum runs the steps on a list of ints at an integer z: t q_n is
+  1 - (1-t)^n (for eval_R, summed at t -> -t, (1-t) - (1-t)^(1-n)), (1-t)^e T
+  is e passes of differences or -e running sums, and 1/(1 - zt) one running
+  sum, so no step multiplies a series.  A symbolic z (eval_A, the product
+  form) is one run at z = 2^B and one digit decode: every z-coefficient counts
+  words, so it is nonnegative and at most the run at z = 1, which sets B.
 
 * u-graded sums (eval_G1_u, eval_H, the psi kernel sum): the k-th summand
   carries a factor u^k, so cutting at k = u_bound makes all monomials with
@@ -29,11 +27,11 @@ The u-graded sums run on rows of ints, row k the t-list of the u^k
 coefficient, and no step divides: _delta_rows writes (1-t)^(ek) / delta_k^p
 in closed form, and _gamma_sum sums u^k a_k over growing products of gammas
 by Horner's rule, solving each gamma along u with z an integer 2^B wide
-enough to decode every coefficient.  psi applies its prefactor to those
-rows, and builds its right side on rows; _decode reads both back.  The
-(1-u) of eval_H is applied after the sum and cut again.  Every cut is exact:
-it is reduction modulo a power of u, every factor is a polynomial in u and
-each kernel factor has constant term 1.
+enough to decode every coefficient.  Each caller applies its remaining
+factor to those rows (psi its prefactor, eval_H zt(1-u), eval_G1_u zt), psi
+builds its right side on rows, and _decode reads every one back.  Every cut
+is exact: it is reduction modulo a power of u, every factor is a polynomial
+in u and each kernel factor has constant term 1.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 
 from .core import _check_p
 from .series import (
-    _OVERFLOW, _P_ZERO, _SHIFT, MultiPoly, TSeries, _check_at_least, _from_scalars, _pack_checked,
+    _OVERFLOW, _SHIFT, MultiPoly, TSeries, _check_at_least, _from_scalars, _pack_checked,
 )
 
 _U = MultiPoly.variable("u")
@@ -117,28 +115,25 @@ def _delta_rows(p: int, e: int, k: int, top: int, order: int) -> list[list[int]]
     return rows
 
 
-def _gamma_sum(terms: Iterable, first: int, bound: int, order: int, e: int = 0) -> TSeries:
-    """((u-1)(1-zt))^e times the sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1})
-    over j, cut at u <= bound.
+def _gamma_sum(terms: Iterable, first: int, bound: int, order: int, e: int = 0) -> tuple[list, int]:
+    """The sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1}) over j, cut at u <= bound,
+    as (rows, width): rows 0..bound at z = 2^width, with e bits of headroom.
 
     A term is rows of ints; terms past j = bound - first are not taken.  Horner's rule
-    (_gamma_rows) and the prefactor are Z-linear or multiply by z, so they run at z = 2^B.
-    B comes from the pass at z = 1 on |terms| with subtraction made addition, which
-    bounds the sum of |coefficients| over z at each u^k t^n (1/g has nonnegative
-    coefficients), plus 2 bits per factor (u-1)(1-zt), of l1 norm 4.  The digits run to
-    u^bound and z^order (z^n comes with t^n): an index of 128 or more is refused first."""
+    (_gamma_rows) is Z-linear, so it runs at z = 2^width.  The width comes from the pass at
+    z = 1 on |terms| with subtraction made addition, which bounds the sum of
+    |coefficients| over z at each u^k t^n (1/g has nonnegative coefficients); a factor of
+    l1 norm 2^e applied to the rows keeps them decodable.  The digits run to u^bound and
+    z^order (z^n comes with t^n): an index of 128 or more is refused first."""
     if bound < first:
-        return TSeries.zero(order)
+        return [[0] * (order + 1)] * (bound + 1), 1
     _pack_checked((bound, 0, 0, 0))  # u^bound multiplies the last term
     if order >= 128:
         raise ValueError(_OVERFLOW)
     terms = list(islice(terms, bound - first + 1))
     sizes = [[[*map(abs, row)] for row in rows] for rows in terms]
-    width = max(chain(*_gamma_rows(sizes, first, bound, order, 1, add))).bit_length() + 2 + 2 * e
-    rows = _gamma_rows(terms, first, bound, order, 1 << width, sub)
-    for _ in range(e):
-        rows = _times_uz(rows, 1 << width)
-    return _decode(rows, width)
+    width = max(chain(*_gamma_rows(sizes, first, bound, order, 1, add))).bit_length() + 2 + e
+    return _gamma_rows(terms, first, bound, order, 1 << width, sub), width
 
 
 def _decode(rows: list[list[int]], width: int) -> TSeries:
@@ -182,33 +177,10 @@ def _gamma_rows(terms: list, first: int, bound: int, order: int, z: int, op: Cal
     return total
 
 
-def _t_graded_sum(
-    order: int, factor: Callable[[int, int], TSeries], p: int = 1, divisor: TSeries | None = None
-) -> TSeries:
-    """Sum over n <= order of C(p-1+n, n) prod_{i=1..n} t factor(i) / divisor, to t^order.
-
-    Horner's rule from the last term down, T <- C(p-2+n, n-1) + t (factor(n) T)
-    / divisor: term n carries t^n, so T is held at order - n, factor(n, order - n)
-    is built at that order and divisor (if any, at least order) is cut to it by
-    the quotient.  The t-graded twin of _gamma_sum."""
-    total = TSeries.const(0, comb(p - 1 + order, order))
-    for n in range(order, 0, -1):
-        total = _plus_t_times(comb(p - 2 + n, n - 1), factor(n, order - n) * total, divisor)
-    return total
-
-
-def _plus_t_times(const: int, series: TSeries, divisor: TSeries | None = None) -> TSeries:
-    """const + t * series / divisor, one order above series (divisor at least that order)."""
-    lifted = TSeries([_P_ZERO, *series.coeffs])
-    if divisor is not None:
-        lifted = lifted / divisor
-    # the quotient of t * series has no constant term, so const is its t^0 coefficient
-    return TSeries([MultiPoly.const(const), *lifted.coeffs[1:]])
-
-
 def _int_graded_sum(order: int, p: int, step: Callable) -> list[int]:
-    """_t_graded_sum over the integers, on a list of ints: T <- C(p-2+n, n-1) +
-    step(n, T), where step(n, T) is t factor(n) T / divisor past its t^0
+    """The sum over n <= order of C(p-1+n, n) prod_{i=1..n} t factor(i) / divisor, to
+    t^order, on a list of ints: by Horner's rule from the last term down, T <- C(p-2+n,
+    n-1) + step(n, T), where step(n, T) is t factor(n) T / divisor past its t^0
     coefficient.
 
     T is padded by a zero, as t factor(n) has no constant term: the
@@ -248,11 +220,6 @@ def _primitive_step(n: int, total: list[int]) -> Iterable[int]:
     return map(sub, _times_one_minus_t(total, 1), _times_one_minus_t(total, 1 - n))
 
 
-def _q_one_minus_t(n: int, order: int) -> TSeries:
-    """(1 - (1-t)^n)/t: its t^k coefficient is (-1)^k C(n, k+1)."""
-    return _from_scalars((-1) ** k * comb(n, k + 1) for k in range(order + 1))
-
-
 def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """Series over sequences starting 0-then-nonzero, by length/ascents/zeros.
 
@@ -266,7 +233,8 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     bound = min(_u_bound(order, u_bound), order)
     inverses = _delta_terms(p, 0, bound, order)
     steps = ([[*map(sub, a, b)] for a, b in zip(cur, prev)] for prev, cur in pairwise(inverses))
-    return _gamma_sum(steps, 1, bound, order).shift(1) * _Z
+    rows, width = _gamma_sum(steps, 1, bound, order)
+    return _decode([[0, *(c << width for c in row[:-1])] for row in rows], width)  # times zt
 
 
 def _kernel_rhs(p: int, f_v1: TSeries, constant: TSeries) -> TSeries:
@@ -328,8 +296,10 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
-    total = _gamma_sum(_delta_terms(p, 1, bound, order), 0, bound, order)
-    return (total.shift(1) * (_Z - _Z * _U)).u_truncate(bound)
+    rows, width = _gamma_sum(_delta_terms(p, 1, bound, order), 0, bound, order, 1)
+    # times zt(1-u): row k reads rows k-1 and k only, so rows past the bound are not needed
+    return _decode([[0, *((a - b) << width for a, b in zip(row[:-1], low))]
+                    for low, row in zip([[0] * order, *rows], rows)], width)
 
 
 def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
@@ -338,19 +308,44 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
     1 + sum over n >= 0 of C(p-1+n, n) zt/(1-zt)^(n+1) prod_{i=1..n}(1-(1-t)^i);
     the n-th product has t-valuation n, so the cutoff at n = order is exact.
     A constant z gives the series specialized at that z (specializing is a
-    ring homomorphism), with integer coefficients and no z-exponent to bound.
+    ring homomorphism), with integer coefficients and no z-exponent to bound;
+    z must be a constant or the variable z.
     """
     _check_p(p)
     _check_at_least("order", order)
-    if order == 0:
-        return TSeries.one(0)
     if z.is_const():
-        c = z.const_value()
-        total = _int_graded_sum(order - 1, p, _zeros_step(c))
-        return _from_scalars([1, *(c * v for v in _over_one_minus_zt(total, c))])
-    one_mzt = one_minus_zt(order, z)
-    total = _t_graded_sum(order - 1, _q_one_minus_t, p, one_mzt)
-    return _plus_t_times(1, total * z, one_mzt)
+        return _from_scalars(_zeros_at(p, order, z.const_value()))
+    if z != _Z:
+        raise ValueError(f"z must be a constant or the variable z, not {z}")
+    return _by_evaluation(lambda c: _zeros_at(p, order, c), order)
+
+
+def _zeros_at(p: int, order: int, z: int) -> list[int]:
+    """eval_A at an integer z, as ints."""
+    if order == 0:
+        return [1]
+    total = _int_graded_sum(order - 1, p, _zeros_step(z))
+    return [1, *(z * v for v in _over_one_minus_zt(total, z))]
+
+
+def _by_evaluation(at: Callable[[int], list[int]], order: int) -> TSeries:
+    """The series whose t^n coefficient is the z-polynomial that at(z)[n] is at each
+    integer z, given that its coefficients are nonnegative (they count words).
+
+    Each coefficient is then at most the value at z = 1, so one run at z = 2^B, B one
+    bit above that value, holds every coefficient in its own balanced digit.  z^n
+    comes with t^n: an order of 128 or more is refused before any run.  A negative
+    digit, or digits that do not sum to the value at z = 1, mean a wrong run."""
+    if order >= 128:
+        raise ValueError(_OVERFLOW)
+    sizes = at(1)
+    width = max(sizes).bit_length() + 1
+    series = _decode([at(1 << width)], width)
+    for n, (poly, size) in enumerate(zip(series.coeffs, sizes)):
+        digits = poly.terms().values()
+        if min(digits, default=0) < 0 or sum(digits) != size:
+            raise ArithmeticError(f"z-polynomial at t^{n} is not a count of words: {poly}")
+    return series
 
 
 def eval_P(order: int) -> TSeries:
@@ -395,12 +390,12 @@ def eval_A1_product_form(order: int) -> TSeries:
     """
     _check_at_least("order", order)
 
-    def factor(i: int, prec: int) -> TSeries:
-        # (1 - (1-t)^(i-1)(1-zt))/t = (1 - (1-t)^(i-1))/t + z (1-t)^(i-1)
-        powers = _from_scalars((-1) ** k * comb(i - 1, k) for k in range(prec + 1))
-        return _q_one_minus_t(i - 1, prec) + powers * _Z
+    def step(z: int) -> Callable:
+        # T - (1-t)^(n-1) (1-zt) T
+        return lambda n, total: map(sub, total, _times_one_minus_t(
+            [*map(sub, total, [0, *(z * c for c in total[:-1])])], n - 1))
 
-    return _t_graded_sum(order, factor)
+    return _by_evaluation(lambda z: _int_graded_sum(order, 1, step(z)), order)
 
 
 def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSeries]:
@@ -416,11 +411,15 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     _check_at_least("m", m)
     bound = _u_bound(order, u_bound)
     terms = ([[(-1) ** n * comb((m + 1) * k, n) for n in range(order + 1)]] for k in count())
-    lhs = _gamma_sum(terms, 0, bound, order, m + 1)  # refuses before any row is built
+    # refuses before any row is built; the prefactor has l1 norm 4^(m+1)
+    rows, width = _gamma_sum(terms, 0, bound, order, 2 * (m + 1))
+    for _ in range(m + 1):
+        rows = _times_uz(rows, 1 << width)
     # |c| <= the l1 norm of R_m, submultiplicative and never raised by a cut: N_0 = 1,
     # N_j = 2^j N_(j-1) + 4^j, so N_m = sum_j 4^j 2^(m(m+1)/2 - j(j+1)/2) < 2^(m(m+1)/2 + 3)
-    width = m * (m + 1) // 2 + 4
-    return lhs, _decode(_psi_rhs_rows(m, min(m, bound), order, 1 << width), width)
+    rhs_width = m * (m + 1) // 2 + 4
+    rhs = _psi_rhs_rows(m, min(m, bound), order, 1 << rhs_width)
+    return _decode(rows, width), _decode(rhs, rhs_width)
 
 
 def _psi_rhs_rows(m: int, top: int, order: int, z: int) -> list[list[int]]:

@@ -371,6 +371,39 @@ def test_A_with_z_set_passes_order_127(capsys):
 _OVERFLOW = "exponent overflow: a product has an exponent of 128 or more"
 
 
+def test_symbolic_A_refuses_before_summing(capsys, monkeypatch):
+    """Symbolic A and its product form hold z^N at t^N, so an order of 128 or
+    more is refused before any integer run."""
+    def unreachable(*args):
+        raise AssertionError("summed before the refusal")
+    monkeypatch.setattr(gf, "_int_graded_sum", unreachable)
+    with pytest.raises(ValueError, match="exponent overflow"):
+        gf.eval_A1_product_form(128)
+    code = main(["series", "--gf", "A", "--p", "1", "--order", "200"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"pascent: {_OVERFLOW}\n")
+
+
+@pytest.mark.parametrize("fault", [-1, 1], ids=["negative_digit", "digit_sum"])
+def test_symbolic_A_guards_its_decode(capsys, monkeypatch, fault):
+    """A run at z = 2^B that is off by one at t^1 decodes to a negative digit,
+    or to digits that do not sum to the run at z = 1: refused, exit 1."""
+    real = gf._zeros_at
+
+    def corrupted(p, order, z):
+        values = real(p, order, z)
+        if z > 1:
+            values[1] += fault
+        return values
+    monkeypatch.setattr(gf, "_zeros_at", corrupted)
+    with pytest.raises(ArithmeticError, match="at t\\^1 is not a count of words"):
+        gf.eval_A(2, 5)
+    code = main(["series", "--gf", "A", "--p", "2", "--order", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("pascent: z-polynomial at t^1")
+
+
 _U_GRADED_REFUSALS = [
     ("series --gf H --p 1 --order 130", _OVERFLOW),
     ("series --gf H --p 1 --order 130 --udeg 0", _OVERFLOW),

@@ -1,5 +1,6 @@
 """Generating-function evaluators against frozen printed data and each other."""
 
+import hashlib
 import itertools
 import math
 
@@ -318,7 +319,7 @@ def test_gamma_sum_refuses_exponents_before_packing():
     with pytest.raises(ValueError, match="exponent overflow"):
         gf.psi(0, 128, 1)
     unit = [1] + [0] * 127
-    assert gf._gamma_sum(iter([[unit]]), 0, 0, 127) == gf.one_minus_zt(127).invert()
+    assert gf._decode(*gf._gamma_sum(iter([[unit]]), 0, 0, 127)) == gf.one_minus_zt(127).invert()
     with pytest.raises(ValueError, match="exponent overflow"):
         gf._gamma_sum(iter([[unit + [0]]]), 0, 0, 128)
 
@@ -363,7 +364,7 @@ def test_gamma_sum_matches_the_generic_chain():
                      for j, (term, g) in enumerate(zip(first_terms, chain))),
                     TSeries.zero(order),
                 ).u_truncate(bound)
-                actual = gf._gamma_sum(iter(rows), first, bound, order)
+                actual = gf._decode(*gf._gamma_sum(iter(rows), first, bound, order))
                 assert actual == expected, (order, first, bound)
     assert min(actual.terms().values()) < -(2**64)
 
@@ -379,7 +380,8 @@ def test_psi_left_side_is_the_prefactor_times_the_sum():
             for bound in sorted({0, 1, order, order + 2}):
                 terms = ([[(-1) ** n * math.comb((m + 1) * k, n) for n in range(order + 1)]]
                          for k in itertools.count())
-                expected = (prefactor * gf._gamma_sum(terms, 0, bound, order)).u_truncate(bound)
+                total = gf._decode(*gf._gamma_sum(terms, 0, bound, order))
+                expected = (prefactor * total).u_truncate(bound)
                 lhs, _rhs = gf.psi(m, order, bound)
                 assert lhs == expected, (order, m, bound)
 
@@ -476,3 +478,30 @@ def test_t_graded_sums_match_the_forward_products():
         expected = 1 + primitive.shift(1)
         for order in range(top + 1):
             assert gf.eval_R(p, order) == expected.truncate(order), (order, p)
+
+
+# SHA-256 prefixes of to_json(), as the sparse series product summed them
+_A_DIGESTS = [
+    (lambda: gf.eval_A(1, 100), "b324a1afdba97749"),
+    (lambda: gf.eval_A(2, 100), "618141468c486862"),
+    (lambda: gf.eval_A(3, 100), "cb1462583ed70591"),
+    (lambda: gf.eval_A(4, 100), "37a84df18531822a"),
+    (lambda: gf.eval_A(5, 100), "0fdddfa65359fcfa"),
+    (lambda: gf.eval_A(2, 127), "4e38bd588f111166"),
+    (lambda: gf.eval_A1_product_form(127), "9ad40e0b420ba77e"),  # = A(1, 127)
+]
+
+
+@pytest.mark.parametrize("build,digest", _A_DIGESTS,
+                         ids=["A1_100", "A2_100", "A3_100", "A4_100", "A5_100", "A2_127", "A1_form_127"])
+def test_symbolic_A_keeps_its_digests(build, digest):
+    """Symbolic A at high orders, read back from one run at z = 2^B, is the series
+    that the symbolic sum gave, byte for byte."""
+    assert hashlib.sha256(build().to_json().encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("z", [U, 2 * Z, Z + 1, Z * Z], ids=["u", "2z", "z+1", "z^2"])
+def test_eval_A_refuses_other_z(z):
+    """eval_A takes a constant or the variable z, nothing else."""
+    with pytest.raises(ValueError, match="z must be a constant or the variable z"):
+        gf.eval_A(2, 3, z)

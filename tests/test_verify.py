@@ -281,6 +281,15 @@ def _corrupt_psi(real):
     return corrupted
 
 
+def _bump_gamma_rows(real):
+    """real, plus z t^3 in row 0, at the integer z it is run at."""
+    def corrupted(terms, first, bound, order, z, op):
+        rows = real(terms, first, bound, order, z, op)
+        rows[0][3] += z
+        return rows
+    return corrupted
+
+
 def _corrupt_closed_count(real):
     def corrupted(p, pat, n, primitive_only=False):
         return real(p, pat, n, primitive_only) + (n == 3 and not primitive_only)
@@ -324,11 +333,11 @@ FAILURE_RECORDS = [
     ("rel16", gf, "eval_Gr", lambda f: _bump(f, MultiPoly.variable("z"), 3),
      verify.check_identity, ("rel16", 2, 6),
      {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "r": 2}),
-    # the left side's Horner sum (its z t^3 lands after the prefactor), then
-    # the public psi's right side
-    ("psi", gf, "_gamma_sum", lambda f: _bump(f, MultiPoly.variable("z"), 3),
+    # the left side's Horner rows (the prefactor (u-1)(1-zt) of m = 0 turns
+    # their z t^3 into -z t^3), then the public psi's right side
+    ("psi", gf, "_gamma_rows", _bump_gamma_rows,
      verify.check_identity, ("psi", None, 6),
-     {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "0", "actual": "1", "m": 0}),
+     {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "0", "actual": "-1", "m": 0}),
     ("psi_public", gf, "psi", _corrupt_psi,
      verify.check_identity, ("psi", None, 6),
      {"t_order": 3, "monomial": [0, 0, 1, 0], "expected": "1", "actual": "0", "m": 2}),
