@@ -2,7 +2,8 @@
 verification suites, and OEIS-style b-file output.
 
 Exit codes: 0 on success (all checks pass), 1 on a verification failure or
-a failed kernel cancellation, 2 on a usage error, a word walk over the node
+a failed kernel cancellation, 2 on a usage error (an --out path that cannot
+be written included), a word walk over the node
 budget, an avoider count over the state budget, or an exponent overflow.
 All output is byte-deterministic for fixed flags.
 """
@@ -141,8 +142,11 @@ def _cmd_series(args, out) -> int:
     series = _build_series(args)
     text = series.to_json() + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         out.write(text)
     return 0

@@ -14,7 +14,8 @@ Composition in t and substitution for u are Horner evaluations over the one
 series product, so the kernel is just product and division; composition
 holds the partial sum for coefficient j at order N - j, since it is
 multiplied by the j-th power of a series without constant term.
-Exponent vectors from outside are checked against the field bound, and every
+Exponent vectors from outside are checked against the field bound (100, and
+127 in series JSON, so that it reads back every series it writes), and every
 product's output is checked once for an exponent that reached 128; the
 public accessors speak plain tuples.
 """
@@ -32,6 +33,7 @@ VARS = ("u", "v", "z", "x")
 _SHIFT = {"u": 24, "v": 16, "z": 8, "x": 0}
 _MASK = 0xFF
 _MAX_EXP = 100  # bound on exponents that arrive from outside
+_MAX_KEPT = 127  # largest exponent a product keeps, and so to_json writes
 _CARRY = 0x80808080  # top bit of each field: products stop at 127, so no field carries
 _OVERFLOW = "exponent overflow: a product has an exponent of 128 or more"
 
@@ -41,12 +43,12 @@ def _pack(exps: Iterable[int]) -> int:
     return (eu << 24) | (ev << 16) | (ez << 8) | ex
 
 
-def _pack_checked(exps: Iterable[int]) -> int:
+def _pack_checked(exps: Iterable[int], bound: int = _MAX_EXP) -> int:
     exps = tuple(exps)
     if len(exps) != 4:
         raise ValueError(f"exponent vector must have 4 entries (u, v, z, x): {exps}")
-    if any(e < 0 or e > _MAX_EXP for e in exps):
-        raise ValueError(f"exponents must lie in [0, {_MAX_EXP}]: {exps}")
+    if any(e < 0 or e > bound for e in exps):
+        raise ValueError(f"exponents must lie in [0, {bound}]: {exps}")
     return _pack(exps)
 
 
@@ -225,7 +227,8 @@ class MultiPoly:
     # -- substitutions ----------------------------------------------------
 
     def specialize(self, assignments: Mapping[str, int]) -> "MultiPoly":
-        """Substitute integers for some of the variables."""
+        """Substitute integers for some of the variables; a value that is not
+        an integer (2.5, "2") raises TypeError rather than being truncated."""
         for name in assignments:
             if name not in _SHIFT:
                 raise ValueError(f"unknown variable {name!r}")
@@ -233,7 +236,7 @@ class MultiPoly:
         for name, value in assignments.items():
             shift = _SHIFT[name]
             clear = ~(_MASK << shift)
-            value = int(value)
+            value = index(value)
             out: dict[int, int] = {}
             for k, c in poly._t.items():
                 e = (k >> shift) & _MASK
@@ -536,13 +539,19 @@ class TSeries:
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        # every field is below 128, so packed keys sort as their exponent vectors
-        terms = [{"exp": [n, *_unpack(k)], "coeff": str(c)}
-                 for n, poly in enumerate(self.coeffs) for k, c in sorted(poly._t.items())]
-        return {"order": self.order, "vars": ["t", "u", "v", "z", "x"], "terms": terms}
+        """The series JSON as a dict: to_json's text, read back."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """The series JSON, in the bytes json.dumps writes for {"order", "vars",
+        "terms": [{"exp", "coeff"}, ...]}, formatted term by term from the
+        packed keys with no dict per term.  Every field is below 128, so
+        packed keys sort as exponent vectors."""
+        terms = ", ".join(
+            f'{{"exp": [{n}, {k >> 24}, {k >> 16 & _MASK}, {k >> 8 & _MASK}, {k & _MASK}], '
+            f'"coeff": "{c}"}}'
+            for n, poly in enumerate(self.coeffs) for k, c in sorted(poly._t.items()))
+        return f'{{"order": {self.order}, "vars": ["t", "u", "v", "z", "x"], "terms": [{terms}]}}'
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TSeries":
@@ -569,11 +578,12 @@ class TSeries:
             n = exp[0]
             if not 0 <= n <= order:
                 raise ValueError(f"t-exponent {n} outside order {order}")
-            key = _pack_checked(exp[1:])
+            key = _pack_checked(exp[1:], _MAX_KEPT)   # reads back all that to_json writes
             if key in coeffs[n]:
                 raise ValueError(f"repeated exponent vector in series JSON: {exp}")
             c = entry.get("coeff")   # an int, or the decimal string that to_json writes
-            if not (type(c) is int or isinstance(c, str) and c.removeprefix("-").isdecimal()):
+            if not (type(c) is int or isinstance(c, str) and c.isascii()
+                    and c.removeprefix("-").isdecimal()):
                 raise ValueError(f"series coefficient must be an integer or decimal text: {c!r}")
             coeffs[n][key] = int(c)
         return cls([MultiPoly({k: c for k, c in d.items() if c}) for d in coeffs])

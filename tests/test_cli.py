@@ -167,6 +167,17 @@ def test_series_file_output(tmp_path, capsys):
     assert obj["order"] == 4
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_series_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, where):
+    # this printed a traceback and exited 1, the verification-failure code
+    target = tmp_path / "no" / "x.json" if where == "missing_dir" else tmp_path
+    code = main(["series", "--gf", "P", "--order", "4", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"pascent: cannot write --out {target}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_series_missing_k(capsys):
     code, _ = run(capsys, "series", "--gf", "maxk", "--p", "1", "--order", "4")
     assert code == 2

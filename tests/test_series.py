@@ -124,6 +124,17 @@ def test_specialize_x_zero_keeps_zero_run_part():
     assert got == TSeries([Z**k for k in range(n + 1)])
 
 
+@pytest.mark.parametrize("value", [2.5, 1.9, "2"], ids=["float", "near_int", "text"])
+def test_specialize_refuses_a_value_that_is_not_an_integer(value):
+    # int() truncated these: ((z + 1)**2).specialize({"z": 2.5}) returned 9
+    with pytest.raises(TypeError):
+        ((Z + 1) ** 2).specialize({"z": value})
+    with pytest.raises(TypeError):
+        TSeries.from_poly(3, Z + 1, 1).specialize({"u": 1, "z": value})
+    with pytest.raises(TypeError):
+        TSeries.zero(2).specialize({"z": value})
+
+
 def test_coefficient_bounds():
     s = TSeries.one(3)
     with pytest.raises(ValueError):
@@ -222,10 +233,13 @@ def test_from_json_rejects_repeated_exponents(coeffs):
 @pytest.mark.parametrize("order, coeff", [
     (1.9, "1"), ("1", "1"), (True, "1"),
     (1, 1.9), (1, "1.9"), (1, "1e3"), (1, " 1"), (1, True), (1, None),
+    (1, "١٢"), (1, "-７"),
 ], ids=["order_float", "order_text", "order_bool", "coeff_float", "coeff_float_text",
-        "coeff_exponent_text", "coeff_space", "coeff_bool", "coeff_null"])
+        "coeff_exponent_text", "coeff_space", "coeff_bool", "coeff_null",
+        "coeff_arabic_indic_digits", "coeff_fullwidth_digit"])
 def test_from_json_refuses_a_non_integer_order_or_coefficient(order, coeff):
-    # the order and the coefficient were truncated by int(): 1.9 read as 1
+    # the order and the coefficient were truncated by int(): 1.9 read as 1;
+    # str.isdecimal took non-ASCII digits: "١٢" read as 12 and "-７" as -7
     obj = {"order": order, "vars": ["t", "u", "v", "z", "x"],
            "terms": [{"exp": [1, 0, 0, 0, 0], "coeff": coeff}]}
     with pytest.raises(ValueError, match="must be an integer"):
@@ -399,6 +413,41 @@ def test_subst_then_v_one_commutes(a):
 @given(series())
 def test_json_round_trip_random(a):
     assert TSeries.from_json(a.to_json()) == a
+
+
+def dict_form_json(s):
+    """The series JSON as json.dumps writes its dict form, one dict per term
+    in exponent-vector order: the bytes that to_json must keep."""
+    terms = [{"exp": list(exp), "coeff": str(c)} for exp, c in sorted(s.terms().items())]
+    return json.dumps({"order": s.order, "vars": ["t", "u", "v", "z", "x"], "terms": terms})
+
+
+wide_coeffs = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+wide_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 100)] * 4), wide_coeffs, max_size=4
+).map(MultiPoly.from_terms)
+# outside exponents stop at 100; a product with this lifts a field to 127
+lifts = st.tuples(*[st.integers(0, 27)] * 4).map(MultiPoly.monomial)
+
+
+@st.composite
+def json_series(draw):
+    order = draw(st.integers(0, 3))
+    coeffs = draw(st.lists(wide_polys, min_size=order + 1, max_size=order + 1))
+    return TSeries(coeffs) * draw(lifts)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(json_series())
+@example(TSeries.zero(0))
+@example(TSeries.zero(3))
+@example(TSeries.from_poly(0, MultiPoly.monomial((100,) * 4, -(2**65)) * MultiPoly.monomial((27,) * 4)))
+@example(TSeries.from_poly(2, (1 - X**127) * (2**64 + 1), 2) - TSeries.one(2))
+def test_to_json_writes_the_dict_form_and_reads_back(s):
+    text = s.to_json()
+    assert text == dict_form_json(s)
+    assert s.to_json_obj() == json.loads(text)
+    assert TSeries.from_json(text) == s
 
 
 # -- products against a naive reference over terms() tuples -------------------
