@@ -15,7 +15,9 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import gf, patterns, verify
-from .core import PAscentSequence, count_by_length, enumerate_sequences, stats
+from .core import (
+    PAscentSequence, _bounded_runs, _words, count_by_length, enumerate_sequences, stats,
+)
 from .patterns import Pattern
 from .series import MultiPoly, TSeries, scalar_coefficients
 
@@ -84,7 +86,8 @@ def _sequence_stream(args):
         pat = Pattern.parse(args.pattern)
         base = patterns.iter_avoiders(args.p, pat, args.n, primitive_only=args.primitive)
     elif args.primitive:
-        base = enumerate_sequences(args.p, args.n, pred=lambda s: stats(s).primitive)
+        root, step = _bounded_runs(1)
+        base = _words(args.p, args.n, state=root, step=step)
     else:
         base = enumerate_sequences(args.p, args.n)
     for seq in base:
@@ -108,10 +111,10 @@ def _cmd_count(args, out) -> int:
     if args.pattern is not None and not args.updown:
         pat = Pattern.parse(args.pattern)
         total = patterns.count_avoiders(args.p, pat, args.n, primitive_only=args.primitive)
-    elif args.updown or args.primitive:
+    elif args.updown:
         total = sum(1 for _ in _sequence_stream(args))
     else:
-        total = count_by_length(args.p, args.n)[args.n]
+        total = count_by_length(args.p, args.n, primitive_only=args.primitive)[args.n]
     out.write(f"{total}\n")
     return 0
 

@@ -247,6 +247,21 @@ def _bounded_runs(k: int, state: object = (), step: Callable | None = None):
     return (None, 0, state), bounded
 
 
+def _words(
+    p: int,
+    n: int,
+    word: Sequence[int] = (),
+    state: object = (),
+    step: Callable[[object, int], object | None] | None = None,
+) -> Iterator[PAscentSequence]:
+    """The words of length n among those _grow(p, n, word, state, step) yields,
+    in its order, as sequences: the one loop behind enumerate_sequences,
+    patterns.iter_avoiders and the CLI's enumerate --primitive."""
+    for w in _grow(p, n, word, state, step):
+        if len(w) == n:
+            yield PAscentSequence._trusted(p, w)
+
+
 def enumerate_sequences(
     p: int,
     n: int,
@@ -264,11 +279,8 @@ def enumerate_sequences(
     start = tuple(prefix) if prefix is not None else ()
     if not is_p_ascent(start, p):
         raise ValueError(f"prefix {start} is not a {p}-ascent sequence")
-    for word in _grow(p, n, start):
-        if len(word) == n:
-            seq = PAscentSequence._trusted(p, word)
-            if pred is None or pred(seq):
-                yield seq
+    words = _words(p, n, start)
+    yield from words if pred is None else filter(pred, words)
 
 
 def count_by_length(

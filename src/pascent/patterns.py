@@ -27,7 +27,7 @@ from itertools import accumulate, groupby, pairwise, product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import PAscentSequence, _bounded_runs, _check_p, _grow, _levels
+from .core import PAscentSequence, _bounded_runs, _check_p, _grow, _levels, _words
 from .series import MultiPoly, TSeries, _check_at_least
 
 
@@ -234,9 +234,7 @@ def iter_avoiders(
     _check_p(p)
     _check_at_least("n", n)
     root, step = _avoidance(pat, primitive_only)
-    for word in _grow(p, n, state=root, step=step):
-        if len(word) == n:
-            yield PAscentSequence._trusted(p, word)
+    yield from _words(p, n, state=root, step=step)
 
 
 def _avoiders_by_length(p: int, pat: Pattern, n_max: int) -> list[list[tuple[int, ...]]]:

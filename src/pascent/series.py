@@ -367,7 +367,8 @@ class TSeries:
 
     def monomial_coefficient(self, exp: tuple[int, int, int, int, int]) -> int:
         n, *rest = exp
-        return self.coefficient(n)._t.get(_pack_checked(rest), 0)
+        # a query reads as far as a product keeps, past the bound on input
+        return self.coefficient(n)._t.get(_pack_checked(rest, _MAX_KEPT), 0)
 
     def terms(self) -> dict[tuple[int, int, int, int, int], int]:
         out = {}

@@ -4,6 +4,7 @@ import hashlib
 import json
 import runpy
 import sys
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,26 @@ def test_count_matches_enumeration(capsys, flags):
             expected = sum(1 for seq in enumerate_sequences(p, n) if kept(seq.letters))
             code, out = run(capsys, "count", "--p", str(p), "--n", str(n), *flags)
             assert (code, out) == (0, f"{expected}\n"), (p, n)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_primitive_matches_filtered_enumeration(capsys, p):
+    """--primitive lists by a walk that never grows two equal adjacent letters
+    and counts by the level DP; both must match plain enumerate filtered here."""
+    for n in range(8):
+        flags = ("--p", str(p), "--n", str(n))
+        code, out = run(capsys, "enumerate", *flags)
+        assert code == 0
+        kept = [line for line in out.splitlines()
+                if all(a != b for a, b in pairwise(line.split(",")))]
+        assert run(capsys, "enumerate", *flags, "--primitive") == (
+            0, "".join(line + "\n" for line in kept)), (p, n)
+        code, out = run(capsys, "enumerate", *flags, "--primitive", "--format", "json")
+        assert (code, json.loads(out)) == (
+            0, [[int(c) for c in line.split(",")] if line else [] for line in kept]), (p, n)
+        assert run(capsys, "count", *flags, "--primitive") == (0, f"{len(kept)}\n"), (p, n)
+        assert run(capsys, "count", *flags, "--primitive", "--updown") == (
+            run(capsys, "count", *flags, "--updown")), (p, n)
 
 
 def test_count_pattern_over_state_budget(capsys, monkeypatch):
@@ -580,10 +601,10 @@ def test_verify_all_budget_6_digest(capsys):
     )
 
 
-@pytest.mark.parametrize("workload", ["kernel_series", "scalar_series"])
+@pytest.mark.parametrize("workload", ["kernel_series", "scalar_series", "enumerate"])
 def test_kernel_series_workload_outputs(capsys, workload):
-    """The kernel_series and scalar_series commands print the bytes that
-    perfbench records."""
+    """The kernel_series, scalar_series and enumerate commands print the bytes
+    that perfbench records."""
     workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
     for command in workloads["workloads"][workload]["commands"]:
         code, out = run(capsys, *command["command"].split())

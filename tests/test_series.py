@@ -349,6 +349,20 @@ def test_products_keep_exponent_127():
     assert str(U ** 127) == "u^127"
 
 
+def test_monomial_coefficient_reads_what_a_product_keeps():
+    s = TSeries.from_poly(1, Z ** 100, 1) * TSeries.from_poly(1, 3 * Z * U ** 27)
+    assert s.terms() == {(1, 27, 0, 101, 0): 3}
+    assert s.monomial_coefficient((1, 27, 0, 101, 0)) == 3
+    assert s.monomial_coefficient((1, 0, 0, 127, 0)) == 0
+    with pytest.raises(ValueError, match=r"exponents must lie in \[0, 127\]"):
+        s.monomial_coefficient((1, 0, 0, 128, 0))
+    # input from outside keeps the bound of 100
+    for make in (lambda: MultiPoly.monomial((0, 0, 101, 0)),
+                 lambda: MultiPoly.from_terms({(0, 0, 101, 0): 1})):
+        with pytest.raises(ValueError, match=r"exponents must lie in \[0, 100\]"):
+            make()
+
+
 @pytest.mark.parametrize("make", [
     lambda: TSeries.zero(-1),
     lambda: TSeries.one(-3),
