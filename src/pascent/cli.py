@@ -201,12 +201,11 @@ def _cmd_avoid(args, out) -> int:
 
 def _cmd_bijection(args, out) -> int:
     letters = _parse_seq(args.seq)
-    if args.map in ("10-to-012", "012-to-10") and args.p not in (None, 2):
-        raise _UsageError(f"--map {args.map} is only available for p = 2")
+    p = 2 if args.p is None else args.p
     if args.map == "10-to-012":
-        result = patterns.bijection_10_to_012(PAscentSequence(2, letters))
+        result = patterns.bijection_10_to_012(PAscentSequence(p, letters))
     elif args.map == "012-to-10":
-        result = patterns.bijection_012_to_10(PAscentSequence(2, letters))
+        result = patterns.bijection_012_to_10(PAscentSequence(p, letters))
     elif args.map == "embed":
         if args.p is None:
             raise _UsageError("--map embed requires --p (the parameter of the input)")
@@ -329,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--map", choices=("10-to-012", "012-to-10", "embed", "project"), required=True
     )
-    sp.add_argument("--p", type=int, help="parameter for embed (input) or project (output)")
+    sp.add_argument(
+        "--p", type=int,
+        help="parameter for embed (input), project (output) or the 10/012 maps (default 2)",
+    )
     sp.add_argument("--seq", required=True, help="comma-separated letters, empty for the empty word")
 
     sp = sub.add_parser("verify", help="run verification suites, print JSON reports")

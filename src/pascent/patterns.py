@@ -4,7 +4,9 @@ Covers word reduction, classical and vincular occurrence testing, avoider
 counts and lists (the oracle), the known closed-form counts and generating
 functions for the short patterns, the embedding of p-ascent sequences into
 ordinary ascent sequences, and the block-rewriting bijection between
-10-avoiding and 012-avoiding 2-ascent sequences.
+10-avoiding and 012-avoiding p-ascent sequences, for every p.  The bijection
+makes the two families equinumerous, so 012's counts past the paper's
+polynomials (p = 2, 3, 4) and its generating function are 10's.
 
 Avoiders come from one automaton over the generating tree (_avoidance).  For
 a pattern of length k its state holds, for each j < k, the value tuples of
@@ -22,7 +24,6 @@ sharing no code with the automaton: the ground truth tests compare both with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, groupby, pairwise, product
 from math import comb
 from typing import Iterator, Sequence
@@ -247,17 +248,6 @@ def _avoiders_by_length(p: int, pat: Pattern, n_max: int) -> list[list[tuple[int
     return buckets
 
 
-@lru_cache(maxsize=None)
-def _a012(n: int, p: int) -> int:
-    # number of 012-avoiding p-ascent sequences of length n, for p >= 2,
-    # via the peel-off-the-smallest-letter recursion seeded at p = 2
-    if n == 0:
-        return 1
-    if p == 2:
-        return 1 if n == 1 else (n + 1) << (n - 2)
-    return _a012(n, p - 1) + sum(_a012(k - 1, p - 1) << (n - k) for k in range(2, n + 1))
-
-
 def _exact_shift_div(numerator: int, power: int, divisor: int = 1) -> int:
     # numerator * 2^power / divisor with power possibly negative; must divide exactly
     if power >= 0:
@@ -282,12 +272,15 @@ def closed_count(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> 
 
     Supported: the classical patterns 01 (all p), 10 (all p, plain and
     primitive), 00 for p in {2, 3} (00-avoidance forces primitivity, so both
-    variants coincide), and 012 for p = 2, 3, 4 in closed form with a
-    recursion for larger p.
+    variants coincide), and plain 012 (all p): the paper's polynomials at
+    p = 2, 3, 4 and 10's sum at every other p, as the 10- and 012-avoiders are
+    equinumerous (bijection_10_to_012).
     """
     _check_p(p)
     _check_at_least("n", n)
     key = _closed_key(p, pat)
+    if key == "012" and not primitive_only and p not in (2, 3, 4):
+        key = "10"
     if n == 0:
         return 1
     if key == "01":
@@ -310,11 +303,7 @@ def closed_count(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> 
             return _exact_shift_div(n + 1, n - 2)
         if p == 3:
             return _exact_shift_div(n * n + 5 * n + 2, n - 4)
-        if p == 4:
-            return _exact_shift_div(n**3 + 12 * n**2 + 29 * n + 6, n - 5, 3)
-        if p >= 5:
-            return _a012(n, p)
-        raise NoClosedFormError("no closed form for pattern 012 with p=1")
+        return _exact_shift_div(n**3 + 12 * n**2 + 29 * n + 6, n - 5, 3)
     raise NoClosedFormError(f"no closed form for pattern {key} with p={p}")
 
 
@@ -322,11 +311,14 @@ def gf_avoiders(p: int, pat: Pattern, order: int, primitive_only: bool = False) 
     """Closed-form avoider generating function as an exact truncated series.
 
     Supported: the classical patterns 01 (all p), 10 (all p, plain and
-    primitive), and 00 for p=3.  The constant term counts the empty sequence.
+    primitive), plain 012 (all p, 10's function, as for closed_count) and 00
+    for p=3.  The constant term counts the empty sequence.
     """
     _check_p(p)
     _check_at_least("order", order)
     key = _closed_key(p, pat)
+    if key == "012" and not primitive_only:
+        key = "10"
     one = TSeries.one(order)
     t = TSeries.from_poly(order, MultiPoly.const(1), 1)
     if key == "01":
@@ -380,44 +372,43 @@ def project(seq: PAscentSequence, p: int) -> PAscentSequence:
 
 
 def bijection_10_to_012(seq: PAscentSequence) -> PAscentSequence:
-    """Block rewriting from 10-avoiding to 012-avoiding 2-ascent sequences.
+    """Block rewriting from 10-avoiding to 012-avoiding p-ascent sequences.
 
     A 10-avoider is weakly increasing, so its blocks (maximal runs of one
     value) rise: block i has value i + s_i with s_0 <= s_1 <= ..., and a
-    2-ascent sequence has s_0 = 0 and s_i <= 1, as block i follows i-1 ascents.
-    The image keeps block 0's zeros and writes each further block i as the
-    marker 2 - s_i followed by one zero for each further letter of the block,
-    so it is 2-ascent without a check: its letters are at most 2, the first 0.
+    p-ascent sequence has s_0 = 0 and s_i <= p - 1, as block i follows i-1
+    ascents.  The image keeps block 0's zeros and writes each further block i
+    as the marker p - s_i followed by one zero for each further letter of the
+    block, so it is p-ascent without a check: its letters are at most p, the
+    first 0.  Its markers do not rise, so it avoids 012.
     """
-    if seq.p != 2:
-        raise ValueError("the bijection is defined for 2-ascent sequences")
-    w = seq.letters
+    w, p = seq.letters, seq.p
     if any(a > b for a, b in pairwise(w)):
         raise ValueError(f"{w} contains the pattern 10")
     image: list[int] = []
     for i, (value, run) in enumerate(groupby(w)):
-        image += [2 - (value - i) if i else 0] + [0] * (len(list(run)) - 1)
-    return PAscentSequence._trusted(2, tuple(image))
+        image += [p - (value - i) if i else 0] + [0] * (len(list(run)) - 1)
+    return PAscentSequence._trusted(p, tuple(image))
 
 
 def bijection_012_to_10(seq: PAscentSequence) -> PAscentSequence:
     """Inverse block rewriting, from 012-avoiding back to 10-avoiding sequences.
 
     Block i is the i-th nonzero letter, its marker, with the zeros after it
-    (block 0: the leading zeros); each of its letters becomes i + (marker == 1).
-    The image is 2-ascent without a check: past both refusals the markers are 2s
-    then 1s, so block i, after i-1 ascents, has the value i or i+1 <= 2 + (i-1).
+    (block 0: the leading zeros, marker p); each of its letters becomes
+    i + (p - marker).  A 012-avoider starts with 0, so its nonzero letters
+    never rise, and the first is at most p.  The image is p-ascent without a
+    check: past both refusals the markers fall from p to at least 1, so block
+    i, after i-1 ascents, has the value i + (p - marker) <= p + (i-1).
     """
-    if seq.p != 2:
-        raise ValueError("the bijection is defined for 2-ascent sequences")
-    w = seq.letters
-    if any(c > 2 for c in w):
-        raise ValueError(f"{w} has a letter above 2, so it contains 012")
-    markers = [0] + [c for c in w if c]
-    if (1, 2) in pairwise(markers):
-        raise ValueError(f"{w} has a 2 after a 1, so it contains 012")
-    letters = [i + (markers[i] == 1) for i in accumulate(map(bool, w))]
-    return PAscentSequence._trusted(2, tuple(letters))
+    w, p = seq.letters, seq.p
+    if any(c > p for c in w):
+        raise ValueError(f"{w} has a letter above {p}, so it contains 012")
+    markers = [p] + [c for c in w if c]
+    if any(a < b for a, b in pairwise(markers)):
+        raise ValueError(f"{w} has a rise among its nonzero letters, so it contains 012")
+    letters = [i + p - markers[i] for i in accumulate(map(bool, w))]
+    return PAscentSequence._trusted(p, tuple(letters))
 
 
 def count_vincular_212_ternary(n: int) -> int:

@@ -240,21 +240,21 @@ def _check_vincular(n_max: int) -> dict | None:
     return _count_discrepancy(expected, actual, offset=1)
 
 
-def _check_bijection(n_max: int) -> dict | None:
+def _check_bijection(p: int, n_max: int) -> dict | None:
     pats = Pattern.parse("10"), Pattern.parse("012")
-    nodes = sum(sum(patterns.avoider_counts(2, pat, n_max)) for pat in pats)
+    nodes = sum(sum(patterns.avoider_counts(p, pat, n_max)) for pat in pats)
     _guard_budget(nodes, f"listing the 10- and 012-avoiders up to length {n_max}")
-    sources, targets = (patterns._avoiders_by_length(2, pat, n_max) for pat in pats)
+    sources, targets = (patterns._avoiders_by_length(p, pat, n_max) for pat in pats)
     for n, (source, target) in enumerate(zip(sources, targets)):
         images = set()
         for letters in source:
-            image = patterns.bijection_10_to_012(PAscentSequence._trusted(2, letters))
+            image = patterns.bijection_10_to_012(PAscentSequence._trusted(p, letters))
             if patterns.bijection_012_to_10(image).letters != letters:
                 return _mismatch(n, letters, "round trip failed")
             images.add(image.letters)
         if images != set(target):
             return _mismatch(n, f"{len(target)} images", f"{len(images)} images")
-        closed = patterns.closed_count(2, pats[1], n)
+        closed = patterns.closed_count(p, pats[1], n)
         if len(source) != closed:
             return _mismatch(n, closed, len(source))
     return None
@@ -414,7 +414,7 @@ SUITES: dict[str, Suite] = {
         order=lambda budget: min(budget + 2, 10), default_order=8,
     ),
     "bijection_10_012": Suite(
-        "pattern", lambda p, n, k: _check_bijection(n), ps=(2,),
+        "pattern", lambda p, n, k: _check_bijection(p, n), ps=(2,),
         order=lambda budget: min(budget + 4, 12), default_order=8,
     ),
     "embed_roundtrip": Suite(

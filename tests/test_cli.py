@@ -259,14 +259,13 @@ def test_bijection_invalid_input(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("bijection", ["10-to-012", "012-to-10"])
-def test_bijection_rejects_p_other_than_2(capsys, bijection):
-    code = main(["bijection", "--map", bijection, "--seq", "0,1,1", "--p", "5"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"pascent: --map {bijection} is only available for p = 2\n"
-    code, out = run(capsys, "bijection", "--map", bijection, "--seq", "0,1,1", "--p", "2")
-    assert code == 0 and out
+def test_bijection_round_trip_at_p_3(capsys):
+    code, out = run(capsys, "bijection", "--map", "10-to-012", "--p", "3",
+                    "--seq", "0,1,1,2,4")
+    assert code == 0 and out == "0,3,0,3,2\n"
+    code, out = run(capsys, "bijection", "--map", "012-to-10", "--p", "3",
+                    "--seq", "0,3,0,3,2")
+    assert code == 0 and out == "0,1,1,2,4\n"
 
 
 def test_series_udeg_is_used(capsys):

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 import golden_data as gold
-from pascent import patterns
+from pascent import patterns, verify
 from pascent.core import (
     BudgetExceededError,
     PAscentSequence,
@@ -249,21 +249,22 @@ def test_closed_count_matches_brute_force():
             assert closed == brute, (str(pat), p, prim)
 
 
-def test_closed_count_recursion_consistent_with_closed_forms():
-    from pascent.patterns import _a012
-
+def test_closed_count_012_polynomials_equal_the_10_sum():
+    """The 10- and 012-avoiders are equinumerous (the block maps), so the
+    paper's 012 polynomials at p = 2, 3, 4 equal 10's sum."""
     for p in (2, 3, 4):
-        for n in range(1, 10):
-            assert _a012(n, p) == closed_count(p, P012, n)
-    # p = 5 only has the recursion; check it against brute force
-    assert [closed_count(5, P012, n) for n in range(7)] == avoider_counts(5, P012, 6)
+        for n in range(60):
+            assert closed_count(p, P012, n) == closed_count(p, P10, n), (p, n)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_closed_count_012_matches_brute_force_every_p(p):
+    assert [closed_count(p, P012, n) for n in range(8)] == avoider_counts(p, P012, 7)
 
 
 def test_closed_count_unsupported():
     with pytest.raises(NoClosedFormError):
         closed_count(4, P00, 5)
-    with pytest.raises(NoClosedFormError):
-        closed_count(1, P012, 5)
     with pytest.raises(NoClosedFormError):
         closed_count(2, P012, 5, primitive_only=True)
     with pytest.raises(NoClosedFormError):
@@ -295,7 +296,12 @@ def test_gf_avoiders_unsupported():
     with pytest.raises(NoClosedFormError):
         gf_avoiders(2, P00, 5)
     with pytest.raises(NoClosedFormError):
-        gf_avoiders(2, P012, 5)
+        gf_avoiders(2, P012, 5, primitive_only=True)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_gf_avoiders_012_matches_brute_force(p):
+    assert scalar_coefficients(gf_avoiders(p, P012, 8)) == avoider_counts(p, P012, 8)
 
 
 CONSECUTIVE_00 = Pattern((0, 0), ((0, 1),))
@@ -413,32 +419,36 @@ def test_bijection_rejects_bad_input():
     with pytest.raises(ValueError):
         bijection_10_to_012(PAscentSequence(2, (0, 1, 0)))   # contains 10
     with pytest.raises(ValueError):
-        bijection_10_to_012(PAscentSequence(1, (0, 1)))      # wrong p
-    with pytest.raises(ValueError):
         bijection_012_to_10(PAscentSequence(2, (0, 1, 2)))   # contains 012
 
 
+def test_bijection_rejects_bad_input_at_p_3():
+    with pytest.raises(ValueError, match="contains the pattern 10"):
+        bijection_10_to_012(PAscentSequence(3, (0, 2, 1)))
+    with pytest.raises(ValueError, match="has a letter above 3, so it contains 012"):
+        bijection_012_to_10(PAscentSequence(3, (0, 1, 4)))
+    with pytest.raises(ValueError, match="has a rise among its nonzero letters"):
+        bijection_012_to_10(PAscentSequence(3, (0, 1, 2)))
+
+
 def test_bijection_is_bijection_small():
-    for n in range(9):
-        source = list(iter_avoiders(2, P10, n))
-        target = {s.letters for s in iter_avoiders(2, P012, n)}
-        images = {bijection_10_to_012(s).letters for s in source}
-        assert images == target
-        for seq in source:
-            assert bijection_012_to_10(bijection_10_to_012(seq)) == seq
-        expected = (n + 1) * 2 ** (n - 2) if n >= 2 else 1
-        assert len(source) == len(target) == expected
+    """The bijection suite's check at p = 1..5: the maps invert each other,
+    the images of the 10-avoiders are exactly the 012-avoiders, and the
+    counts equal closed_count's, up to length 9 (8 at p = 5)."""
+    for p in range(1, 6):
+        assert verify._check_bijection(p, 9 if p < 5 else 8) is None, p
 
 
-def test_bijection_images_are_2_ascent():
-    """Both maps build their images unvalidated; each one is 2-ascent and
-    equals the validated sequence of its letters, up to length 9."""
-    for n in range(10):
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_bijection_images_are_p_ascent(p):
+    """Both maps build their images unvalidated; each one is p-ascent and
+    equals the validated sequence of its letters, up to length 9 (8 at p = 5)."""
+    for n in range(10 if p < 5 else 9):
         for source, bijection in ((P10, bijection_10_to_012), (P012, bijection_012_to_10)):
-            for seq in iter_avoiders(2, source, n):
+            for seq in iter_avoiders(p, source, n):
                 image = bijection(seq)
-                assert is_p_ascent(image.letters, 2)
-                assert image == PAscentSequence(2, image.letters)
+                assert is_p_ascent(image.letters, p)
+                assert image == PAscentSequence(p, image.letters)
 
 
 def test_vincular_counts():
