@@ -259,13 +259,15 @@ def test_bijection_invalid_input(capsys):
     assert code == 2
 
 
-def test_bijection_round_trip_at_p_3(capsys):
-    code, out = run(capsys, "bijection", "--map", "10-to-012", "--p", "3",
-                    "--seq", "0,1,1,2,4")
-    assert code == 0 and out == "0,3,0,3,2\n"
-    code, out = run(capsys, "bijection", "--map", "012-to-10", "--p", "3",
-                    "--seq", "0,3,0,3,2")
-    assert code == 0 and out == "0,1,1,2,4\n"
+@pytest.mark.parametrize("bijection, inverse, seq, image", [
+    ("10-to-012", "012-to-10", "0,1,1,2,4", "0,3,0,3,2"),
+    ("012-to-10", "10-to-012", "0,3,0,3,2", "0,1,1,2,4"),
+], ids=["10-to-012", "012-to-10"])
+def test_bijection_round_trip_at_p_3(capsys, bijection, inverse, seq, image):
+    code, out = run(capsys, "bijection", "--map", bijection, "--p", "3", "--seq", seq)
+    assert code == 0 and out == image + "\n"
+    code, out = run(capsys, "bijection", "--map", inverse, "--p", "3", "--seq", image)
+    assert code == 0 and out == seq + "\n"
 
 
 def test_series_udeg_is_used(capsys):
