@@ -11,13 +11,12 @@ All output is byte-deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Callable, NamedTuple
 
 from . import gf, patterns, verify
-from .core import (
-    PAscentSequence, _bounded_runs, _words, count_by_length, enumerate_sequences, stats,
-)
+from .core import PAscentSequence, _bounded_runs, _levels, _up_down, _words
 from .patterns import Pattern
 from .series import MultiPoly, TSeries, scalar_coefficients
 
@@ -78,44 +77,37 @@ def _parse_assignments(text: str) -> dict[str, int]:
     return out
 
 
-def _sequence_stream(args):
-    pred = None
-    if args.updown:
-        pred = lambda seq: stats(seq).up_down
+def _word_rule(args):
+    """The empty word's state and the step that keep the words that --pattern,
+    --primitive and --updown ask for: the one rule of enumerate and count."""
     if args.pattern is not None:
-        pat = Pattern.parse(args.pattern)
-        base = patterns.iter_avoiders(args.p, pat, args.n, primitive_only=args.primitive)
+        state, step = patterns._avoidance(Pattern.parse(args.pattern), args.primitive)
     elif args.primitive:
-        root, step = _bounded_runs(1)
-        base = _words(args.p, args.n, state=root, step=step)
+        state, step = _bounded_runs(1)
     else:
-        base = enumerate_sequences(args.p, args.n)
-    for seq in base:
-        if pred is None or pred(seq):
-            yield seq
+        state, step = (), None
+    return _up_down(state, step) if args.updown else (state, step)
 
 
 def _cmd_enumerate(args, out) -> int:
+    state, step = _word_rule(args)
+    words = _words(args.p, args.n, state=state, step=step)
     if args.format == "json":
-        rows = [list(seq.letters) for seq in _sequence_stream(args)]
-        import json
-
-        out.write(json.dumps(rows) + "\n")
+        out.write(json.dumps([list(seq.letters) for seq in words]) + "\n")
     else:
-        for seq in _sequence_stream(args):
+        for seq in words:
             out.write(",".join(map(str, seq.letters)) + "\n")
     return 0
 
 
 def _cmd_count(args, out) -> int:
-    if args.pattern is not None and not args.updown:
-        pat = Pattern.parse(args.pattern)
-        total = patterns.count_avoiders(args.p, pat, args.n, primitive_only=args.primitive)
-    elif args.updown:
-        total = sum(1 for _ in _sequence_stream(args))
-    else:
-        total = count_by_length(args.p, args.n, primitive_only=args.primitive)[args.n]
-    out.write(f"{total}\n")
+    state, step = _word_rule(args)
+    # an avoider count keeps the state budget of patterns.avoider_counts
+    budget = None if args.pattern is None else patterns._MAX_STATES
+    level = {(): 1}  # the empty word, the count at n = 0
+    for level in _levels(args.p, args.n, state, step, budget):
+        pass
+    out.write(f"{sum(level.values())}\n")
     return 0
 
 

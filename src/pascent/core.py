@@ -7,12 +7,12 @@ word by _grow (the exhaustive enumeration) and counted level by level by
 _levels (the oracle that the closed-form evaluators in gf are checked
 against; tests check it against the enumeration).  Both carry a state from
 each word to its children and prune where a step says so: the avoidance
-automaton of patterns, the run bound of _bounded_runs, or oracle_table's step.
+automaton of patterns, _bounded_runs, _up_down or oracle_table's step.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
 from operator import gt, lt
 from typing import Callable, Iterator, Sequence
 
@@ -129,15 +129,8 @@ class StatProfile:
     up_down: bool
 
 
-_STAT_FIELDS = tuple(f.name for f in fields(StatProfile))
-
-
 def stats(seq: PAscentSequence) -> StatProfile:
-    """Compute the full statistic profile of a sequence.
-
-    A nonempty word's profile is filled in without the frozen __init__, as
-    _trusted fills a sequence; it equals the StatProfile of the same values.
-    """
+    """Compute the full statistic profile of a sequence."""
     w = seq.letters
     n = len(w)
     if not n:
@@ -151,16 +144,13 @@ def stats(seq: PAscentSequence) -> StatProfile:
     if zeros < n:
         while not w[run]:
             run += 1
-    values = (
+    return StatProfile(
         n, ascents, descents, zeros, w[-1], run, max(w), sum(w),
         # primitive: no two adjacent letters are equal
         ascents + descents == n - 1,
         # up_down: rises at even positions i (w[i] < w[i+1]), falls at odd ones
         all(map(lt, w[::2], odd)) and all(map(gt, odd, w[2::2])),
     )
-    profile = object.__new__(StatProfile)
-    profile.__dict__.update(zip(_STAT_FIELDS, values))
-    return profile
 
 
 def _grow(
@@ -203,9 +193,9 @@ def _levels(
     of words of length m with those ascents, last letter and state.  state
     and step are those of _grow: state is the empty word's, and a child that
     step maps to None is not counted, nor are its extensions.  Every further
-    statistic or filter is a step (see _bounded_runs and oracle_table).  Only
-    the latest level is held, and BudgetExceededError is raised once a level
-    holds more than max_states keys.
+    statistic or filter is a step (see _bounded_runs, _up_down and
+    oracle_table).  Only the latest level is held, and BudgetExceededError is
+    raised once a level holds more than max_states keys.
     """
     if n_max < 1:
         return
@@ -247,6 +237,23 @@ def _bounded_runs(k: int, state: object = (), step: Callable | None = None):
     return (None, 0, state), bounded
 
 
+def _up_down(state: object = (), step: Callable | None = None):
+    """The empty word's state and the step that keep exactly the up-down words
+    (a rise after each even position, a fall after each odd one) around an
+    inner state and step.  The state is (last, rise, inner): the last letter
+    (None for the empty word), whether the word ends in a rise, and the inner
+    state."""
+    def up_down(s, c):
+        last, rise, inner = s
+        if last is not None and (c >= last if rise else c <= last):
+            return None
+        if step is not None:
+            inner = step(inner, c)
+        return None if inner is None else (c, last is not None and not rise, inner)
+
+    return (None, False, state), up_down
+
+
 def _words(
     p: int,
     n: int,
@@ -256,7 +263,7 @@ def _words(
 ) -> Iterator[PAscentSequence]:
     """The words of length n among those _grow(p, n, word, state, step) yields,
     in its order, as sequences: the one loop behind enumerate_sequences,
-    patterns.iter_avoiders and the CLI's enumerate --primitive."""
+    patterns.iter_avoiders and the CLI's enumerate."""
     for w in _grow(p, n, word, state, step):
         if len(w) == n:
             yield PAscentSequence._trusted(p, w)

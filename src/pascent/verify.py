@@ -43,7 +43,7 @@ from .core import (
     oracle_table,
 )
 from .patterns import Pattern
-from .series import MultiPoly, TSeries, _check_at_least, scalar_coefficients
+from .series import MultiPoly, TSeries, _check_at_least, _from_scalars, scalar_coefficients
 
 
 # hard ceiling on the number of words a suite may walk
@@ -114,7 +114,7 @@ def _guard_budget(nodes: int, walk: str) -> None:
 
 def _counts(p: int, n_max: int, **options) -> TSeries:
     """Oracle counts by length (see count_by_length) as a scalar series."""
-    return TSeries([MultiPoly.const(c) for c in count_by_length(p, n_max, **options)])
+    return _from_scalars(count_by_length(p, n_max, **options))
 
 
 def _kernel_sides(p: int, f: TSeries, constant: TSeries) -> tuple[TSeries, TSeries]:

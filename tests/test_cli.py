@@ -11,7 +11,7 @@ import pytest
 
 from pascent import gf, patterns, verify
 from pascent.cli import main
-from pascent.core import enumerate_sequences
+from pascent.core import PAscentSequence, stats
 from pascent.patterns import Pattern, occurs
 from pascent.series import MultiPoly, TSeries
 
@@ -53,6 +53,9 @@ def test_enumerate_updown(capsys):
     assert code == 0
     # up-down 2-ascent sequences of length 3: 010, 020, 021
     assert out == "3\n"
+    # counted level by level, not by listing the 12,297,411 3-ascent words
+    # of length 10 (the stats-filtered walk gives 70400 too)
+    assert run(capsys, "count", "--p", "3", "--n", "10", "--updown") == (0, "70400\n")
 
 
 def test_count_primitive(capsys):
@@ -64,24 +67,35 @@ def test_count_primitive(capsys):
 @pytest.mark.parametrize("flags", [
     (), ("--primitive",), ("--pattern", "012"), ("--pattern", "10-1", "--primitive"),
     ("--pattern", "[00]"), ("--updown",), ("--pattern", "0-1", "--primitive", "--updown"),
+    ("--updown", "--primitive"), ("--pattern", "000", "--updown"),
 ])
 def test_count_matches_enumeration(capsys, flags):
-    """count counts by level DP; listing the words must give the same number."""
+    """count counts by level DP; it must give the number of words of plain
+    enumerate that the flags keep, judged here by stats and occurs.  With
+    --updown, enumerate must list exactly those words, in both formats."""
     pat = Pattern.parse(flags[flags.index("--pattern") + 1]) if "--pattern" in flags else None
 
-    def kept(w):
-        pairs = list(zip(w, w[1:]))
-        return not ("--primitive" in flags and any(a == b for a, b in pairs)
-                    # up-down: w0 < w1 > w2 < w3 ...
-                    or "--updown" in flags and any(not (a < b if i % 2 == 0 else a > b)
-                                                   for i, (a, b) in enumerate(pairs))
-                    or pat and occurs(pat, w))
+    def kept(seq):
+        profile = stats(seq)
+        return not ("--primitive" in flags and not profile.primitive
+                    or "--updown" in flags and not profile.up_down
+                    or pat and occurs(pat, seq.letters))
 
     for p in (1, 2, 3):
-        for n in range(7):
-            expected = sum(1 for seq in enumerate_sequences(p, n) if kept(seq.letters))
-            code, out = run(capsys, "count", "--p", str(p), "--n", str(n), *flags)
-            assert (code, out) == (0, f"{expected}\n"), (p, n)
+        for n in range(8):
+            code, out = run(capsys, "enumerate", "--p", str(p), "--n", str(n))
+            assert code == 0
+            words = [PAscentSequence(p, tuple(int(c) for c in line.split(",") if c))
+                     for line in out.splitlines()]
+            words = [seq for seq in words if kept(seq)]
+            argv = ("--p", str(p), "--n", str(n), *flags)
+            assert run(capsys, "count", *argv) == (0, f"{len(words)}\n"), (p, n)
+            if "--updown" in flags:
+                assert run(capsys, "enumerate", *argv) == (
+                    0, "".join(f"{seq}\n" for seq in words)), (p, n)
+                code, out = run(capsys, "enumerate", *argv, "--format", "json")
+                assert (code, json.loads(out)) == (
+                    0, [list(seq.letters) for seq in words]), (p, n)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
