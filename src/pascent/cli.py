@@ -3,15 +3,16 @@ verification suites, and OEIS-style b-file output.
 
 Exit codes: 0 on success (all checks pass), 1 on a verification failure or
 a failed kernel cancellation, 2 on a usage error (an --out path that cannot
-be written included), a word walk over the node
-budget, an avoider count over the state budget, or an exponent overflow.
+be written included), a word walk over the node budget, an avoider count
+over the state budget, or an exponent overflow, and 141 (128 + SIGPIPE),
+with no message, when the reader closes stdout early, as `| head` does.
 All output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -93,10 +94,18 @@ def _cmd_enumerate(args, out) -> int:
     state, step = _word_rule(args)
     words = _words(args.p, args.n, state=state, step=step)
     if args.format == "json":
-        out.write(json.dumps([list(seq.letters) for seq in words]) + "\n")
+        # the bytes of json.dumps of the list of words, written word by word
+        item = "[" + ", ".join(["%d"] * args.n) + "]"
+        first = next(words, None)
+        if first is None:
+            out.write("[]\n")
+            return 0
+        out.write("[" + item % first)
+        out.writelines(map((", " + item).__mod__, words))
+        out.write("]\n")
     else:
-        for seq in words:
-            out.write(",".join(map(str, seq.letters)) + "\n")
+        line = ",".join(["%d"] * args.n) + "\n"
+        out.writelines(map(line.__mod__, words))
     return 0
 
 
@@ -383,4 +392,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone (say, `| head`): stop quietly, with stdout on
+        # devnull so that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141  # 128 + 13 (SIGPIPE), what a shell reports for a writer SIGPIPE ends
+    raise SystemExit(code)

@@ -260,13 +260,14 @@ def _words(
     word: Sequence[int] = (),
     state: object = (),
     step: Callable[[object, int], object | None] | None = None,
-) -> Iterator[PAscentSequence]:
+) -> Iterator[tuple[int, ...]]:
     """The words of length n among those _grow(p, n, word, state, step) yields,
-    in its order, as sequences: the one loop behind enumerate_sequences,
-    patterns.iter_avoiders and the CLI's enumerate."""
+    in its order, as letter tuples: the one loop behind the CLI's enumerate,
+    which formats the tuples as they come, and enumerate_sequences and
+    patterns.iter_avoiders, which wrap each in PAscentSequence._trusted."""
     for w in _grow(p, n, word, state, step):
         if len(w) == n:
-            yield PAscentSequence._trusted(p, w)
+            yield w
 
 
 def enumerate_sequences(
@@ -286,7 +287,7 @@ def enumerate_sequences(
     start = tuple(prefix) if prefix is not None else ()
     if not is_p_ascent(start, p):
         raise ValueError(f"prefix {start} is not a {p}-ascent sequence")
-    words = _words(p, n, start)
+    words = (PAscentSequence._trusted(p, w) for w in _words(p, n, start))
     yield from words if pred is None else filter(pred, words)
 
 

@@ -235,7 +235,8 @@ def iter_avoiders(
     _check_p(p)
     _check_at_least("n", n)
     root, step = _avoidance(pat, primitive_only)
-    yield from _words(p, n, state=root, step=step)
+    for w in _words(p, n, state=root, step=step):
+        yield PAscentSequence._trusted(p, w)
 
 
 def _avoiders_by_length(p: int, pat: Pattern, n_max: int) -> list[list[tuple[int, ...]]]:

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
+import tracemalloc
 from itertools import pairwise
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 from pascent import gf, patterns, verify
 from pascent.cli import main
-from pascent.core import PAscentSequence, stats
+from pascent.core import PAscentSequence, enumerate_sequences, stats
 from pascent.patterns import Pattern, occurs
 from pascent.series import MultiPoly, TSeries
 
@@ -46,6 +49,81 @@ def test_enumerate_json(capsys):
     code, out = run(capsys, "enumerate", "--p", "1", "--n", "2", "--format", "json")
     assert code == 0
     assert json.loads(out) == [[0, 0], [0, 1]]
+
+
+_JSON_WORDS = {
+    (): lambda p, n: enumerate_sequences(p, n),
+    ("--primitive",): lambda p, n: enumerate_sequences(p, n, lambda s: stats(s).primitive),
+    ("--updown",): lambda p, n: enumerate_sequences(p, n, lambda s: stats(s).up_down),
+    ("--pattern", "00"): lambda p, n: patterns.iter_avoiders(p, Pattern.parse("00"), n),
+    ("--pattern", "10-1", "--primitive"): lambda p, n: patterns.iter_avoiders(
+        p, Pattern.parse("10-1"), n, primitive_only=True),
+    # no word of length 2 or more: the list prints as [], as at p = 1, n = 3
+    ("--pattern", "01", "--primitive"): lambda p, n: patterns.iter_avoiders(
+        p, Pattern.parse("01"), n, primitive_only=True),
+}
+
+
+@pytest.mark.parametrize("flags", list(_JSON_WORDS))
+def test_enumerate_json_bytes(capsys, flags):
+    """enumerate --format json writes word by word the very bytes that
+    json.dumps gives for the list of the words, spacing included."""
+    for p in (1, 2, 3):
+        for n in range(7):
+            words = [list(seq.letters) for seq in _JSON_WORDS[flags](p, n)]
+            argv = ("enumerate", "--p", str(p), "--n", str(n), *flags, "--format", "json")
+            assert run(capsys, *argv) == (0, json.dumps(words) + "\n"), (p, n)
+
+
+class _DigestSink:
+    """A stdout that keeps only the SHA-256 of the text it is given."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_json_streams(monkeypatch):
+    """The JSON list is written as the walk goes, not held: the 24,779 words
+    of length 7 (346,906 bytes as lines) pass through in well under 1 MiB."""
+    words = [list(seq.letters) for seq in enumerate_sequences(3, 7)]
+    expected = hashlib.sha256((json.dumps(words) + "\n").encode()).hexdigest()
+    del words
+    sink = _DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "--p", "3", "--n", "7", "--format", "json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.sha.hexdigest() == expected
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_closed_pipe_exits_141_quietly(fmt):
+    """A reader that stops early, as `| head` does, ends the command with
+    exit 141 (128 + SIGPIPE) and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pascent", "enumerate", "--p", "3", "--n", "9", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_enumerate_updown(capsys):
