@@ -17,7 +17,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import gf, patterns, verify
-from .core import PAscentSequence, _bounded_runs, _levels, _up_down, _words
+from .core import PAscentSequence, _count, _rule, _words
 from .patterns import Pattern
 from .series import MultiPoly, TSeries, scalar_coefficients
 
@@ -80,19 +80,13 @@ def _parse_assignments(text: str) -> dict[str, int]:
 
 def _word_rule(args):
     """The empty word's state and the step that keep the words that --pattern,
-    --primitive and --updown ask for: the one rule of enumerate and count."""
-    if args.pattern is not None:
-        state, step = patterns._avoidance(Pattern.parse(args.pattern), args.primitive)
-    elif args.primitive:
-        state, step = _bounded_runs(1)
-    else:
-        state, step = (), None
-    return _up_down(state, step) if args.updown else (state, step)
+    --primitive and --updown ask for: core._rule, as the library composes it."""
+    inner = () if args.pattern is None else patterns._avoidance(Pattern.parse(args.pattern))
+    return _rule(*inner, max_run=1 if args.primitive else None, up_down=args.updown)
 
 
 def _cmd_enumerate(args, out) -> int:
-    state, step = _word_rule(args)
-    words = _words(args.p, args.n, state=state, step=step)
+    words = _words(args.p, args.n, (), *_word_rule(args))
     if args.format == "json":
         # the bytes of json.dumps of the list of words, written word by word
         item = "[" + ", ".join(["%d"] * args.n) + "]"
@@ -110,13 +104,9 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    state, step = _word_rule(args)
     # an avoider count keeps the state budget of patterns.avoider_counts
     budget = None if args.pattern is None else patterns._MAX_STATES
-    level = {(): 1}  # the empty word, the count at n = 0
-    for level in _levels(args.p, args.n, state, step, budget):
-        pass
-    out.write(f"{sum(level.values())}\n")
+    out.write(f"{_count(args.p, args.n, *_word_rule(args), budget)[-1]}\n")
     return 0
 
 

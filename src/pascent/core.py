@@ -6,8 +6,12 @@ of the preceding prefix.  These words form a generating tree, walked word by
 word by _grow (the exhaustive enumeration) and counted level by level by
 _levels (the oracle that the closed-form evaluators in gf are checked
 against; tests check it against the enumeration).  Both carry a state from
-each word to its children and prune where a step says so: the avoidance
-automaton of patterns, _bounded_runs, _up_down or oracle_table's step.
+each word to its children and prune where a step says so: oracle_table's
+step, or the one word rule _rule, which composes the avoidance automaton of
+patterns with a bound on runs of equal letters and the up-down rule.
+count_by_length, patterns' avoider counts and lists and the CLI's enumerate
+and count all compose their filters through _rule, and every count among
+them is _count, the levels of _levels summed.
 """
 
 from __future__ import annotations
@@ -193,9 +197,9 @@ def _levels(
     of words of length m with those ascents, last letter and state.  state
     and step are those of _grow: state is the empty word's, and a child that
     step maps to None is not counted, nor are its extensions.  Every further
-    statistic or filter is a step (see _bounded_runs, _up_down and
-    oracle_table).  Only the latest level is held, and BudgetExceededError is
-    raised once a level holds more than max_states keys.
+    statistic or filter is a step (see _rule and oracle_table).  Only the
+    latest level is held, and BudgetExceededError is raised once a level
+    holds more than max_states keys.
     """
     if n_max < 1:
         return
@@ -254,6 +258,24 @@ def _up_down(state: object = (), step: Callable | None = None):
     return (None, False, state), up_down
 
 
+def _rule(state: object = (), step: Callable | None = None, max_run: int | None = None,
+          up_down: bool = False):
+    """The one word rule: the empty word's state and the step that keep the
+    words the inner state and step keep, with no block of more than max_run
+    equal letters (_bounded_runs, when max_run is given) and, when up_down is
+    set, up-down (_up_down, around the run bound)."""
+    if max_run is not None:
+        state, step = _bounded_runs(max_run, state, step)
+    return _up_down(state, step) if up_down else (state, step)
+
+
+def _count(p: int, n_max: int, state: object = (), step: Callable | None = None,
+           max_states: int | None = None) -> list[int]:
+    """The number of words of each length 0..n_max that state and step keep:
+    1 for the empty word, then each level of _levels summed."""
+    return [1] + [sum(level.values()) for level in _levels(p, n_max, state, step, max_states)]
+
+
 def _words(
     p: int,
     n: int,
@@ -306,9 +328,7 @@ def count_by_length(
     _check_at_least("n_max", n_max)
     if max_repeat is not None:
         _check_at_least("max_repeat", max_repeat, 1)
-    k = 1 if primitive_only else max_repeat
-    root, step = _bounded_runs(k) if k else ((), None)
-    return [1] + [sum(level.values()) for level in _levels(p, n_max, root, step)]
+    return _count(p, n_max, *_rule(max_run=1 if primitive_only else max_repeat))
 
 
 def _zeros_and_run(s: tuple[int, int], c: int) -> tuple[int, int]:

@@ -138,18 +138,24 @@ def _gamma_sum(terms: Iterable, first: int, bound: int, order: int, e: int = 0) 
 
 def _decode(rows: list[list[int]], width: int) -> TSeries:
     """The series whose u^k t^n coefficient, a z-polynomial, is rows[k][n] at z = 2^width:
-    balanced digits, z^0 first, exact if every z-coefficient is below 2^(width-1) in size."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
+    balanced digits, z^0 first, exact if every z-coefficient is below 2^(width-1) in size.
+
+    z^n comes with t^n, so a digit past z^n, which a width too narrow for the
+    coefficients can give, raises ArithmeticError instead of decoding wrongly."""
+    half, mask, z = 1 << (width - 1), (1 << width) - 1, 1 << _SHIFT["z"]
     coeffs: list[dict[int, int]] = [{} for _ in rows[0]]
     for k, row in enumerate(rows):
-        for poly, value in zip(coeffs, row):
+        for n, (poly, value) in enumerate(zip(coeffs, row)):
             key = k << _SHIFT["u"]
+            top = key + n * z
             while value:
+                if key > top:
+                    raise ArithmeticError(f"u^{k} t^{n} has a digit past z^{n} at width {width}")
                 digit = ((value + half) & mask) - half
                 if digit:
                     poly[key] = digit
                 value = (value - digit) >> width
-                key += 1 << _SHIFT["z"]
+                key += z
     return TSeries(list(map(MultiPoly, coeffs)))
 
 

@@ -12,12 +12,14 @@ Avoiders come from one automaton over the generating tree (_avoidance).  For
 a pattern of length k its state holds, for each j < k, the value tuples of
 the word that reduce to the pattern's first j letters (for a vincular block,
 only those ending at the last letter), so appending a letter updates the
-state instead of searching the word again.  core._levels merges words of
-equal (ascents, last letter, state) and counts them: avoider_counts,
-count_avoiders and every pattern suite's brute column; a level of more than
-_MAX_STATES keys raises BudgetExceededError.  core._grow carries
-the state from word to word and lists them: iter_avoiders and the
-bijection suite.  occurs places the pattern in a whole word letter by letter,
+state instead of searching the word again.  The primitive rule wraps it
+through core._rule, the one word rule of core and the CLI.  core._count
+merges words of equal (ascents, last letter, state) level by level and counts
+them: avoider_counts, count_avoiders and every pattern suite's brute column;
+a level of more than _MAX_STATES keys raises BudgetExceededError.
+core._words carries the state from word to word and lists them:
+iter_avoiders (the bijection suite lists every length at once, through
+core._grow).  occurs places the pattern in a whole word letter by letter,
 sharing no code with the automaton: the ground truth tests compare both with.
 """
 
@@ -28,7 +30,7 @@ from itertools import accumulate, groupby, pairwise, product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import PAscentSequence, _bounded_runs, _check_p, _grow, _levels, _words
+from .core import PAscentSequence, _check_p, _count, _grow, _rule, _words
 from .series import MultiPoly, TSeries, _check_at_least
 
 
@@ -151,7 +153,7 @@ def _stage(letters: tuple[int, ...], j: int) -> tuple[int | None, int | None, in
     return eq, lo, hi
 
 
-def _avoidance(pat: Pattern, primitive_only: bool):
+def _avoidance(pat: Pattern):
     """The empty word's state and the step of the avoidance automaton.
 
     The state holds, for each j = 1..k-1, the set of value tuples of the
@@ -159,8 +161,8 @@ def _avoidance(pat: Pattern, primitive_only: bool):
     j must sit next to position j-1, only the tuples ending at the word's
     last letter.  step(state, c) extends each set by c wherever c's order
     relation to every value of the tuple matches the pattern, and returns
-    None when some tuple extends to a full occurrence.  primitive_only wraps
-    it in core._bounded_runs(1), which refuses two equal adjacent letters.
+    None when some tuple extends to a full occurrence.  Any further filter
+    (the primitive rule, the up-down rule) wraps it through core._rule.
     """
     adjacent = {g[i] for g in pat.groups for i in range(1, len(g))}
     stages = [(j in adjacent, *_stage(pat.letters, j)) for j in range(1, len(pat.letters))]
@@ -187,8 +189,7 @@ def _avoidance(pat: Pattern, primitive_only: bool):
             return None
         return tuple(out)
 
-    root = (_EMPTY,) * len(stages)
-    return _bounded_runs(1, root, step) if primitive_only else (root, step)
+    return (_EMPTY,) * len(stages), step
 
 
 def avoider_counts(
@@ -202,7 +203,7 @@ def avoider_counts(
     Avoidance is closed under prefixes, and the avoidance automaton's state
     (see _avoidance) decides every future occurrence, so words with equal
     ascents, last letter and state have equally many avoiding extensions.
-    The count merges them level by level (core._levels); its cost grows with
+    The count merges them level by level (core._count); its cost grows with
     the number of distinct states, not of avoiders.  The patterns with
     closed forms (01, 10, 00, 012) keep under 4,000 states per level up to
     length 16, but longer patterns merge few words, so above _MAX_STATES
@@ -211,9 +212,8 @@ def avoider_counts(
     """
     _check_p(p)
     _check_at_least("n_max", n_max)
-    root, step = _avoidance(pat, primitive_only)
-    levels = _levels(p, n_max, state=root, step=step, max_states=_MAX_STATES)
-    return [1] + [sum(level.values()) for level in levels]
+    rule = _rule(*_avoidance(pat), max_run=1 if primitive_only else None)
+    return _count(p, n_max, *rule, max_states=_MAX_STATES)
 
 
 def count_avoiders(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> int:
@@ -229,13 +229,13 @@ def iter_avoiders(
 ) -> Iterator[PAscentSequence]:
     """Yield the pattern-avoiding p-ascent sequences of length n, lexicographically.
 
-    The walk (core._grow) carries the avoidance automaton's state from each
+    The walk (core._words) carries the avoidance automaton's state from each
     word to its children and never extends a word that contains the pattern.
     """
     _check_p(p)
     _check_at_least("n", n)
-    root, step = _avoidance(pat, primitive_only)
-    for w in _words(p, n, state=root, step=step):
+    rule = _rule(*_avoidance(pat), max_run=1 if primitive_only else None)
+    for w in _words(p, n, (), *rule):
         yield PAscentSequence._trusted(p, w)
 
 
@@ -243,8 +243,7 @@ def _avoiders_by_length(p: int, pat: Pattern, n_max: int) -> list[list[tuple[int
     """The words of iter_avoiders(p, pat, n), in its order, for n = 0..n_max,
     from one walk."""
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n_max + 1)]
-    root, step = _avoidance(pat, False)
-    for word in _grow(p, n_max, state=root, step=step):
+    for word in _grow(p, n_max, (), *_avoidance(pat)):
         buckets[len(word)].append(word)
     return buckets
 

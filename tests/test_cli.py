@@ -197,6 +197,9 @@ def test_primitive_matches_filtered_enumeration(capsys, p):
 
 
 def test_count_pattern_over_state_budget(capsys, monkeypatch):
+    """The budget of a 0102 count is pinned under every nesting of the rule:
+    it trips at length 6 with and without --primitive, and at length 11 under
+    --updown, which thins the levels, with and without --primitive."""
     monkeypatch.setattr(patterns, "_MAX_STATES", 500)
     for argv in (["count", "--p", "3", "--n", "9", "--pattern", "0102"],
                  ["avoid", "--p", "3", "--n", "9", "--pattern", "0102"]):
@@ -204,6 +207,16 @@ def test_count_pattern_over_state_budget(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "state budget of 500" in captured.err
+    over = "pascent: length {} holds more than the state budget of 500 states\n"
+    for flags, expected in (([], (2, "", over.format(6))),
+                            (["--primitive"], (2, "", over.format(6))),
+                            (["--updown"], (2, "", over.format(11))),
+                            (["--primitive", "--updown"], (2, "", over.format(11)))):
+        code = main(["count", "--p", "3", "--pattern", "0102", "--n", "12", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected, flags
+    assert run(capsys, "count", "--p", "3", "--pattern", "0102", "--n", "9", "--updown") == (
+        0, "571\n")
 
 
 def test_verify_budget_error_names_its_suite(capsys, monkeypatch):
@@ -527,6 +540,21 @@ def test_symbolic_A_guards_its_decode(capsys, monkeypatch, fault):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("pascent: z-polynomial at t^1")
+
+
+def test_series_refuses_a_decode_past_its_width(capsys, monkeypatch):
+    """A width too narrow for eval_H's rows is refused by the decode: exit 1,
+    one message, no series."""
+    real = gf._gamma_sum
+
+    def narrowed(*args):
+        rows, width = real(*args)
+        return rows, max(2, width - 16)
+    monkeypatch.setattr(gf, "_gamma_sum", narrowed)
+    code = main(["series", "--gf", "H", "--p", "1", "--order", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("pascent: ") and captured.err.count("\n") == 1
 
 
 _U_GRADED_REFUSALS = [

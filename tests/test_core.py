@@ -7,13 +7,18 @@ from dataclasses import FrozenInstanceError, asdict, fields, replace
 from itertools import combinations, groupby
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pascent.core import (
     STAT_NAMES,
     PAscentSequence,
     StatProfile,
     _bounded_runs,
+    _count,
     _grow,
+    _rule,
+    _words,
     asc,
     count_by_length,
     enumerate_sequences,
@@ -21,7 +26,7 @@ from pascent.core import (
     oracle_table,
     stats,
 )
-from pascent.patterns import Pattern, _avoiders_by_length, iter_avoiders
+from pascent.patterns import Pattern, _avoidance, _avoiders_by_length, iter_avoiders, occurs
 from pascent.series import _MAX_EXP, MultiPoly
 
 
@@ -299,6 +304,31 @@ def test_count_by_length_equals_enumeration(p):
             for word in _grow(p, 8, state=root, step=step):
                 walked[len(word)] += 1
             assert walked == count_by_length(p, 8, max_repeat=k), k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=st.integers(1, 3),
+    n=st.integers(0, 6),
+    text=st.sampled_from([None, "00", "10", "012", "10-1", "[010]", "0102"]),
+    max_run=st.sampled_from([None, 1, 2]),
+    up_down=st.booleans(),
+)
+def test_one_rule_counts_what_it_lists(p, n, text, max_run, up_down):
+    """Every mix of a pattern, a run bound and the up-down rule that _rule
+    composes: _count counts the words _words lists, and they are the p-ascent
+    words that avoid the pattern, have no block longer than max_run and are
+    up-down where asked, in enumeration order."""
+    pat = None if text is None else Pattern.parse(text)
+    rule = _rule(*(() if pat is None else _avoidance(pat)), max_run=max_run, up_down=up_down)
+    words = list(_words(p, n, (), *rule))
+    assert _count(p, n, *rule)[n] == len(words)
+    assert words == [
+        s.letters for s in enumerate_sequences(p, n)
+        if (pat is None or not occurs(pat, s.letters))
+        and (max_run is None or all(len(list(b)) <= max_run for _, b in groupby(s.letters)))
+        and (not up_down or stats(s).up_down)
+    ]
 
 
 def test_oracle_exponent_bound():

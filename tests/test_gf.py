@@ -324,6 +324,29 @@ def test_gamma_sum_refuses_exponents_before_packing():
         gf._gamma_sum(iter([[unit + [0]]]), 0, 0, 128)
 
 
+def test_decode_refuses_a_digit_past_z_to_the_n():
+    """z^n comes with t^n, so a value at t^1 that needs a z^2 digit is refused
+    (it decoded to 4 z^2 t), while z^n itself is kept."""
+    with pytest.raises(ArithmeticError, match=r"u\^0 t\^1 has a digit past z\^1 at width 4"):
+        gf._decode([[0, 1 << 10]], 4)
+    assert gf._decode([[0, 3 << 4]], 4) == TSeries.from_poly(1, 3 * Z, 1)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("p", [1, 2])
+def test_eval_H_refuses_a_width_too_narrow(monkeypatch, p, order):
+    """With _gamma_sum's width 16 bits too narrow, eval_H's digits spill past
+    z^n: the decode raises where it returned a wrong series."""
+    real = gf._gamma_sum
+
+    def narrowed(*args):
+        rows, width = real(*args)
+        return rows, max(2, width - 16)
+    monkeypatch.setattr(gf, "_gamma_sum", narrowed)
+    with pytest.raises(ArithmeticError, match="has a digit past z"):
+        gf.eval_H(p, order)
+
+
 def test_psi_agrees_above_the_order():
     """psi keeps a bound above the order; its right side divides by no gamma,
     so it checks the Horner left side independently."""

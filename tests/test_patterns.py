@@ -10,6 +10,7 @@ from pascent.core import (
     BudgetExceededError,
     PAscentSequence,
     _grow,
+    _rule,
     enumerate_sequences,
     is_p_ascent,
 )
@@ -192,7 +193,7 @@ def test_avoider_dp_matches_state_carrying_walk(p):
         pat = Pattern.parse(text)
         for primitive_only in (False, True):
             walked = [0] * 10
-            root, step = _avoidance(pat, primitive_only)
+            root, step = _rule(*_avoidance(pat), max_run=1 if primitive_only else None)
             for word in _grow(p, 9, state=root, step=step):
                 walked[len(word)] += 1
             assert avoider_counts(p, pat, 9, primitive_only) == walked, (text, primitive_only)
