@@ -69,16 +69,18 @@ class PAscentSequence:
         if not is_p_ascent(self.letters, self.p):
             raise ValueError(f"{self.letters} is not a {self.p}-ascent sequence")
 
-    @classmethod
-    def _trusted(cls, p: int, letters: tuple[int, ...]) -> "PAscentSequence":
+    @staticmethod
+    def _trusted(p: int, letters: tuple[int, ...]) -> "PAscentSequence":
         """Wrap a tuple known to be p-ascent without validating it again: a word
         that _grow built by the p-ascent rule, or the image of embed, project or
         either 10<->012 map in patterns (each docstring has its proof).
 
         It skips the frozen __init__ and __post_init__ and fills the two slots
         through their descriptors; the result equals PAscentSequence(p, letters).
+        It is static, as the word walks call it once per word: a classmethod
+        would build a bound method on every call, and no subclass needs one.
         """
-        seq = object.__new__(cls)
+        seq = _new(PAscentSequence)
         _set_p(seq, p)
         _set_letters(seq, letters)
         return seq
@@ -93,6 +95,7 @@ class PAscentSequence:
         return ",".join(map(str, self.letters))
 
 
+_new = object.__new__
 _set_p = PAscentSequence.p.__set__
 _set_letters = PAscentSequence.letters.__set__
 
@@ -170,18 +173,34 @@ def _grow(
     a child of a nonempty word with a ascents appends a letter c <= p + a.
     With step, state is word's state and step(s, c) is the state after
     appending c to a word in state s, or None to skip that child together
-    with its extensions.
+    with its extensions.  The words of length n_max, the leaves, are yielded
+    straight from their parent, in ascending c right after it, and never
+    stacked: the same pre-order, without a push and a pop for each leaf.
     """
-    stack = [(tuple(word), asc(word), state)] if len(word) <= n_max else []
+    word = tuple(word)
+    if len(word) > n_max:
+        return
+    stack = [(word, asc(word), state)]
+    leaf = n_max - 1
     while stack:
         w, a, s = stack.pop()
         yield w
-        if len(w) < n_max:
-            last, top = (w[-1], p + a) if w else (0, 0)
+        depth = len(w)
+        if depth >= n_max:
+            continue
+        last, top = (w[-1], p + a) if w else (0, 0)
+        if depth < leaf:
             for c in range(top, -1, -1):
                 child = step(s, c) if step else s
                 if child is not None:
                     stack.append((w + (c,), a + (c > last), child))
+        elif step is None:
+            for c in range(top + 1):
+                yield w + (c,)
+        else:
+            for c in range(top + 1):
+                if step(s, c) is not None:
+                    yield w + (c,)
 
 
 def _levels(

@@ -26,8 +26,9 @@ sharing no code with the automaton: the ground truth tests compare both with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby, pairwise, product
+from itertools import accumulate, pairwise, product
 from math import comb
+from operator import gt, lt
 from typing import Iterator, Sequence
 
 from .core import PAscentSequence, _check_p, _count, _grow, _rule, _words
@@ -168,11 +169,9 @@ def _avoidance(pat: Pattern):
     stages = [(j in adjacent, *_stage(pat.letters, j)) for j in range(1, len(pat.letters))]
 
     def step(state, c):
-        sets = iter(state)
         grown = [(c,)]   # c alone, then the tuples of each set extended by c
         out = []
-        for replace, eq, lo, hi in stages:
-            old = next(sets)
+        for (replace, eq, lo, hi), old in zip(stages, state):
             if replace:
                 out.append(frozenset(grown) if grown else _EMPTY)
             else:
@@ -383,11 +382,17 @@ def bijection_10_to_012(seq: PAscentSequence) -> PAscentSequence:
     first 0.  Its markers do not rise, so it avoids 012.
     """
     w, p = seq.letters, seq.p
-    if any(a > b for a, b in pairwise(w)):
+    if any(map(gt, w, w[1:])):
         raise ValueError(f"{w} contains the pattern 10")
     image: list[int] = []
-    for i, (value, run) in enumerate(groupby(w)):
-        image += [p - (value - i) if i else 0] + [0] * (len(list(run)) - 1)
+    i = last = 0
+    for c in w:
+        if c == last:
+            image.append(0)
+        else:
+            i += 1
+            image.append(p + i - c)
+            last = c
     return PAscentSequence._trusted(p, tuple(image))
 
 
@@ -402,12 +407,18 @@ def bijection_012_to_10(seq: PAscentSequence) -> PAscentSequence:
     i, after i-1 ascents, has the value i + (p - marker) <= p + (i-1).
     """
     w, p = seq.letters, seq.p
-    if any(c > p for c in w):
+    if max(w, default=0) > p:
         raise ValueError(f"{w} has a letter above {p}, so it contains 012")
-    markers = [p] + [c for c in w if c]
-    if any(a < b for a, b in pairwise(markers)):
+    markers = [p, *filter(None, w)]
+    if any(map(lt, markers, markers[1:])):
         raise ValueError(f"{w} has a rise among its nonzero letters, so it contains 012")
-    letters = [i + p - markers[i] for i in accumulate(map(bool, w))]
+    letters: list[int] = []
+    i = value = 0
+    for c in w:
+        if c:
+            i += 1
+            value = i + p - c
+        letters.append(value)
     return PAscentSequence._trusted(p, tuple(letters))
 
 

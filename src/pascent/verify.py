@@ -270,13 +270,15 @@ def _check_embed(p: int, n_max: int) -> dict | None:
     # injective there, and equal counts by length make embed and project
     # inverse bijections.  The walk is in pre-order, so the first failure of
     # each length is kept and the shortest one reported.
+    # The maps are read from patterns once per call, not at import, so that a
+    # wrapper set on the module attribute still sees every call.
+    project, embed, trusted = patterns.project, patterns.embed, PAscentSequence._trusted
     cut = 2 * p - 2
     walked = [1] + [0] * n_max
     failed: dict[int, tuple[int, ...]] = {}
     for letters in _grow(1, n_max + cut, (0, 1) * (p - 1) + (0,)):
         n = len(letters) - cut
-        image = patterns.project(PAscentSequence._trusted(1, letters), p)
-        if patterns.embed(image).letters != letters:
+        if embed(project(trusted(1, letters), p)).letters != letters:
             failed.setdefault(n, letters[cut:])
         walked[n] += 1
     if failed:

@@ -5,6 +5,7 @@ import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from itertools import combinations, groupby
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from pascent.core import (
     _count,
     _grow,
     _rule,
+    _up_down,
     _words,
     asc,
     count_by_length,
@@ -329,6 +331,52 @@ def test_one_rule_counts_what_it_lists(p, n, text, max_run, up_down):
         and (max_run is None or all(len(list(b)) <= max_run for _, b in groupby(s.letters)))
         and (not up_down or stats(s).up_down)
     ]
+
+
+def _pre_order(p, n_max, word, state, step):
+    """The reference walk: word, then the subtree of each kept child in
+    ascending letter, written recursively and apart from _grow."""
+    if len(word) > n_max:
+        return
+    yield word
+    if len(word) == n_max:
+        return
+    top = p + sum(map(lt, word, word[1:])) if word else 0
+    for c in range(top + 1):
+        child = step(state, c) if step else state
+        if child is not None:
+            yield from _pre_order(p, n_max, word + (c,), child, step)
+
+
+GROW_RULES = {
+    "none": ((), None),
+    "primitive": _bounded_runs(1),
+    "up_down": _up_down(),
+    "10-1": _avoidance(Pattern.parse("10-1")),
+}
+
+
+@pytest.mark.parametrize("rule", GROW_RULES)
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_grow_is_the_recursive_pre_order(p, rule):
+    """_grow yields its leaves from their parent, not from its stack; the
+    order stays the pre-order of the recursive walk, from the empty word, the
+    embed prefix and a word longer than n_max (which yields nothing)."""
+    state, step = GROW_RULES[rule]
+    for n_max in range(8):
+        for word in ((), (0, 1) * (p - 1) + (0,), (0,) * (n_max + 1)):
+            expected = list(_pre_order(p, n_max, word, state, step))
+            assert list(_grow(p, n_max, word, state, step)) == expected, (n_max, word)
+
+
+@pytest.mark.parametrize("rule", GROW_RULES)
+def test_grow_reaches_every_letter_at_a_large_p(rule):
+    """At p = 600 the words of length 2 end in every letter 0..600 that the
+    rule keeps: nothing of a fixed size bounds the leaves' letters."""
+    state, step = GROW_RULES[rule]
+    expected = list(_pre_order(600, 2, (), state, step))
+    assert list(_grow(600, 2, (), state, step)) == expected
+    assert len(expected) == 3 + (600 if rule in ("none", "10-1") else 599)
 
 
 def test_oracle_exponent_bound():

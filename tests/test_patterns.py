@@ -1,6 +1,6 @@
 """Reduction, occurrence, avoidance counts, closed forms, and bijections."""
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, groupby, product
 
 import pytest
 
@@ -438,6 +438,35 @@ def test_bijection_is_bijection_small():
     counts equal closed_count's, up to length 9 (8 at p = 5)."""
     for p in range(1, 6):
         assert verify._check_bijection(p, 9 if p < 5 else 8) is None, p
+
+
+def _blocks_10_to_012(letters, p):
+    """The 10 -> 012 map block by block: block i of value v becomes the
+    marker p - (v - i) (block 0: its first 0) and one 0 per further letter."""
+    image = []
+    for i, (value, run) in enumerate(groupby(letters)):
+        image += [p - (value - i) if i else 0] + [0] * (len(list(run)) - 1)
+    return tuple(image)
+
+
+def _blocks_012_to_10(letters, p):
+    """The 012 -> 10 map: a letter after the i-th marker becomes i + p - marker."""
+    markers = [p] + [c for c in letters if c]
+    return tuple(i + p - markers[i] for i in accumulate(map(bool, letters)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_bijections_match_the_block_walk(p):
+    """Both maps give the block walk's image on every 10- and 012-avoider of
+    length up to 8, the empty word among them."""
+    for pat, bijection, reference in ((P10, bijection_10_to_012, _blocks_10_to_012),
+                                      (P012, bijection_012_to_10, _blocks_012_to_10)):
+        levels = patterns._avoiders_by_length(p, pat, 8)
+        assert levels[0] == [()]
+        for level in levels:
+            for letters in level:
+                image = bijection(PAscentSequence(p, letters))
+                assert image.letters == reference(letters, p), (pat, letters)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
