@@ -155,8 +155,7 @@ def _closed_column(args, pat: Pattern, fallback=None) -> list[int]:
     fallback(error) when given, else the NoClosedFormError (a ValueError, so
     exit 2)."""
     try:
-        return [patterns.closed_count(args.p, pat, n, primitive_only=args.primitive)
-                for n in range(args.n + 1)]
+        return patterns._closed_counts(args.p, pat, args.n, args.primitive)
     except patterns.NoClosedFormError as exc:
         if fallback is None:
             raise

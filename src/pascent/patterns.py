@@ -1,12 +1,17 @@
 """Pattern occurrence and avoidance in p-ascent sequences.
 
 Covers word reduction, classical and vincular occurrence testing, avoider
-counts and lists (the oracle), the known closed-form counts and generating
-functions for the short patterns, the embedding of p-ascent sequences into
-ordinary ascent sequences, and the block-rewriting bijection between
-10-avoiding and 012-avoiding p-ascent sequences, for every p.  The bijection
-makes the two families equinumerous, so 012's counts past the paper's
-polynomials (p = 2, 3, 4) and its generating function are 10's.
+counts and lists (the oracle), the known closed forms for the short
+patterns, the embedding of p-ascent sequences into ordinary ascent
+sequences, and the block-rewriting bijection between 10-avoiding and
+012-avoiding p-ascent sequences, for every p.
+
+Every closed form is rational in t, so all of them are one table,
+_CLOSED_FORMS, of numerator and denominator lists of ints, and one reader,
+_closed_counts, runs the denominator's recurrence: closed_count is one of its
+coefficients, gf_avoiders all of them as a series, and the CLI and the
+pattern-family suites read one column per call.  012 takes 10's forms,
+plain and primitive, as the two families are equinumerous.
 
 Avoiders come from one automaton over the generating tree (_avoidance).  For
 a pattern of length k its state holds, for each j < k, the value tuples of
@@ -28,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, pairwise, product
 from math import comb
-from operator import gt, lt
+from operator import gt, lt, mul
 from typing import Iterator, Sequence
 
 from .core import PAscentSequence, _check_p, _count, _grow, _rule, _words
-from .series import MultiPoly, TSeries, _check_at_least
+from .series import TSeries, _check_at_least, _from_scalars
 
 
 class NoClosedFormError(ValueError):
@@ -247,98 +252,81 @@ def _avoiders_by_length(p: int, pat: Pattern, n_max: int) -> list[list[tuple[int
     return buckets
 
 
-def _exact_shift_div(numerator: int, power: int, divisor: int = 1) -> int:
-    # numerator * 2^power / divisor with power possibly negative; must divide exactly
-    if power >= 0:
-        value, rem = divmod(numerator << power, divisor)
-    else:
-        value, rem = divmod(numerator, divisor << (-power))
-    if rem:
-        raise ArithmeticError("closed form did not divide exactly")
-    return value
+def _binomial(k: int, c: int) -> list[int]:
+    """The coefficients of (1 - c t)^k, lowest degree first."""
+    return [comb(k, i) * pow(-c, i) for i in range(k + 1)]
 
 
-def _closed_key(p: int, pat: Pattern) -> str:
-    """The text that picks pat's closed form, for a classical pat only; the
-    refusal names a vincular pat as str prints it, one block in brackets."""
-    if not pat.is_classical:
+_TEN = (None, lambda p: (_binomial(p - 1, 1), _binomial(p, 2)))
+_TEN_PRIMITIVE = (None, lambda p: ([1], _binomial(p, 1)))
+# every 00-avoider is primitive, so both variants are one entry
+_ZERO_ZERO = ((2, 3), lambda p: ([1, -1, 1], _binomial(3, 1)) if p == 2
+              else ([1, -3, 6, -5, 3, -1], _binomial(6, 1)))
+
+# (pattern text, primitive) -> (the ps it holds at, None for every p;
+# p -> (N, D)).  The avoiders' generating function is 1 + t N(t)/D(t), the 1
+# counting the empty sequence, with N and D lists of ints lowest degree first
+# and D(0) = 1 (Stanley, EC1 4.3: a rational function's coefficients follow
+# D's recurrence).  The forms are the paper's closed forms for 01, 10, 00 and
+# 012; its binomial sums and 012 polynomials stay in the tests as references.
+# Every key is classical, and str brackets or hyphenates a vincular pattern,
+# so none finds an entry.  012 takes 10's forms at every p.  Plain, the block
+# maps make the two families equinumerous (bijection_10_to_012).  Primitive,
+# where the maps do not keep primitivity: a primitive 012-avoider of length
+# n >= 1 is 0 and then a word y whose nonzero letters weakly decrease from at
+# most p, with no two equal letters adjacent; writing each maximal run c^L of
+# a weakly decreasing word over 1..p of length n - 1 as c0c0... (L letters)
+# gives every such y once, so there are C(p+n-2, n-1), as many as the
+# strictly increasing primitive 10-avoiders.
+_CLOSED_FORMS = {
+    ("01", False): (None, lambda p: ([1], [1, -1])),
+    ("01", True): (None, lambda p: ([1], [1])),
+    ("10", False): _TEN,
+    ("10", True): _TEN_PRIMITIVE,
+    ("012", False): _TEN,
+    ("012", True): _TEN_PRIMITIVE,
+    ("00", False): _ZERO_ZERO,
+    ("00", True): _ZERO_ZERO,
+}
+
+
+def _closed_counts(p: int, pat: Pattern, n_max: int, primitive_only: bool = False) -> list[int]:
+    """The coefficients 0..n_max of pat's entry in _CLOSED_FORMS at p, by D's
+    recurrence: the coefficient b_n of N/D is N_n - (D_1 b_(n-1) + ... +
+    D_d b_(n-d)), for n_max >= 0.  Raises NoClosedFormError for a pattern or
+    p the table does not hold."""
+    _check_p(p)
+    ps, form = _CLOSED_FORMS.get((str(pat), primitive_only), ((), None))
+    if ps is not None and p not in ps:
         raise NoClosedFormError(f"no closed form for pattern {pat} with p={p}")
-    return str(pat)
+    numerator, denominator = form(p)
+    taps = denominator[:0:-1]    # D_d, ..., D_1, against b_(n-d), ..., b_(n-1)
+    d = len(taps)
+    b = [0] * d
+    for c in (numerator + [0] * n_max)[:n_max]:
+        b.append(c - sum(map(mul, taps, b[len(b) - d:])))
+    return [1, *b[d:]]
 
 
 def closed_count(p: int, pat: Pattern, n: int, primitive_only: bool = False) -> int:
-    """Closed-form avoider count; raises NoClosedFormError when unsupported.
+    """Closed-form avoider count of length n, read from _CLOSED_FORMS; raises
+    NoClosedFormError when unsupported.
 
-    Supported: the classical patterns 01 (all p), 10 (all p, plain and
-    primitive), 00 for p in {2, 3} (00-avoidance forces primitivity, so both
-    variants coincide), and plain 012 (all p): the paper's polynomials at
-    p = 2, 3, 4 and 10's sum at every other p, as the 10- and 012-avoiders are
-    equinumerous (bijection_10_to_012).
+    Supported: the classical patterns 01, 10 and 012 at every p, plain and
+    primitive, and 00 at p = 2, 3 (00-avoidance forces primitivity, so both
+    variants coincide).  012 takes 10's forms (see _CLOSED_FORMS).
     """
-    _check_p(p)
     _check_at_least("n", n)
-    key = _closed_key(p, pat)
-    if key == "012" and not primitive_only and p not in (2, 3, 4):
-        key = "10"
-    if n == 0:
-        return 1
-    if key == "01":
-        return 1 if (n == 1 or not primitive_only) else 0
-    if key == "10":
-        if primitive_only:
-            return comb(p + n - 2, n - 1)
-        return sum(comb(n - 1, s) * comb(p + s - 1, s) for s in range(n))
-    if key == "00":
-        # every 00-avoider is primitive, so the primitive count is the same
-        if p == 2:
-            return 1 + comb(n, 2)
-        if p == 3:
-            return comb(n + 1, 2) + 2 * comb(n, 3) + comb(n - 1, 4) + comb(n + 2, 5)
-        raise NoClosedFormError(f"no closed form for pattern 00 with p={p}")
-    if key == "012":
-        if primitive_only:
-            raise NoClosedFormError("no closed form for primitive 012-avoiders")
-        if p == 2:
-            return _exact_shift_div(n + 1, n - 2)
-        if p == 3:
-            return _exact_shift_div(n * n + 5 * n + 2, n - 4)
-        return _exact_shift_div(n**3 + 12 * n**2 + 29 * n + 6, n - 5, 3)
-    raise NoClosedFormError(f"no closed form for pattern {key} with p={p}")
+    return _closed_counts(p, pat, n, primitive_only)[n]
 
 
 def gf_avoiders(p: int, pat: Pattern, order: int, primitive_only: bool = False) -> TSeries:
-    """Closed-form avoider generating function as an exact truncated series.
-
-    Supported: the classical patterns 01 (all p), 10 (all p, plain and
-    primitive), plain 012 (all p, 10's function, as for closed_count) and 00
-    for p=3.  The constant term counts the empty sequence.
+    """Closed-form avoider generating function as an exact truncated series,
+    the same _CLOSED_FORMS entry as closed_count, supported for the same
+    patterns and p.  The constant term counts the empty sequence.
     """
-    _check_p(p)
     _check_at_least("order", order)
-    key = _closed_key(p, pat)
-    if key == "012" and not primitive_only:
-        key = "10"
-    one = TSeries.one(order)
-    t = TSeries.from_poly(order, MultiPoly.const(1), 1)
-    if key == "01":
-        if primitive_only:
-            return one + t
-        return (one - t).invert()
-    if key == "10":
-        if primitive_only:
-            return one + t * ((one - t) ** p).invert()
-        return one + t * (one - t) ** (p - 1) * ((one - 2 * t) ** p).invert()
-    if key == "00" and p == 3:
-        numer = (
-            one
-            - 3 * t
-            + 6 * t**2
-            - 5 * t**3
-            + 3 * t**4
-            - t**5
-        )
-        return one + t * numer * ((one - t) ** 6).invert()
-    raise NoClosedFormError(f"no closed-form generating function for {key} with p={p}")
+    return _from_scalars(_closed_counts(p, pat, order, primitive_only))
 
 
 def embed(seq: PAscentSequence) -> PAscentSequence:

@@ -198,38 +198,23 @@ def _check_maxk_boundary(p: int, n_max: int) -> Comparisons:
         yield {}, gf.eval_A(p, n_max, MultiPoly.const(1)), gf.eval_maxk(p, n_max, n_max)
 
 
-def _closed_columns(p: int, pat: Pattern, n_max: int, primitive_only: bool):
-    """The closed and gf columns for n = 0..n_max, where supported."""
-    columns = []
-    try:
-        closed = [patterns.closed_count(p, pat, n, primitive_only) for n in range(n_max + 1)]
-        columns.append(("closed", closed))
-    except patterns.NoClosedFormError:
-        pass
-    try:
-        series = patterns.gf_avoiders(p, pat, n_max, primitive_only)
-        columns.append(("gf", scalar_coefficients(series)))
-    except patterns.NoClosedFormError:
-        pass
-    return columns
-
-
 def _check_pattern_family(p: int, pattern_text: str, n_max: int) -> dict | None:
-    """Compare the brute avoider counts with each closed column, plain and primitive."""
+    """Compare the brute avoider counts with the closed form's coefficients,
+    plain and primitive."""
     pat = Pattern.parse(pattern_text)
-    plain, primitive = (_closed_columns(p, pat, n_max, prim) for prim in (False, True))
-    if not plain and not primitive:
+    try:
+        columns = [scalar_coefficients(patterns.gf_avoiders(p, pat, n_max, prim))
+                   for prim in (False, True)]
+    except patterns.NoClosedFormError as exc:
         raise patterns.NoClosedFormError(
             f"pattern {pattern_text} at p={p} has no closed form, so the suite would compare nothing"
-        )
-    for primitive_only, columns in ((False, plain), (True, primitive)):
-        brute = patterns.avoider_counts(p, pat, n_max, primitive_only)
-        for name, col in columns:
-            disc = _count_discrepancy(brute, col)
-            if disc is not None:
-                disc["expected"] += " (brute)"
-                disc["actual"] += f" ({name})"
-                return disc
+        ) from exc
+    for primitive_only, closed in zip((False, True), columns):
+        disc = _count_discrepancy(patterns.avoider_counts(p, pat, n_max, primitive_only), closed)
+        if disc is not None:
+            disc["expected"] += " (brute)"
+            disc["actual"] += " (closed)"
+            return disc
     return None
 
 

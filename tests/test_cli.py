@@ -335,6 +335,21 @@ def test_avoid_default_oracle(capsys):
     assert out == "1 1\n2 1\n3 1\n4 1\n5 1\n"
 
 
+def test_avoid_both_primitive_012_has_a_closed_form(capsys):
+    """Primitive 012's closed form, 1 + t/(1-t)^p, agrees with brute force."""
+    code, out = run(capsys, "avoid", "--both", "--p", "5", "--pattern", "012", "--primitive",
+                    "--n", "14")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 14 and all(r[1] == r[2] for r in rows)
+
+
+def test_verify_patterns_00_passes_at_p2(capsys):
+    code, out = run(capsys, "verify", "--suite", "patterns_00", "--p", "2")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_avoid_closed_unsupported(capsys):
     code, _ = run(capsys, "avoid", "--p", "4", "--pattern", "00", "--n", "5", "--closed")
     assert code == 2
@@ -480,9 +495,10 @@ def test_negative_sizes_exit_through_argparse(capsys, argv, message):
 
 
 def test_avoid_both_exits_1_when_the_columns_disagree(capsys, monkeypatch):
-    real = patterns.closed_count
-    monkeypatch.setattr(patterns, "closed_count",
-                        lambda p, pat, n, primitive_only=False: real(p, pat, n) + (n == 3))
+    real = patterns._closed_counts
+    monkeypatch.setattr(patterns, "_closed_counts",
+                        lambda p, pat, n_max, primitive_only=False:
+                        [c + (n == 3) for n, c in enumerate(real(p, pat, n_max))])
     code = main(["avoid", "--p", "2", "--pattern", "012", "--n", "4", "--both"])
     captured = capsys.readouterr()
     assert code == 1

@@ -1,6 +1,8 @@
 """Reduction, occurrence, avoidance counts, closed forms, and bijections."""
 
+from fractions import Fraction
 from itertools import accumulate, combinations, groupby, product
+from math import comb
 
 import pytest
 
@@ -250,12 +252,63 @@ def test_closed_count_matches_brute_force():
             assert closed == brute, (str(pat), p, prim)
 
 
-def test_closed_count_012_polynomials_equal_the_10_sum():
-    """The 10- and 012-avoiders are equinumerous (the block maps), so the
-    paper's 012 polynomials at p = 2, 3, 4 equal 10's sum."""
-    for p in (2, 3, 4):
-        for n in range(60):
-            assert closed_count(p, P012, n) == closed_count(p, P10, n), (p, n)
+def _ten_sum(p, n):
+    return sum(comb(n - 1, s) * comb(p + s - 1, s) for s in range(n))
+
+
+def _ten_primitive(p, n):
+    return comb(p + n - 2, n - 1)
+
+
+def _zero_zero(p, n):
+    if p == 2:
+        return 1 + comb(n, 2)
+    return comb(n + 1, 2) + 2 * comb(n, 3) + comb(n - 1, 4) + comb(n + 2, 5)
+
+
+def _paper_012(p, n):
+    """(n+1) 2^(n-2), (n^2+5n+2) 2^(n-4) and (n^3+12n^2+29n+6) 2^(n-5) / 3."""
+    if p == 2:
+        return Fraction((n + 1) * 2**n, 2**2)
+    if p == 3:
+        return Fraction((n * n + 5 * n + 2) * 2**n, 2**4)
+    return Fraction((n**3 + 12 * n**2 + 29 * n + 6) * 2**n, 2**5 * 3)
+
+
+# The paper's counts at length n >= 1, as written there, with the ps they
+# hold at: 10's binomial sums, the 012 polynomials at p = 2, 3, 4 and 00's
+# binomials.  The 10- and 012-avoiders are equinumerous at every p, plain
+# and primitive, so 012 takes 10's sums too.
+PAPER_COUNTS = [
+    pytest.param(P10, False, range(1, 9), _ten_sum, id="10"),
+    pytest.param(P10, True, range(1, 9), _ten_primitive, id="10-primitive"),
+    pytest.param(P012, False, range(1, 9), _ten_sum, id="012"),
+    pytest.param(P012, True, range(1, 9), _ten_primitive, id="012-primitive"),
+    pytest.param(P012, False, (2, 3, 4), _paper_012, id="012-polynomials"),
+    pytest.param(P00, False, (2, 3), _zero_zero, id="00"),
+    pytest.param(P00, True, (2, 3), _zero_zero, id="00-primitive"),
+]
+
+
+@pytest.mark.parametrize("pat, prim, ps, count", PAPER_COUNTS)
+def test_closed_forms_match_the_paper(pat, prim, ps, count):
+    """The table's coefficients are the paper's counts for n <= 60, and 1 at
+    n = 0 for the empty sequence; closed_count reads the same column."""
+    for p in ps:
+        column = scalar_coefficients(gf_avoiders(p, pat, 60, primitive_only=prim))
+        assert column == [1] + [count(p, n) for n in range(1, 61)], (p, prim)
+        assert closed_count(p, pat, 60, primitive_only=prim) == column[60]
+
+
+@pytest.mark.parametrize("text, prim", list(patterns._CLOSED_FORMS),
+                         ids=[f"{text}-{prim}" for text, prim in patterns._CLOSED_FORMS])
+def test_every_closed_form_matches_brute_force(text, prim):
+    """Each table entry, at every p of its domain up to 6, against the
+    avoidance automaton's counts up to length 10."""
+    pat = Pattern.parse(text)
+    ps, _ = patterns._CLOSED_FORMS[text, prim]
+    for p in (p for p in range(1, 7) if ps is None or p in ps):
+        assert patterns._closed_counts(p, pat, 10, prim) == avoider_counts(p, pat, 10, prim), p
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
@@ -264,12 +317,12 @@ def test_closed_count_012_matches_brute_force_every_p(p):
 
 
 def test_closed_count_unsupported():
-    with pytest.raises(NoClosedFormError):
-        closed_count(4, P00, 5)
-    with pytest.raises(NoClosedFormError):
-        closed_count(2, P012, 5, primitive_only=True)
-    with pytest.raises(NoClosedFormError):
-        closed_count(2, Pattern.parse("001"), 4)
+    """00 past p = 2, 3, classical 001 and every vincular pattern stay refused;
+    primitive 012 has 10's count at every p, from 1 + t/(1-t)^p."""
+    for p, pat in ((4, P00), (2, Pattern.parse("001")), (2, Pattern.parse("0-12"))):
+        with pytest.raises(NoClosedFormError, match=rf"^no closed form for pattern {pat} with p={p}$"):
+            closed_count(p, pat, 5)
+    assert [closed_count(2, P012, n, primitive_only=True) for n in range(6)] == [1, 1, 2, 3, 4, 5]
 
 
 def test_gf_avoiders_10():
@@ -294,10 +347,14 @@ def test_gf_avoiders_01():
 
 
 def test_gf_avoiders_unsupported():
-    with pytest.raises(NoClosedFormError):
-        gf_avoiders(2, P00, 5)
-    with pytest.raises(NoClosedFormError):
-        gf_avoiders(2, P012, 5, primitive_only=True)
+    """00 past p = 2, 3, classical 001 and every vincular pattern stay refused;
+    00 at p = 2 is (1 - 2t + 2t^2)/(1 - t)^3 and primitive 012 is 1 + t/(1-t)^p."""
+    for p, pat in ((4, P00), (2, Pattern.parse("001")), (2, Pattern.parse("0-12"))):
+        with pytest.raises(NoClosedFormError, match=rf"^no closed form for pattern {pat} with p={p}$"):
+            gf_avoiders(p, pat, 5)
+    for prim in (False, True):
+        assert scalar_coefficients(gf_avoiders(2, P00, 5, prim)) == [1, 1, 2, 4, 7, 11]
+    assert scalar_coefficients(gf_avoiders(3, P012, 5, primitive_only=True)) == [1, 1, 3, 6, 10, 15]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -356,8 +413,6 @@ def test_consecutive_00_is_not_classical_00():
 
 
 def test_repetition_refinement_identity():
-    from math import comb
-
     for p in (1, 2, 3, 4):
         brute = avoider_counts(p, P10, 10)
         for n in range(1, 11):
