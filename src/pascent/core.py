@@ -314,22 +314,20 @@ def _words(
 def enumerate_sequences(
     p: int,
     n: int,
-    pred: Callable[[PAscentSequence], bool] | None = None,
     prefix: Sequence[int] | None = None,
 ) -> Iterator[PAscentSequence]:
     """Yield every p-ascent sequence of length n, in lexicographic order.
 
-    pred, when given, filters sequences before they are yielded.  prefix
-    restricts the walk to extensions of a fixed valid prefix.  Sequences are
-    produced one at a time; nothing is materialized.
+    prefix restricts the walk to extensions of a fixed valid prefix.
+    Sequences are produced one at a time; nothing is materialized.
     """
     _check_p(p)
     _check_at_least("n", n)
     start = tuple(prefix) if prefix is not None else ()
     if not is_p_ascent(start, p):
         raise ValueError(f"prefix {start} is not a {p}-ascent sequence")
-    words = (PAscentSequence._trusted(p, w) for w in _words(p, n, start))
-    yield from words if pred is None else filter(pred, words)
+    for w in _words(p, n, start):
+        yield PAscentSequence._trusted(p, w)
 
 
 def count_by_length(

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 
 from .core import _check_p
 from .series import (
-    _OVERFLOW, _SHIFT, MultiPoly, TSeries, _check_at_least, _from_scalars, _pack_checked,
+    _MAX_EXP, _OVERFLOW, _SHIFT, MultiPoly, TSeries, _check_at_least, _from_scalars,
 )
 
 _U = MultiPoly.variable("u")
@@ -96,9 +96,7 @@ def gamma_bar(k: int, order: int) -> TSeries:
 
 
 def _delta_terms(p: int, e: int, bound: int, order: int) -> Iterator[list[list[int]]]:
-    """_delta_rows of k = 0..bound, cut at u <= bound - k; past k = 0 they reach u^order."""
-    if bound and order >= 128:
-        raise ValueError(_OVERFLOW)
+    """_delta_rows of k = 0..bound, cut at u <= bound - k."""
     return (_delta_rows(p, e, k, bound - k, order) for k in range(bound + 1))
 
 
@@ -124,11 +122,10 @@ def _gamma_sum(terms: Iterable, first: int, bound: int, order: int, e: int = 0) 
     z = 1 on |terms| with subtraction made addition, which bounds the sum of
     |coefficients| over z at each u^k t^n (1/g has nonnegative coefficients); a factor of
     l1 norm 2^e applied to the rows keeps them decodable.  The digits run to u^bound and
-    z^order (z^n comes with t^n): an index of 128 or more is refused first."""
+    z^order (z^n comes with t^n): either past _MAX_EXP is refused before any row."""
     if bound < first:
         return [[0] * (order + 1)] * (bound + 1), 1
-    _pack_checked((bound, 0, 0, 0))  # u^bound multiplies the last term
-    if order >= 128:
+    if max(bound, order) > _MAX_EXP:
         raise ValueError(_OVERFLOW)
     terms = list(islice(terms, bound - first + 1))
     sizes = [[[*map(abs, row)] for row in rows] for rows in terms]
@@ -340,9 +337,9 @@ def _by_evaluation(at: Callable[[int], list[int]], order: int) -> TSeries:
 
     Each coefficient is then at most the value at z = 1, so one run at z = 2^B, B one
     bit above that value, holds every coefficient in its own balanced digit.  z^n
-    comes with t^n: an order of 128 or more is refused before any run.  A negative
+    comes with t^n: an order past _MAX_EXP is refused before any run.  A negative
     digit, or digits that do not sum to the value at z = 1, mean a wrong run."""
-    if order >= 128:
+    if order > _MAX_EXP:
         raise ValueError(_OVERFLOW)
     sizes = at(1)
     width = max(sizes).bit_length() + 1

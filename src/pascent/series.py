@@ -14,10 +14,12 @@ Composition in t and substitution for u are Horner evaluations over the one
 series product, so the kernel is just product and division; composition
 holds the partial sum for coefficient j at order N - j, since it is
 multiplied by the j-th power of a series without constant term.
-Exponent vectors from outside are checked against the field bound (100, and
-127 in series JSON, so that it reads back every series it writes), and every
-product's output is checked once for an exponent that reached 128; the
-public accessors speak plain tuples.
+One bound holds for every exponent: 127, the largest a field holds.
+Exponent vectors from outside are checked against it, and every product's
+output (and u -> uv's) is checked once for an exponent that reached 128; a
+product of two in-range exponents is at most 254, so that check sees every
+overflow before it spills into the next field.  The public accessors speak
+plain tuples.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ VARS = ("u", "v", "z", "x")
 
 _SHIFT = {"u": 24, "v": 16, "z": 8, "x": 0}
 _MASK = 0xFF
-_MAX_EXP = 100  # bound on exponents that arrive from outside
-_MAX_KEPT = 127  # largest exponent a product keeps, and so to_json writes
+_MAX_EXP = 127  # largest exponent a field holds, from outside or from a product
 _CARRY = 0x80808080  # top bit of each field: products stop at 127, so no field carries
 _OVERFLOW = "exponent overflow: a product has an exponent of 128 or more"
 
@@ -43,12 +44,12 @@ def _pack(exps: Iterable[int]) -> int:
     return (eu << 24) | (ev << 16) | (ez << 8) | ex
 
 
-def _pack_checked(exps: Iterable[int], bound: int = _MAX_EXP) -> int:
+def _pack_checked(exps: Iterable[int]) -> int:
     exps = tuple(exps)
     if len(exps) != 4:
         raise ValueError(f"exponent vector must have 4 entries (u, v, z, x): {exps}")
-    if any(e < 0 or e > bound for e in exps):
-        raise ValueError(f"exponents must lie in [0, {bound}]: {exps}")
+    if any(e < 0 or e > _MAX_EXP for e in exps):
+        raise ValueError(f"exponents must lie in [0, {_MAX_EXP}]: {exps}")
     return _pack(exps)
 
 
@@ -252,12 +253,8 @@ class MultiPoly:
 
     def subst_u_to_uv(self) -> "MultiPoly":
         """Replace u by uv: each monomial u^a v^b becomes u^a v^(a+b)."""
-        out: dict[int, int] = {}
-        for k, c in self._t.items():
-            eu = (k >> 24) & _MASK
-            if ((k >> 16) & _MASK) + eu > _MAX_EXP:
-                raise ValueError("v-exponent overflow in u -> uv substitution")
-            out[k + (eu << 16)] = c
+        out = {k + ((k >> 24) << 16): c for k, c in self._t.items()}
+        _check_carry((out,))
         return MultiPoly(out)
 
     def coefficient_of(self, var: str, exp: int) -> "MultiPoly":
@@ -364,11 +361,6 @@ class TSeries:
         if not 0 <= n <= self.order:
             raise ValueError(f"t^{n} is beyond the truncation order {self.order}")
         return self.coeffs[n]
-
-    def monomial_coefficient(self, exp: tuple[int, int, int, int, int]) -> int:
-        n, *rest = exp
-        # a query reads as far as a product keeps, past the bound on input
-        return self.coefficient(n)._t.get(_pack_checked(rest, _MAX_KEPT), 0)
 
     def terms(self) -> dict[tuple[int, int, int, int, int], int]:
         out = {}
@@ -539,10 +531,6 @@ class TSeries:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        """The series JSON as a dict: to_json's text, read back."""
-        return json.loads(self.to_json())
-
     def to_json(self) -> str:
         """The series JSON, in the bytes json.dumps writes for {"order", "vars",
         "terms": [{"exp", "coeff"}, ...]}, formatted term by term from the
@@ -579,7 +567,7 @@ class TSeries:
             n = exp[0]
             if not 0 <= n <= order:
                 raise ValueError(f"t-exponent {n} outside order {order}")
-            key = _pack_checked(exp[1:], _MAX_KEPT)   # reads back all that to_json writes
+            key = _pack_checked(exp[1:])
             if key in coeffs[n]:
                 raise ValueError(f"repeated exponent vector in series JSON: {exp}")
             c = entry.get("coeff")   # an int, or the decimal string that to_json writes

@@ -53,8 +53,8 @@ def test_enumerate_json(capsys):
 
 _JSON_WORDS = {
     (): lambda p, n: enumerate_sequences(p, n),
-    ("--primitive",): lambda p, n: enumerate_sequences(p, n, lambda s: stats(s).primitive),
-    ("--updown",): lambda p, n: enumerate_sequences(p, n, lambda s: stats(s).up_down),
+    ("--primitive",): lambda p, n: filter(lambda s: stats(s).primitive, enumerate_sequences(p, n)),
+    ("--updown",): lambda p, n: filter(lambda s: stats(s).up_down, enumerate_sequences(p, n)),
     ("--pattern", "00"): lambda p, n: patterns.iter_avoiders(p, Pattern.parse("00"), n),
     ("--pattern", "10-1", "--primitive"): lambda p, n: patterns.iter_avoiders(
         p, Pattern.parse("10-1"), n, primitive_only=True),
@@ -579,9 +579,9 @@ _U_GRADED_REFUSALS = [
     ("series --gf G1u --p 1 --order 129", _OVERFLOW),
     ("series --gf G --p 1 --order 128", _OVERFLOW),
     ("verify --suite cancellation --p 1 --order 128", _OVERFLOW),
-    ("series --gf H --p 1 --order 110", "exponents must lie in [0, 100]: (110, 0, 0, 0)"),
-    ("verify --suite psi --order 110", "exponents must lie in [0, 100]: (110, 0, 0, 0)"),
-    ("verify --suite psi --order 130", "exponents must lie in [0, 100]: (130, 0, 0, 0)"),
+    ("series --gf H --p 1 --order 128", _OVERFLOW),
+    ("verify --suite psi --order 128", _OVERFLOW),
+    ("verify --suite psi --order 130", _OVERFLOW),
 ]
 
 
@@ -735,6 +735,15 @@ def test_verify_all_budget_6_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e97ac0bf4cad70142662ca39f27012b0d5bec2f63332e054bbd39f56d917ec63"
+    )
+
+
+def test_verify_all_budget_8_digest(capsys):
+    """Budget 8 runs the oracle suites at order 8 and psi at order 20, its cap."""
+    code, out = run(capsys, "verify", "--suite", "all", "--budget", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5a4f0a8cafd6dc0326c4df91f25f2fcdc19a940aace917f48b72405b19899f92"
     )
 
 

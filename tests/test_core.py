@@ -154,7 +154,7 @@ def test_enumerate_lexicographic():
 def test_enumerate_run_one_prefix_filter():
     found = {
         s.letters
-        for s in enumerate_sequences(2, 3, pred=lambda s: len(s) > 1 and s.letters[1] > 0)
+        for s in filter(lambda s: len(s) > 1 and s.letters[1] > 0, enumerate_sequences(2, 3))
     }
     assert found == {
         (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3),
@@ -166,9 +166,7 @@ def test_enumerate_single_ascent_count():
     # one ascent and initial run of exactly one zero: the 19 witnesses of the
     # (10z + 6z^2 + 3z^3) u t^4 coefficient of the run-1 series for p = 3
     hits = list(
-        enumerate_sequences(
-            3, 4, pred=lambda s: stats(s).ascents == 1 and stats(s).run == 1
-        )
+        filter(lambda s: stats(s).ascents == 1 and stats(s).run == 1, enumerate_sequences(3, 4))
     )
     assert len(hits) == 19
     listed = {
@@ -388,7 +386,7 @@ def test_oracle_exponent_bound():
     for name in ("ascents", "zeros", "run"):
         with pytest.raises(ValueError, match=name):
             oracle_table(2, _MAX_EXP + 2, stat_selector=(name,))
-    # at the bound itself the table is exact: 0, c, 100 for c = 1..99 end in 100
+    # at the bound itself the table is exact: 0, c, 127 for c = 1..126 end in 127
     top = oracle_table(_MAX_EXP - 1, 3, stat_selector=("last",)).coefficient(3)
     assert top.terms()[(0, _MAX_EXP, 0, 0)] == _MAX_EXP - 1
     # a statistic left out of the selector is not bounded

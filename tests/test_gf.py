@@ -50,7 +50,7 @@ def test_G1_full_specializes_to_G1_u():
 
 
 def test_G1_full_contains_quoted_monomial():
-    assert gf.eval_G1_full(3, 4).monomial_coefficient((4, 1, 2, 1, 0)) == 3
+    assert gf.eval_G1_full(3, 4).terms()[(4, 1, 2, 1, 0)] == 3
 
 
 def test_Gr_shift_law():
@@ -91,7 +91,7 @@ def test_A_printed_except_flagged(p, table, flagged, true_value):
 
 
 def test_A_monomial_example():
-    assert gf.eval_A(4, 6).monomial_coefficient((6, 0, 0, 3, 0)) == 1140
+    assert gf.eval_A(4, 6).terms()[(6, 0, 0, 3, 0)] == 1140
 
 
 @pytest.mark.parametrize(
@@ -290,7 +290,8 @@ def _series(rows, order):
 def _rows(series):
     """rows[k][n] is the u^k t^n coefficient of a z-free series."""
     top = max(poly.max_degree("u") for poly in series.coeffs)
-    return [[series.monomial_coefficient((n, k, 0, 0, 0)) for n in range(series.order + 1)]
+    terms = series.terms()
+    return [[terms.get((n, k, 0, 0, 0), 0) for n in range(series.order + 1)]
             for k in range(top + 1)]
 
 
@@ -310,18 +311,24 @@ def test_delta_rows_match_generic_quotients():
                         assert gf._delta_rows(p, e, k, top, order) == rows[: top + 1]
 
 
-def test_gamma_sum_refuses_exponents_before_packing():
-    """u^bound past 100 is refused as an exponent from outside, and z^n at
-    t^n for an order of 128 or more as an overflow; at order 127, 1/gamma_1
-    keeps z^127 t^127."""
-    with pytest.raises(ValueError, match=r"exponents must lie in \[0, 100\]: \(101, 0, 0, 0\)"):
-        gf._gamma_sum(iter([[[1]]]), 0, 101, 0)
-    with pytest.raises(ValueError, match="exponent overflow"):
-        gf.psi(0, 128, 1)
+def test_gamma_sum_refuses_exponents_before_packing(monkeypatch):
+    """u^bound and z^n at t^n are kept up to 127 and refused as an overflow
+    from 128 on, before any row: at bound 127, u^127 / gamma_1 = u^127 (1 -
+    zt(u-1)) + O(t^2) keeps u^127 (1 + zt), and at order 127 1/gamma_1 keeps
+    z^127 t^127."""
+    assert gf._decode(*gf._gamma_sum(iter([[[1, 0]]]), 127, 127, 1)) == TSeries(
+        [U ** 127, Z * U ** 127])
     unit = [1] + [0] * 127
     assert gf._decode(*gf._gamma_sum(iter([[unit]]), 0, 0, 127)) == gf.one_minus_zt(127).invert()
+
+    def unreachable(*args):
+        raise AssertionError("rows summed before the refusal")
+    monkeypatch.setattr(gf, "_gamma_rows", unreachable)
+    for args in ((iter([[[1]]]), 0, 128, 0), (iter([[unit + [0]]]), 0, 0, 128)):
+        with pytest.raises(ValueError, match="exponent overflow"):
+            gf._gamma_sum(*args)
     with pytest.raises(ValueError, match="exponent overflow"):
-        gf._gamma_sum(iter([[unit + [0]]]), 0, 0, 128)
+        gf.psi(0, 128, 1)
 
 
 def test_decode_refuses_a_digit_past_z_to_the_n():
@@ -348,9 +355,10 @@ def test_eval_H_refuses_a_width_too_narrow(monkeypatch, p, order):
 
 
 def test_psi_agrees_above_the_order():
-    """psi keeps a bound above the order; its right side divides by no gamma,
-    so it checks the Horner left side independently."""
-    for order, bound in ((0, 0), (1, 3), (6, 2), (8, 8), (9, 12)):
+    """psi keeps a bound above the order, up to 127, the largest exponent a
+    field holds; its right side divides by no gamma, so it checks the Horner
+    left side independently."""
+    for order, bound in ((0, 0), (1, 3), (6, 2), (8, 8), (9, 12), (4, 127)):
         for m in range(7):
             lhs, rhs = gf.psi(m, order, bound)
             assert lhs == rhs, (order, bound, m)

@@ -1,6 +1,7 @@
 """Ring arithmetic of MultiPoly and TSeries, including the algebraic laws."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,8 +140,8 @@ def test_coefficient_bounds():
     s = TSeries.one(3)
     with pytest.raises(ValueError):
         s.coefficient(4)
-    assert s.monomial_coefficient((0, 0, 0, 0, 0)) == 1
-    assert s.monomial_coefficient((2, 1, 0, 0, 0)) == 0
+    assert s.terms().get((0, 0, 0, 0, 0), 0) == 1
+    assert s.terms().get((2, 1, 0, 0, 0), 0) == 0
 
 
 def test_mixed_orders_truncate_to_minimum():
@@ -176,7 +177,7 @@ def test_u_truncate_and_coefficient_of_var():
 def test_json_round_trip_and_sorting():
     n = 3
     s = TSeries.from_poly(n, 2 * U * Z - 3 * X, 2) + TSeries.one(n)
-    obj = s.to_json_obj()
+    obj = json.loads(s.to_json())
     assert obj["order"] == n
     assert obj["vars"] == ["t", "u", "v", "z", "x"]
     exps = [tuple(e["exp"]) for e in obj["terms"]]
@@ -302,12 +303,6 @@ def test_from_terms_rejects_bad_exponents(exps):
         MultiPoly.from_terms({exps: 1})
 
 
-def test_monomial_coefficient_rejects_bad_exponents():
-    s = TSeries.from_poly(2, V, 1)
-    with pytest.raises(ValueError, match="exponent"):
-        s.monomial_coefficient((1, 256, 0, 0, 0))    # would read v^1
-
-
 @pytest.mark.parametrize("product", [
     lambda: MultiPoly.monomial((100, 0, 0, 0)) ** 3,    # stored u^300, read back as u^44
     lambda: X ** 256,                                    # carried into z
@@ -315,7 +310,8 @@ def test_monomial_coefficient_rejects_bad_exponents():
     lambda: (TSeries.one(130) - TSeries.from_poly(130, Z, 1)).invert(),
     lambda: TSeries.from_poly(1, U * Z ** 100).subst_u(TSeries.from_poly(1, Z ** 100)),
     lambda: TSeries.from_poly(2, X ** 100, 2).compose_t(TSeries.from_poly(2, X ** 28, 1)),
-], ids=["poly_pow", "poly_carry", "series_mul", "invert", "subst_u", "compose_t"])
+    lambda: MultiPoly.monomial((127,) * 4) * MultiPoly.monomial((127,) * 4),  # 254 in each field
+], ids=["poly_pow", "poly_carry", "series_mul", "invert", "subst_u", "compose_t", "poly_127_squared"])
 def test_products_refuse_exponent_overflow(product):
     with pytest.raises(ValueError, match="exponent overflow"):
         product()
@@ -328,9 +324,11 @@ def test_compose_t_refuses_no_overflow_that_lies_above_the_result():
 
 
 def test_subst_u_to_uv_refuses_v_overflow():
-    # u^60 v^50 would become u^60 v^110, past the bound of 100 on exponents
-    with pytest.raises(ValueError, match="v-exponent overflow in u -> uv substitution"):
-        TSeries.from_poly(1, MultiPoly.monomial((60, 50, 0, 0))).subst_u_to_uv()
+    # u^60 v^67 becomes u^60 v^127, the largest a field holds; u^60 v^68 would pass it
+    kept = TSeries.from_poly(1, MultiPoly.monomial((60, 67, 0, 0))).subst_u_to_uv()
+    assert kept.terms() == {(0, 60, 127, 0, 0): 1}
+    with pytest.raises(ValueError, match="exponent overflow"):
+        TSeries.from_poly(1, MultiPoly.monomial((60, 68, 0, 0))).subst_u_to_uv()
 
 
 @pytest.mark.parametrize("n", [-1, 2.0])
@@ -349,18 +347,21 @@ def test_products_keep_exponent_127():
     assert str(U ** 127) == "u^127"
 
 
-def test_monomial_coefficient_reads_what_a_product_keeps():
-    s = TSeries.from_poly(1, Z ** 100, 1) * TSeries.from_poly(1, 3 * Z * U ** 27)
-    assert s.terms() == {(1, 27, 0, 101, 0): 3}
-    assert s.monomial_coefficient((1, 27, 0, 101, 0)) == 3
-    assert s.monomial_coefficient((1, 0, 0, 127, 0)) == 0
-    with pytest.raises(ValueError, match=r"exponents must lie in \[0, 127\]"):
-        s.monomial_coefficient((1, 0, 0, 128, 0))
-    # input from outside keeps the bound of 100
-    for make in (lambda: MultiPoly.monomial((0, 0, 101, 0)),
-                 lambda: MultiPoly.from_terms({(0, 0, 101, 0): 1})):
-        with pytest.raises(ValueError, match=r"exponents must lie in \[0, 100\]"):
-            make()
+def test_input_takes_exponents_up_to_127():
+    """Input from outside has the bound a product keeps: 127 is read, 128 refused."""
+    for i in range(4):
+        for e in (127, 128):
+            exps = (0,) * i + (e,) + (0,) * (3 - i)
+            text = json.dumps({"order": 1, "vars": ["t", "u", "v", "z", "x"],
+                               "terms": [{"exp": [1, *exps], "coeff": "3"}]})
+            for make in (lambda: MultiPoly.monomial(exps, 3),
+                         lambda: MultiPoly.from_terms({exps: 3}),
+                         lambda: TSeries.from_json(text).coefficient(1)):
+                if e == 127:
+                    assert make().terms() == {exps: 3}
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"must lie in [0, 127]: {exps}")):
+                        make()
 
 
 @pytest.mark.parametrize("make", [
@@ -440,7 +441,7 @@ wide_coeffs = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
 wide_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 100)] * 4), wide_coeffs, max_size=4
 ).map(MultiPoly.from_terms)
-# outside exponents stop at 100; a product with this lifts a field to 127
+# the drawn exponents stop at 100; a product with this lifts a field as far as 127
 lifts = st.tuples(*[st.integers(0, 27)] * 4).map(MultiPoly.monomial)
 
 
@@ -460,7 +461,6 @@ def json_series(draw):
 def test_to_json_writes_the_dict_form_and_reads_back(s):
     text = s.to_json()
     assert text == dict_form_json(s)
-    assert s.to_json_obj() == json.loads(text)
     assert TSeries.from_json(text) == s
 
 

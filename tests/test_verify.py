@@ -15,7 +15,7 @@ def test_oracle_suites_small():
     assert verify.check_oracle_vs("R", 3, 8).passed
     report = verify.check_oracle_vs("G1_full", 3, 4)
     assert report.passed
-    assert gf.eval_G1_full(3, 4).monomial_coefficient((4, 1, 2, 1, 0)) == 3
+    assert gf.eval_G1_full(3, 4).terms()[(4, 1, 2, 1, 0)] == 3
 
 
 def test_oracle_all_names():
