@@ -25,21 +25,26 @@ two families:
 
 The u-graded sums run on rows of ints, row k the t-list of the u^k
 coefficient, and no step divides: _delta_rows writes (1-t)^(ek) / delta_k^p
-in closed form, and _gamma_sum sums u^k a_k over growing products of gammas
-by Horner's rule, solving each gamma along u with z an integer 2^B wide
-enough to decode every coefficient.  Each caller applies its remaining
-factor to those rows (psi its prefactor, eval_H zt(1-u), eval_G1_u zt), psi
-builds its right side on rows, and _decode reads every one back.  Every cut
+in closed form, and _gamma_rows sums u^k a_k over growing products of gammas
+by Horner's rule, solving each gamma along u at an integer z.  Each caller
+applies its remaining factor to those rows (eval_G1_u zt, eval_H zt(1-u), psi
+its prefactor) and _decode reads them back from one run at z = 2^B.  Every cut
 is exact: it is reduction modulo a power of u, every factor is a polynomial
 in u and each kernel factor has constant term 1.
+
+Every z-coefficient of eval_G1_u, eval_H and symbolic eval_A counts words, so
+all three are read back through _by_evaluation: the run at z = 1 sets B, and
+the decode checks every digit against it, so a series that counts words
+decodes exactly or raises.  psi's two sides are signed: the left side takes B
+from a majorant pass and the right side from its l1 norm.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, islice, pairwise
+from itertools import accumulate, chain, islice, pairwise
 from math import comb
 from operator import add, sub
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import _check_p
 from .series import (
@@ -53,7 +58,11 @@ _X = MultiPoly.variable("x")
 
 
 def _u_bound(order: int, u_bound: int | None) -> int:
+    """The u-bound of a u-graded sum, order by default.  z^n comes with t^n, so an
+    order past _MAX_EXP is refused here, before any row."""
     _check_at_least("order", order)
+    if order > _MAX_EXP:
+        raise ValueError(_OVERFLOW)
     bound = order if u_bound is None else u_bound
     _check_at_least("u_bound", bound)
     return bound
@@ -95,11 +104,6 @@ def gamma_bar(k: int, order: int) -> TSeries:
     return gamma(k, order).subst_u_to_uv()
 
 
-def _delta_terms(p: int, e: int, bound: int, order: int) -> Iterator[list[list[int]]]:
-    """_delta_rows of k = 0..bound, cut at u <= bound - k."""
-    return (_delta_rows(p, e, k, bound - k, order) for k in range(bound + 1))
-
-
 def _delta_rows(p: int, e: int, k: int, top: int, order: int) -> list[list[int]]:
     """Rows 0..top (top <= order) of (1-t)^(ek) / delta_k^p, row j the t-list of u^j.
     delta_k = w + u(1 - w), w = (1-t)^k, so row j is (-1)^j C(p-1+j, j) L_j,
@@ -113,46 +117,34 @@ def _delta_rows(p: int, e: int, k: int, top: int, order: int) -> list[list[int]]
     return rows
 
 
-def _gamma_sum(terms: Iterable, first: int, bound: int, order: int, e: int = 0) -> tuple[list, int]:
-    """The sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1}) over j, cut at u <= bound,
-    as (rows, width): rows 0..bound at z = 2^width, with e bits of headroom.
-
-    A term is rows of ints; terms past j = bound - first are not taken.  Horner's rule
-    (_gamma_rows) is Z-linear, so it runs at z = 2^width.  The width comes from the pass at
-    z = 1 on |terms| with subtraction made addition, which bounds the sum of
-    |coefficients| over z at each u^k t^n (1/g has nonnegative coefficients); a factor of
-    l1 norm 2^e applied to the rows keeps them decodable.  The digits run to u^bound and
-    z^order (z^n comes with t^n): either past _MAX_EXP is refused before any row."""
-    if bound < first:
-        return [[0] * (order + 1)] * (bound + 1), 1
-    if max(bound, order) > _MAX_EXP:
-        raise ValueError(_OVERFLOW)
-    terms = list(islice(terms, bound - first + 1))
-    sizes = [[[*map(abs, row)] for row in rows] for rows in terms]
-    width = max(chain(*_gamma_rows(sizes, first, bound, order, 1, add))).bit_length() + 2 + e
-    return _gamma_rows(terms, first, bound, order, 1 << width, sub), width
-
-
-def _decode(rows: list[list[int]], width: int) -> TSeries:
+def _decode(rows: list[list[int]], width: int, sizes: list[list[int]] | None = None) -> TSeries:
     """The series whose u^k t^n coefficient, a z-polynomial, is rows[k][n] at z = 2^width:
     balanced digits, z^0 first, exact if every z-coefficient is below 2^(width-1) in size.
 
     z^n comes with t^n, so a digit past z^n, which a width too narrow for the
-    coefficients can give, raises ArithmeticError instead of decoding wrongly."""
+    coefficients can give, raises ArithmeticError instead of decoding wrongly.  sizes,
+    given for a series that counts words, are its rows at z = 1: a negative digit, or a
+    cell whose digits do not sum to its size, raises too.  A carry between digits moves
+    that sum by a multiple of 2^width - 1, so such a series decodes exactly or raises."""
     half, mask, z = 1 << (width - 1), (1 << width) - 1, 1 << _SHIFT["z"]
     coeffs: list[dict[int, int]] = [{} for _ in rows[0]]
     for k, row in enumerate(rows):
         for n, (poly, value) in enumerate(zip(coeffs, row)):
-            key = k << _SHIFT["u"]
-            top = key + n * z
+            key = first = k << _SHIFT["u"]
+            top, total, spread = key + n * z, 0, 0
             while value:
                 if key > top:
                     raise ArithmeticError(f"u^{k} t^{n} has a digit past z^{n} at width {width}")
                 digit = ((value + half) & mask) - half
                 if digit:
                     poly[key] = digit
+                    total, spread = total + digit, spread + abs(digit)
                 value = (value - digit) >> width
                 key += z
+            if sizes and not total == spread == sizes[k][n]:
+                cell = MultiPoly({e: poly[e] for e in range(first, key, z) if e in poly})
+                at = f"u^{k} t^{n}" if k else f"t^{n}"  # eval_A, with no u, names t^n alone
+                raise ArithmeticError(f"z-polynomial at {at} is not a count of words: {cell}")
     return TSeries(list(map(MultiPoly, coeffs)))
 
 
@@ -164,12 +156,14 @@ def _times_uz(rows: list[list[int]], z: int) -> list[list[int]]:
 
 
 def _gamma_rows(terms: list, first: int, bound: int, order: int, z: int, op: Callable) -> list:
-    """_gamma_sum's Horner pass on rows 0..bound at an integer z; op is sub, or add
-    for the majorant.  gamma_(j+1) = g + u(1 - g), g = (1-zt)(1-t)^j, so row k
-    of N / gamma_(j+1) is q_k = g^-1 (N_k - q_(k-1)) + q_(k-1), read from N_0..N_k
-    only (so the cut is exact), and rows below u^(first+j) stay zero."""
+    """The sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1}) over j, cut at u <= bound,
+    by Horner's rule on rows 0..bound at an integer z; a term is rows of ints, terms
+    past j = bound - first are not taken, and op is sub, or add for psi's majorant.
+    gamma_(j+1) = g + u(1 - g), g = (1-zt)(1-t)^j, so row k of N / gamma_(j+1) is
+    q_k = g^-1 (N_k - q_(k-1)) + q_(k-1), read from N_0..N_k only (so the cut is
+    exact), and rows below u^(first+j) stay zero."""
     total = [[0] * (order + 1) for _ in range(bound + 1)]
-    for j in range(len(terms) - 1, -1, -1):
+    for j in range(min(len(terms), bound - first + 1) - 1, -1, -1):
         low = first + j
         for k, row in enumerate(terms[j][: bound - low + 1], low):
             total[k] = list(map(add, total[k], row))
@@ -178,6 +172,15 @@ def _gamma_rows(terms: list, first: int, bound: int, order: int, z: int, op: Cal
             quot = _over_one_minus_zt(_times_one_minus_t(list(map(op, total[k], prev)), -j), z)
             prev = total[k] = list(map(add, quot, prev))
     return total
+
+
+def _zt_gamma_sum(terms: list, first: int, bound: int, order: int) -> TSeries:
+    """zt times the sum of u^(first+j) terms[j] / (gamma_1..gamma_{j+1}) over j, cut at
+    u <= bound (_gamma_rows), for eval_G1_u and eval_H: every z-coefficient counts
+    words, so _by_evaluation reads it back.  zt is a shift by one t-order and a
+    product by z on each row."""
+    return _by_evaluation(lambda z: [[0, *(c * z for c in row[:-1])]
+                                     for row in _gamma_rows(terms, first, bound, order, z, sub)], order)
 
 
 def _int_graded_sum(order: int, p: int, step: Callable) -> list[int]:
@@ -234,10 +237,9 @@ def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
-    inverses = _delta_terms(p, 0, bound, order)
-    steps = ([[*map(sub, a, b)] for a, b in zip(cur, prev)] for prev, cur in pairwise(inverses))
-    rows, width = _gamma_sum(steps, 1, bound, order)
-    return _decode([[0, *(c << width for c in row[:-1])] for row in rows], width)  # times zt
+    inverses = (_delta_rows(p, 0, k, bound - k, order) for k in range(bound + 1))
+    steps = [[[*map(sub, a, b)] for a, b in zip(cur, prev)] for prev, cur in pairwise(inverses)]
+    return _zt_gamma_sum(steps, 1, bound, order)
 
 
 def _kernel_rhs(p: int, f_v1: TSeries, constant: TSeries) -> TSeries:
@@ -279,6 +281,9 @@ def eval_Gr(p: int, r: int, order: int) -> TSeries:
     """Series over sequences starting with exactly r zeros then a nonzero letter."""
     _check_p(p)
     _check_at_least("r", r, 1)
+    _check_at_least("order", order)
+    if r - 1 > order:  # every word counted starts with r zeros, so none is that short
+        return TSeries.zero(order)
     return eval_G1_full(p, order).shift(r - 1) * MultiPoly.monomial((0, 0, r - 1, 0))
 
 
@@ -299,10 +304,10 @@ def eval_H(p: int, order: int, u_bound: int | None = None) -> TSeries:
     """
     _check_p(p)
     bound = min(_u_bound(order, u_bound), order)
-    rows, width = _gamma_sum(_delta_terms(p, 1, bound, order), 0, bound, order, 1)
-    # times zt(1-u): row k reads rows k-1 and k only, so rows past the bound are not needed
-    return _decode([[0, *((a - b) << width for a, b in zip(row[:-1], low))]
-                    for low, row in zip([[0] * order, *rows], rows)], width)
+    # 1-u commutes with the sum, so it goes on each term: row k reads rows k-1 and k only
+    terms = [[[*map(sub, row, low)] for low, row in zip([[0] * (order + 1), *rows], rows)]
+             for rows in (_delta_rows(p, 1, k, bound - k, order) for k in range(bound + 1))]
+    return _zt_gamma_sum(terms, 0, bound, order)
 
 
 def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
@@ -320,7 +325,7 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
         return _from_scalars(_zeros_at(p, order, z.const_value()))
     if z != _Z:
         raise ValueError(f"z must be a constant or the variable z, not {z}")
-    return _by_evaluation(lambda c: _zeros_at(p, order, c), order)
+    return _by_evaluation(lambda c: [_zeros_at(p, order, c)], order)
 
 
 def _zeros_at(p: int, order: int, z: int) -> list[int]:
@@ -331,24 +336,21 @@ def _zeros_at(p: int, order: int, z: int) -> list[int]:
     return [1, *(z * v for v in _over_one_minus_zt(total, z))]
 
 
-def _by_evaluation(at: Callable[[int], list[int]], order: int) -> TSeries:
-    """The series whose t^n coefficient is the z-polynomial that at(z)[n] is at each
-    integer z, given that its coefficients are nonnegative (they count words).
+def _by_evaluation(at: Callable[[int], list[list[int]]], order: int) -> TSeries:
+    """The series whose u^k t^n coefficient is the z-polynomial that at(z)[k][n] is at
+    each integer z, given that its coefficients are nonnegative (they count words).
 
     Each coefficient is then at most the value at z = 1, so one run at z = 2^B, B one
-    bit above that value, holds every coefficient in its own balanced digit.  z^n
-    comes with t^n: an order past _MAX_EXP is refused before any run.  A negative
-    digit, or digits that do not sum to the value at z = 1, mean a wrong run."""
+    bit above the largest such value, holds every coefficient in its own balanced
+    digit, and _decode checks every cell's digits against that value: a negative digit,
+    or digits that do not sum to it, raise ArithmeticError.  z^n comes with t^n, and
+    no caller has more rows than t-orders: an order past _MAX_EXP is refused before
+    any run."""
     if order > _MAX_EXP:
         raise ValueError(_OVERFLOW)
     sizes = at(1)
-    width = max(sizes).bit_length() + 1
-    series = _decode([at(1 << width)], width)
-    for n, (poly, size) in enumerate(zip(series.coeffs, sizes)):
-        digits = poly.terms().values()
-        if min(digits, default=0) < 0 or sum(digits) != size:
-            raise ArithmeticError(f"z-polynomial at t^{n} is not a count of words: {poly}")
-    return series
+    width = max(chain(*sizes)).bit_length() + 1
+    return _decode(at(1 << width), width, sizes)
 
 
 def eval_P(order: int) -> TSeries:
@@ -398,7 +400,7 @@ def eval_A1_product_form(order: int) -> TSeries:
         return lambda n, total: map(sub, total, _times_one_minus_t(
             [*map(sub, total, [0, *(z * c for c in total[:-1])])], n - 1))
 
-    return _by_evaluation(lambda z: _int_graded_sum(order, 1, step(z)), order)
+    return _by_evaluation(lambda z: [_int_graded_sum(order, 1, step(z))], order)
 
 
 def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSeries]:
@@ -413,9 +415,15 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     """
     _check_at_least("m", m)
     bound = _u_bound(order, u_bound)
-    terms = ([[(-1) ** n * comb((m + 1) * k, n) for n in range(order + 1)]] for k in count())
-    # refuses before any row is built; the prefactor has l1 norm 4^(m+1)
-    rows, width = _gamma_sum(terms, 0, bound, order, 2 * (m + 1))
+    if bound > _MAX_EXP:  # u^bound, refused before any row as z^order is
+        raise ValueError(_OVERFLOW)
+    terms = [[[(-1) ** n * comb((m + 1) * k, n) for n in range(order + 1)]] for k in range(bound + 1)]
+    # the majorant: the pass at z = 1 on |terms| with subtraction made addition bounds
+    # the sum of |coefficients| over z at each u^k t^n (1/g has nonnegative coefficients);
+    # B is 2 bits above it, and the prefactor, of l1 norm 4^(m+1), takes 2(m + 1) more
+    magnitudes = [[[*map(abs, row)] for row in rows] for rows in terms]
+    width = max(chain(*_gamma_rows(magnitudes, 0, bound, order, 1, add))).bit_length() + 2 * m + 4
+    rows = _gamma_rows(terms, 0, bound, order, 1 << width, sub)
     for _ in range(m + 1):
         rows = _times_uz(rows, 1 << width)
     # |c| <= the l1 norm of R_m, submultiplicative and never raised by a cut: N_0 = 1,

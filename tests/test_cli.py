@@ -17,6 +17,7 @@ from pascent.cli import main
 from pascent.core import PAscentSequence, enumerate_sequences, stats
 from pascent.patterns import Pattern, occurs
 from pascent.series import MultiPoly, TSeries
+from test_gf import narrowed_by_evaluation
 
 
 def run(capsys, *argv):
@@ -401,11 +402,12 @@ def test_series_udeg_is_used(capsys):
 @pytest.mark.parametrize("name", ["G1u", "H"])
 def test_series_udeg_above_order(capsys, name):
     """A u-bound above the order changes nothing: the t^n coefficient has
-    u-degree at most n - 1."""
+    u-degree at most n - 1.  One past 127, the largest exponent a field holds,
+    is lowered to the order too, not refused."""
     argv = ["series", "--gf", name, "--p", "2", "--order", "3", "--udeg"]
-    code, out = run(capsys, *argv, "101")
-    assert code == 0
-    assert out == run(capsys, *argv, "3")[1]
+    expected = run(capsys, *argv, "3")[1]
+    for udeg in ("101", "200"):
+        assert run(capsys, *argv, udeg) == (0, expected), udeg
 
 
 BFILE_A = ["bfile", "--gf", "A", "--p", "2", "--order", "5", "--set", "all=1"]
@@ -559,18 +561,14 @@ def test_symbolic_A_guards_its_decode(capsys, monkeypatch, fault):
 
 
 def test_series_refuses_a_decode_past_its_width(capsys, monkeypatch):
-    """A width too narrow for eval_H's rows is refused by the decode: exit 1,
-    one message, no series."""
-    real = gf._gamma_sum
-
-    def narrowed(*args):
-        rows, width = real(*args)
-        return rows, max(2, width - 16)
-    monkeypatch.setattr(gf, "_gamma_sum", narrowed)
-    code = main(["series", "--gf", "H", "--p", "1", "--order", "4"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err.startswith("pascent: ") and captured.err.count("\n") == 1
+    """A width too narrow for the rows of eval_H, or of eval_G1_u under G1u, G1
+    and G, is refused by the decode: exit 1, one message, no series."""
+    monkeypatch.setattr(gf, "_by_evaluation", narrowed_by_evaluation(16))
+    for name in ("H", "G1u", "G1", "G"):
+        code = main(["series", "--gf", name, "--p", "1", "--order", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), name
+        assert captured.err.startswith("pascent: ") and captured.err.count("\n") == 1, name
 
 
 _U_GRADED_REFUSALS = [

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -59,6 +60,16 @@ def test_Gr_shift_law():
         g2 = gf.eval_Gr(p, 2, 6)
         assert g1 == gf.eval_G1_full(p, 6)
         assert g2 == g1.shift(1) * Z
+
+
+def test_Gr_is_zero_where_r_zeros_do_not_fit(monkeypatch):
+    """A word counted by G_r starts with r zeros, so for r - 1 > order the series
+    is zero, answered without G1_full and without a z^(r-1) past 127."""
+    def unreachable(*args):
+        raise AssertionError("G1_full evaluated")
+    monkeypatch.setattr(gf, "eval_G1_full", unreachable)
+    assert gf.eval_Gr(1, 200, 5) == TSeries.zero(5)
+    assert gf.eval_Gr(3, 2, 0) == TSeries.zero(0)
 
 
 def test_G_at_x_zero_counts_all_zero_words():
@@ -311,24 +322,37 @@ def test_delta_rows_match_generic_quotients():
                         assert gf._delta_rows(p, e, k, top, order) == rows[: top + 1]
 
 
+def _majorant_decode(terms, first, bound, order):
+    """_gamma_rows read back as psi reads its left side: at the width that the
+    majorant pass, on |terms| with subtraction made addition, bounds."""
+    magnitudes = [[[*map(abs, row)] for row in rows] for rows in terms]
+    total = gf._gamma_rows(magnitudes, first, bound, order, 1, operator.add)
+    width = max(itertools.chain(*total)).bit_length() + 2
+    return gf._decode(gf._gamma_rows(terms, first, bound, order, 1 << width, operator.sub), width)
+
+
 def test_gamma_sum_refuses_exponents_before_packing(monkeypatch):
     """u^bound and z^n at t^n are kept up to 127 and refused as an overflow
     from 128 on, before any row: at bound 127, u^127 / gamma_1 = u^127 (1 -
     zt(u-1)) + O(t^2) keeps u^127 (1 + zt), and at order 127 1/gamma_1 keeps
-    z^127 t^127."""
-    assert gf._decode(*gf._gamma_sum(iter([[[1, 0]]]), 127, 127, 1)) == TSeries(
-        [U ** 127, Z * U ** 127])
+    z^127 t^127, read back by either width rule."""
     unit = [1] + [0] * 127
-    assert gf._decode(*gf._gamma_sum(iter([[unit]]), 0, 0, 127)) == gf.one_minus_zt(127).invert()
+    for first, bound, order, terms, expected in (
+        (127, 127, 1, [[[1, 0]]], TSeries([U ** 127, Z * U ** 127])),
+        (0, 0, 127, [[unit]], gf.one_minus_zt(127).invert()),
+    ):
+        assert _majorant_decode(terms, first, bound, order) == expected
+        assert gf._by_evaluation(
+            lambda z: gf._gamma_rows(terms, first, bound, order, z, operator.sub), order) == expected
 
     def unreachable(*args):
         raise AssertionError("rows summed before the refusal")
-    monkeypatch.setattr(gf, "_gamma_rows", unreachable)
-    for args in ((iter([[[1]]]), 0, 128, 0), (iter([[unit + [0]]]), 0, 0, 128)):
+    for name in ("_delta_rows", "_gamma_rows"):
+        monkeypatch.setattr(gf, name, unreachable)
+    for call in (lambda: gf.psi(0, 0, 128), lambda: gf.psi(0, 128, 1), lambda: gf.psi(0, 128, 0),
+                 lambda: gf.eval_H(1, 128, 0), lambda: gf.eval_G1_u(1, 128, 0)):
         with pytest.raises(ValueError, match="exponent overflow"):
-            gf._gamma_sum(*args)
-    with pytest.raises(ValueError, match="exponent overflow"):
-        gf.psi(0, 128, 1)
+            call()
 
 
 def test_decode_refuses_a_digit_past_z_to_the_n():
@@ -339,19 +363,42 @@ def test_decode_refuses_a_digit_past_z_to_the_n():
     assert gf._decode([[0, 3 << 4]], 4) == TSeries.from_poly(1, 3 * Z, 1)
 
 
+def narrowed_by_evaluation(cut):
+    """gf._by_evaluation with its width cut by cut bits (to no less than 1), the
+    rows recomputed at the narrower z and checked against the run at z = 1."""
+    def by_evaluation(at, order):
+        sizes = at(1)
+        width = max(1, max(itertools.chain(*sizes)).bit_length() + 1 - cut)
+        return gf._decode(at(1 << width), width, sizes)
+    return by_evaluation
+
+
 @pytest.mark.parametrize("order", [2, 4, 6])
 @pytest.mark.parametrize("p", [1, 2])
 def test_eval_H_refuses_a_width_too_narrow(monkeypatch, p, order):
-    """With _gamma_sum's width 16 bits too narrow, eval_H's digits spill past
-    z^n: the decode raises where it returned a wrong series."""
-    real = gf._gamma_sum
-
-    def narrowed(*args):
-        rows, width = real(*args)
-        return rows, max(2, width - 16)
-    monkeypatch.setattr(gf, "_gamma_sum", narrowed)
+    """With _by_evaluation's width 16 bits too narrow, eval_H's digits spill
+    past z^n: the decode raises where it would return a wrong series."""
+    monkeypatch.setattr(gf, "_by_evaluation", narrowed_by_evaluation(16))
     with pytest.raises(ArithmeticError, match="has a digit past z"):
         gf.eval_H(p, order)
+
+
+@pytest.mark.parametrize("cut", [1, 3, 6, 16])
+def test_counting_series_decode_exactly_or_raise_at_any_narrower_width(monkeypatch, cut):
+    """A carry between digits moves a cell's digit sum by a multiple of 2^B - 1,
+    so with the width cut, eval_G1_u and eval_H return the exact series or raise
+    ArithmeticError, never another series."""
+    cases = [(f, p, order) for f in (gf.eval_G1_u, gf.eval_H) for p in range(1, 5)
+             for order in range(1, 17)]
+    exact = [f(p, order) for f, p, order in cases]
+    monkeypatch.setattr(gf, "_by_evaluation", narrowed_by_evaluation(cut))
+    raised = 0
+    for (f, p, order), expected in zip(cases, exact):
+        try:
+            assert f(p, order) == expected, (f.__name__, p, order)
+        except ArithmeticError:
+            raised += 1
+    assert raised, "no narrowed width was refused"
 
 
 def test_psi_agrees_above_the_order():
@@ -368,7 +415,8 @@ def test_gamma_sum_matches_the_generic_chain():
     """Horner's sum on rows equals the sum of each term times u^(first+j) and
     the uncut product of generic gamma inverses, cut at the bound afterwards:
     for the terms of eval_G1_u and eval_H, and for signed terms past 2^64,
-    whose z-coefficients are decoded from several limbs, many negative."""
+    whose z-coefficients are decoded from several limbs, many negative; the
+    rows are read back at the majorant's width, as psi reads its left side."""
     for order in range(10):
         deltas = [(gf.delta(k, order) ** 2).invert() for k in range(order + 3)]
         onemt = gf.one_minus_t(order)
@@ -395,7 +443,7 @@ def test_gamma_sum_matches_the_generic_chain():
                      for j, (term, g) in enumerate(zip(first_terms, chain))),
                     TSeries.zero(order),
                 ).u_truncate(bound)
-                actual = gf._decode(*gf._gamma_sum(iter(rows), first, bound, order))
+                actual = _majorant_decode(rows, first, bound, order)
                 assert actual == expected, (order, first, bound)
     assert min(actual.terms().values()) < -(2**64)
 
@@ -409,9 +457,9 @@ def test_psi_left_side_is_the_prefactor_times_the_sum():
         for m in range(8):
             prefactor = uz ** (m + 1)
             for bound in sorted({0, 1, order, order + 2}):
-                terms = ([[(-1) ** n * math.comb((m + 1) * k, n) for n in range(order + 1)]]
-                         for k in itertools.count())
-                total = gf._decode(*gf._gamma_sum(terms, 0, bound, order))
+                terms = [[[(-1) ** n * math.comb((m + 1) * k, n) for n in range(order + 1)]]
+                         for k in range(bound + 1)]
+                total = _majorant_decode(terms, 0, bound, order)
                 expected = (prefactor * total).u_truncate(bound)
                 lhs, _rhs = gf.psi(m, order, bound)
                 assert lhs == expected, (order, m, bound)
@@ -528,6 +576,23 @@ _A_DIGESTS = [
 def test_symbolic_A_keeps_its_digests(build, digest):
     """Symbolic A at high orders, read back from one run at z = 2^B, is the series
     that the symbolic sum gave, byte for byte."""
+    assert hashlib.sha256(build().to_json().encode()).hexdigest()[:16] == digest
+
+
+# SHA-256 prefixes of to_json(), as the majorant-width decode gave them: each
+# run at z = 2^B spans several 64-bit limbs
+_U_GRADED_DIGESTS = [
+    (lambda: gf.eval_H(4, 24), "61a1a961553bba64"),
+    (lambda: gf.eval_G1_u(4, 24), "074758d00aecd31c"),
+    (lambda: gf.eval_G1_u(2, 40), "562f30b4841d44a4"),
+    (lambda: gf.eval_G(3, 16), "4cdb6f7be4addf01"),
+]
+
+
+@pytest.mark.parametrize("build,digest", _U_GRADED_DIGESTS, ids=["H4_24", "G1u4_24", "G1u2_40", "G3_16"])
+def test_u_graded_series_keep_their_digests(build, digest):
+    """The u-graded series at multi-limb widths, read back through the count
+    check, are the series that the wider majorant-width decode gave, byte for byte."""
     assert hashlib.sha256(build().to_json().encode()).hexdigest()[:16] == digest
 
 

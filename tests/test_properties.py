@@ -1,11 +1,15 @@
 """Exact properties on drawn inputs: each compares two answers that different
 code computes.  Every run draws the same examples (derandomize=True)."""
 
+from itertools import chain
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pascent import gf
 from pascent.core import PAscentSequence
 from pascent.patterns import bijection_012_to_10, bijection_10_to_012, embed, project
+from pascent.series import MultiPoly, TSeries
 
 DRAWS = st.lists(st.integers(0, 1 << 16), max_size=10)
 
@@ -63,3 +67,36 @@ def test_bijections_invert_each_other_at_every_p(p, draws, rising):
     image = there(seq)
     assert image == PAscentSequence(p, image.letters)
     assert back(image) == seq
+
+
+@st.composite
+def _counting_rows(draw):
+    """Rows of a series that counts words: cells[k][n] lists the nonnegative
+    z-coefficients of u^k t^n, z^0 to z^n, small or many bits wide."""
+    order, top = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    coeff = st.one_of(st.integers(0, 3), st.integers(0, 1 << 20))
+    return [[draw(st.lists(coeff, min_size=n + 1, max_size=n + 1)) for n in range(order + 1)]
+            for _ in range(top + 1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cells=_counting_rows())
+def test_checked_decode_is_exact_or_raises_at_every_width(cells):
+    """Read back at z = 2^w against the counts at z = 1, the rows decode to
+    the series they encode or raise ArithmeticError, at every w from 1 to two
+    bits past the count width, and never raise from the count width on."""
+    def at(z):
+        return [[sum(c * z**i for i, c in enumerate(cell)) for cell in row] for row in cells]
+    expected = TSeries([
+        MultiPoly.from_terms({(k, 0, i, 0): c for k, row in enumerate(cells) for i, c in enumerate(row[n])})
+        for n in range(len(cells[0]))
+    ])
+    sizes = at(1)
+    count_width = max(chain(*sizes)).bit_length() + 1
+    for width in range(1, count_width + 3):
+        try:
+            decoded = gf._decode(at(1 << width), width, sizes)
+        except ArithmeticError:
+            assert width < count_width, width
+            continue
+        assert decoded == expected, width
