@@ -82,7 +82,7 @@ def delta(k: int, order: int) -> TSeries:
     if k == 0:
         return TSeries.one(order)
     u = TSeries.from_poly(order, _U)
-    return u - one_minus_t(order) ** k * (_U - 1)
+    return u - _from_scalars(_times_one_minus_t([1] + [0] * order, k)) * (_U - 1)
 
 
 def gamma(k: int, order: int) -> TSeries:
@@ -91,7 +91,8 @@ def gamma(k: int, order: int) -> TSeries:
     if k == 0:
         return TSeries.one(order)
     u = TSeries.from_poly(order, _U)
-    return u - one_minus_zt(order) * one_minus_t(order) ** (k - 1) * (_U - 1)
+    one_minus_t_power = _from_scalars(_times_one_minus_t([1] + [0] * order, k - 1))
+    return u - one_minus_zt(order) * one_minus_t_power * (_U - 1)
 
 
 def delta_bar(k: int, order: int) -> TSeries:

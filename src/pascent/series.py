@@ -9,25 +9,31 @@ division of 1), and checked exact polynomial division by (v - 1).
 
 Internally an exponent vector (e_u, e_v, e_z, e_x) is packed into a single
 int (8 bits per variable) so that monomial products reduce to integer
-addition, in the one loop that every product runs through, ``_scatter``.
-Composition in t and substitution for u are Horner evaluations over the one
-series product, so the kernel is just product and division; composition
-holds the partial sum for coefficient j at order N - j, since it is
-multiplied by the j-th power of a series without constant term.
+addition, in the one loop that every product of two term maps runs through,
+``_scatter``.  Composition in t and substitution for u are one Horner run,
+``_run``, on t-lists of ints (``_substitute``): each term map is one int at
+a single point, u^a v^b z^c x^e at one base-2^B digit, and each coefficient
+of the result is read back once in balanced digits.  Composition holds the
+partial sum for coefficient j at order N - j, since it is multiplied by the
+j-th power of a series without constant term.  A result whose fields span
+more than _DENSE digits runs the same Horner rule on the term maps, whose
+products go through ``_scatter``.
 One bound holds for every exponent: 127, the largest a field holds.
 Exponent vectors from outside are checked against it, and every product's
 output (and u -> uv's) is checked once for an exponent that reached 128; a
 product of two in-range exponents is at most 254, so that check sees every
-overflow before it spills into the next field.  The public accessors speak
-plain tuples.
+overflow before it spills into the next field.  The integer run bounds its
+result's exponents before it runs, and refuses one past 127 there.  The
+public accessors speak plain tuples.
 """
 
 from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import chain
-from operator import index, or_
+from itertools import chain, repeat
+from math import prod
+from operator import add, and_, index, lshift, mul, or_
 from typing import Iterable, Mapping
 
 VARS = ("u", "v", "z", "x")
@@ -37,6 +43,8 @@ _MASK = 0xFF
 _MAX_EXP = 127  # largest exponent a field holds, from outside or from a product
 _CARRY = 0x80808080  # top bit of each field: products stop at 127, so no field carries
 _OVERFLOW = "exponent overflow: a product has an exponent of 128 or more"
+_DENSE = 1 << 12  # most base-2^B digits the integer run lays out; past it, series products
+_NONE = -(1 << 62)  # the degree of zero in _run's run on degrees: below any sum of degrees
 
 
 def _pack(exps: Iterable[int]) -> int:
@@ -480,18 +488,14 @@ class TSeries:
     def compose_t(self, inner: "TSeries") -> "TSeries":
         """Substitute inner(t) for t; inner must have zero constant term.
 
-        Horner's rule from the top coefficient down: the partial sum from
-        coefficient j on is multiplied by inner^j, of t-valuation j, so it is
-        held at order n - j, and each step multiplies it by inner/t and sets
-        coefficient j as its t^0 coefficient."""
+        Horner's rule from the top coefficient down (_substitute): the partial
+        sum from coefficient j on is multiplied by inner^j, of t-valuation j, so
+        it is held at order n - j."""
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition requires an inner series with zero constant term")
         n = min(self.order, inner.order)
-        inner_over_t = TSeries(inner.coeffs[1 : n + 1] or [_P_ZERO])
-        result = TSeries([self.coeffs[n]])
-        for c in reversed(self.coeffs[:n]):
-            result = TSeries([c, *(result * inner_over_t).coeffs])
-        return result
+        return _substitute([[p._t, *[{}] * (n - j)] for j, p in enumerate(self.coeffs[: n + 1])],
+                           [p._t for p in inner.coeffs[: n + 1]])
 
     # -- substitutions ----------------------------------------------------
 
@@ -506,7 +510,8 @@ class TSeries:
 
         Every coefficient must be polynomial in u (always true here), so the
         substitution is a polynomial in repl, evaluated by Horner's rule over
-        its u-coefficients, filed in one pass: rows[e][i] is that of u^e t^i.
+        its u-coefficients (_substitute), filed in one pass: rows[e][i] is that
+        of u^e t^i.
         """
         n = min(self.order, repl.order)
         head = self.coeffs[: n + 1]
@@ -514,7 +519,7 @@ class TSeries:
         for i, p in enumerate(head):
             for k, c in p._t.items():
                 rows[k >> 24][i][k & 0xFFFFFF] = c
-        return _horner([TSeries(list(map(MultiPoly, row))) for row in rows], repl.truncate(n))
+        return _substitute(rows, [p._t for p in repl.coeffs[: n + 1]])
 
     def u_truncate(self, bound: int) -> "TSeries":
         """Drop every monomial whose u-exponent exceeds the bound."""
@@ -606,14 +611,72 @@ class TSeries:
         return f"TSeries({self})"
 
 
-def _horner(coeffs, x: TSeries) -> TSeries:
-    """coeffs[0] + coeffs[1]*x + coeffs[2]*x^2 + ... by Horner's rule, one series
-    product and one sum per step; coeffs must not be empty."""
-    *rest, top = coeffs
-    result = TSeries.zero(x.order) + top
-    for c in reversed(rest):
-        result = result * x + c
-    return result
+def _run(rows, x, value, fold=sum, times=mul, plus=add):
+    """rows[0] + x (rows[1] + x (rows[2] + ...)) by Horner's rule, on t-lists of value
+    at each packed map: each product is cut to the length of the row it is added to
+    and reads x backwards from its last entry, so a zero tail of x costs time only.
+    With fold=max, times=add and plus=max it is the same run on degrees, _NONE
+    that of zero."""
+    size, back = len(x), list(map(value, reversed(x)))
+    spans = [(max(0, i - size + 1), i + 1, max(0, size - 1 - i)) for i in range(len(rows[0]))]
+    acc = list(map(value, rows[-1]))
+    for row in reversed(rows[:-1]):
+        acc = [plus(value(d), fold(map(times, acc[lo:hi], back[start:])))
+               for d, (lo, hi, start) in zip(row, spans)]
+    return acc
+
+
+def _substitute(rows, x) -> TSeries:
+    """rows[0] + x rows[1] + x^2 rows[2] + ..., rows t-lists of packed maps, each as
+    long as its partial sum (_run), and x a t-list of packed maps.
+
+    One integer run at one point: a map is one int, u^a v^b z^c x^e at base-2^B
+    digit ((a Wv + b) Wz + c) Wx + e, with u on top and the fields of v, z and x as
+    wide as their exponents in the result, and each result int is read back once in
+    balanced digits.  A field's exponent is at most its largest in rows plus
+    len(rows) - 1 times its largest in x; only a sum past _MAX_EXP takes the exact
+    exponent with no cancellation, from the run on degrees, and refuses one past it
+    before any large int is built.  B is one bit above the run on l1 norms, which
+    bounds every coefficient; a result with no variable needs no B.  Fields that
+    would span more than _DENSE digits (a few terms with large exponents in several
+    variables can ask for millions) take the same Horner rule in series products."""
+    own, carried, tops = set().union(*chain.from_iterable(rows)), set().union(*x), []
+    for shift in (24, 16, 8, 0):
+        def most(keys, shift=shift):
+            return max(map(and_, keys, repeat(_MASK << shift)), default=0) >> shift
+        top = most(own) + (len(rows) - 1) * most(carried)
+        if top > _MAX_EXP:
+            top = max(_run(rows, x, lambda d: most(d) if d else _NONE, max, add, max))
+            if top > _MAX_EXP:
+                raise ValueError(_OVERFLOW)
+        tops.append(max(top, 0))
+    if prod(top + 1 for top in tops) > _DENSE:
+        acc, step = TSeries(list(map(MultiPoly, rows[-1]))), TSeries(list(map(MultiPoly, x)))
+        for row in reversed(rows[:-1]):
+            acc = TSeries(list(map(MultiPoly, row))) + TSeries([*acc.coeffs, _P_ZERO]) * step
+        return acc
+    while x and not x[-1]:
+        x.pop()
+    if not any(tops):
+        return _from_scalars(_run(rows, x, lambda d: d.get(0, 0)))
+    width = max(_run(rows, x, lambda d: sum(map(abs, d.values())))).bit_length() + 1
+    wv, wz, wx = (top + 1 for top in tops[1:])
+    place = {k: width * ((((k >> 24) * wv + (k >> 16 & _MASK)) * wz + (k >> 8 & _MASK)) * wx
+                         + (k & _MASK)) for k in own | carried}
+    values = _run(rows, x, lambda d: sum(map(lshift, d.values(), map(place.__getitem__, d))))
+    keys = [(a << 24) | (b << 16) | (c << 8) | e
+            for a in range(max(map(int.bit_length, values)) // width // (wv * wz * wx) + 1)
+            for b in range(wv) for c in range(wz) for e in range(wx)]
+    half, mask, coeffs = 1 << (width - 1), (1 << width) - 1, []
+    for value in values:
+        poly, at = {}, 0
+        while value:
+            skip = ((value & -value).bit_length() - 1) // width
+            value, at = value >> skip * width, at + skip
+            digit = poly[keys[at]] = ((value + half) & mask) - half
+            value, at = (value - digit) >> width, at + 1
+        coeffs.append(MultiPoly(poly))
+    return TSeries(coeffs)
 
 
 def scalar_coefficients(series: TSeries) -> list[int]:

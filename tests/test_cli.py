@@ -745,6 +745,19 @@ def test_verify_all_budget_8_digest(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("bfile --gf maxk --p 4 --k 5 --order 120",
+     "e5d0a3d52dd930447ab06492f2649376e43fc6c9d77714380d4fab27675d05ac"),
+    ("verify --suite delta_gamma_calculus --order 16",
+     "b6707aa75c471dd8f8505bd95e9424369b4e5d294990ccd262768438bb2f8c16"),
+], ids=["bfile_maxk", "delta_gamma_calculus"])
+def test_substitution_outputs_keep_their_digest(capsys, argv, digest):
+    """maxk composes the primitive series with t + ... + t^k (compose_t), and the
+    kernel calculus substitutes u/delta_k for u (subst_u): both print these bytes."""
+    code, out = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 @pytest.mark.parametrize("workload", ["kernel_series", "scalar_series", "enumerate"])
 def test_kernel_series_workload_outputs(capsys, workload):
     """The kernel_series, scalar_series and enumerate commands print the bytes

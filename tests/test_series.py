@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +324,19 @@ def test_compose_t_refuses_no_overflow_that_lies_above_the_result():
     assert TSeries.from_poly(2, X ** 100, 2).compose_t(inner) == TSeries.from_poly(2, X ** 100, 2)
 
 
+@pytest.mark.parametrize("substitution", [
+    lambda: TSeries([U ** 127] * 21).subst_u(TSeries([U ** 127] * 21)),
+    lambda: TSeries([U ** 127] * 21).compose_t(TSeries([MultiPoly()] + [U ** 127] * 20)),
+], ids=["subst_u", "compose_t"])
+def test_substitutions_refuse_an_overflow_before_any_large_product(substitution):
+    """u^127 to the power 127 (subst_u) or 20 (compose_t) is refused in well under
+    a second, before the run builds ints of its size."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent overflow"):
+        substitution()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_subst_u_to_uv_refuses_v_overflow():
     # u^60 v^67 becomes u^60 v^127, the largest a field holds; u^60 v^68 would pass it
     kept = TSeries.from_poly(1, MultiPoly.monomial((60, 67, 0, 0))).subst_u_to_uv()
@@ -589,6 +603,70 @@ def test_compose_t_matches_naive(a, inner):
     inner = TSeries([MultiPoly()] + inner.coeffs[1:])
     order = min(a.order, inner.order)
     assert a.compose_t(inner).terms() == naive_compose_t(a.terms(), inner.terms(), order)
+
+
+def naive_forms_128(terms, x, order, split):
+    """Whether the naive evaluation on |c| forms an exponent of 128 or more at an
+    order it keeps; split(exp) is a term's starting key and how many times it is
+    multiplied by x, as in naive_subst_u (by u) and naive_compose_t (by t)."""
+    x = {e: abs(c) for e, c in x.items()}
+    for exp, c in terms.items():
+        if exp[0] <= order:
+            key, times = split(exp)
+            term = {key: abs(c)}
+            for _ in range(times):
+                term = naive_mul(term, x, order)
+                if any(e >= 128 for exps in term for e in exps[1:]):
+                    return True
+    return False
+
+
+@st.composite
+def layout_cases(draw):
+    """A series whose exponents in one variable reach 70, often 56 or more, and a
+    replacement or inner series of order <= 4, one term per coefficient, carrying
+    the same variables, up to 40 in that one; the other exponents stay at 2, so one
+    field meets the 127 edge while the naive reference stays cheap."""
+    wide = draw(st.integers(0, 3))
+
+    def series(high, max_size):
+        exps = st.tuples(*[high if i == wide else st.integers(0, 2) for i in range(4)])
+        polys = st.dictionaries(exps, st.integers(-2, 2), max_size=max_size)
+        order = draw(st.integers(1, 4))
+        return TSeries(draw(st.lists(polys.map(MultiPoly.from_terms),
+                                     min_size=order + 1, max_size=order + 1)))
+
+    return (series(st.integers(0, 70) | st.integers(56, 70), 2),
+            series(st.integers(0, 2) | st.integers(8, 40), 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(layout_cases(), st.booleans())
+@example((TSeries([U, V ** 67]), TSeries([MultiPoly(), V ** 60])), True)    # v^127 t
+@example((TSeries([U, V ** 67]), TSeries([MultiPoly(), V ** 61])), True)    # v^128 t
+@example((TSeries([U * Z ** 70, Z]), TSeries([Z ** 57, X])), False)         # z^127
+@example((TSeries([U * Z ** 70, Z]), TSeries([Z ** 58, X])), False)         # z^128
+@example((TSeries([U ** 2 * X, X]), TSeries([U ** 63 * X ** 62, U])), False)  # u^126 x^125
+@example((TSeries([U ** 2 * X, X]), TSeries([U ** 64 * X, U])), False)       # u^128
+def test_substitutions_match_naive_or_refuse_an_exponent_past_127(case, compose):
+    """subst_u and compose_t either return the naive terms or refuse, and refuse
+    only where the naive evaluation on |c| forms an exponent of 128 or more."""
+    a, x = case
+    order = min(a.order, x.order)
+    if compose:
+        x = TSeries([MultiPoly()] + x.coeffs[1:])
+        run, naive = a.compose_t, naive_compose_t
+        split = lambda exp: ((0, *exp[1:]), exp[0])
+    else:
+        run, naive = a.subst_u, naive_subst_u
+        split = lambda exp: ((exp[0], 0, *exp[2:]), exp[1])
+    try:
+        got = run(x).terms()
+    except ValueError as exc:
+        assert "exponent overflow" in str(exc)
+        assert naive_forms_128(a.terms(), x.terms(), order, split)
+    else:
+        assert got == naive(a.terms(), x.terms(), order)
 
 
 @settings(max_examples=100, deadline=None)
