@@ -15,9 +15,9 @@ addition, in the one loop that every product of two term maps runs through,
 a single point, u^a v^b z^c x^e at one base-2^B digit, and each coefficient
 of the result is read back once in balanced digits.  Composition holds the
 partial sum for coefficient j at order N - j, since it is multiplied by the
-j-th power of a series without constant term.  A result whose fields span
-more than _DENSE digits runs the same Horner rule on the term maps, whose
-products go through ``_scatter``.
+j-th power of a series without constant term.  A single Horner step, and a
+result whose fields span more than _DENSE digits, run the same Horner rule
+on the term maps, whose products go through ``_scatter``.
 One bound holds for every exponent: 127, the largest a field holds.
 Exponent vectors from outside are checked against it, and every product's
 output (and u -> uv's) is checked once for an exponent that reached 128; a
@@ -490,12 +490,13 @@ class TSeries:
 
         Horner's rule from the top coefficient down (_substitute): the partial
         sum from coefficient j on is multiplied by inner^j, of t-valuation j, so
-        it is held at order n - j."""
+        it is held at order n - j; row j is coefficient j alone, and row 0 is
+        padded to order n, the length the partial sums grow to."""
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition requires an inner series with zero constant term")
         n = min(self.order, inner.order)
-        return _substitute([[p._t, *[{}] * (n - j)] for j, p in enumerate(self.coeffs[: n + 1])],
-                           [p._t for p in inner.coeffs[: n + 1]])
+        rows = [[self.coeffs[0]._t, *[{}] * n], *([p._t] for p in self.coeffs[1 : n + 1])]
+        return _substitute(rows, [p._t for p in inner.coeffs[: n + 1]])
 
     # -- substitutions ----------------------------------------------------
 
@@ -514,10 +515,11 @@ class TSeries:
         of u^e t^i.
         """
         n = min(self.order, repl.order)
-        head = self.coeffs[: n + 1]
-        rows = [[{} for _ in head] for _ in range(max(p.max_degree("u") for p in head) + 1)]
-        for i, p in enumerate(head):
-            for k, c in p._t.items():
+        head = [p._t for p in self.coeffs[: n + 1]]
+        # u is the top field, so the largest packed key has the largest u-exponent
+        rows = [[{} for _ in head] for _ in range((max(chain.from_iterable(head), default=0) >> 24) + 1)]
+        for i, terms in enumerate(head):
+            for k, c in terms.items():
                 rows[k >> 24][i][k & 0xFFFFFF] = c
         return _substitute(rows, [p._t for p in repl.coeffs[: n + 1]])
 
@@ -613,22 +615,32 @@ class TSeries:
 
 def _run(rows, x, value, fold=sum, times=mul, plus=add):
     """rows[0] + x (rows[1] + x (rows[2] + ...)) by Horner's rule, on t-lists of value
-    at each packed map: each product is cut to the length of the row it is added to
-    and reads x backwards from its last entry, so a zero tail of x costs time only.
-    With fold=max, times=add and plus=max it is the same run on degrees, _NONE
-    that of zero."""
-    size, back = len(x), list(map(value, reversed(x)))
+    at each packed map.  Each partial sum is one entry longer than the one above it,
+    up to len(rows[0]), and a row shorter than its partial sum reads as zero past its
+    end; each product reads x backwards from its last entry, so a zero tail of x
+    costs time only.  With fold=max, times=add and plus=max it is the same run on
+    degrees, _NONE that of zero."""
+    size, back, acc = len(x), list(map(value, reversed(x))), list(map(value, rows[-1]))
     spans = [(max(0, i - size + 1), i + 1, max(0, size - 1 - i)) for i in range(len(rows[0]))]
-    acc = list(map(value, rows[-1]))
     for row in reversed(rows[:-1]):
         acc = [plus(value(d), fold(map(times, acc[lo:hi], back[start:])))
-               for d, (lo, hi, start) in zip(row, spans)]
+               for d, (lo, hi, start) in zip(chain(row, repeat({})), spans[: len(acc) + 1])]
+    return acc
+
+
+def _by_products(rows, x) -> TSeries:
+    """_substitute's Horner rule in series products, which refuse an exponent of 128
+    as every product does; x must be as long as rows[0]."""
+    acc, step = TSeries(list(map(MultiPoly, rows[-1]))), TSeries(list(map(MultiPoly, x)))
+    for row in reversed(rows[:-1]):
+        acc = TSeries([*acc.coeffs, _P_ZERO]) * step
+        acc.coeffs[: len(row)] = map(add, map(MultiPoly, row), acc.coeffs)
     return acc
 
 
 def _substitute(rows, x) -> TSeries:
-    """rows[0] + x rows[1] + x^2 rows[2] + ..., rows t-lists of packed maps, each as
-    long as its partial sum (_run), and x a t-list of packed maps.
+    """rows[0] + x rows[1] + x^2 rows[2] + ..., rows t-lists of packed maps, zero past
+    their ends (_run), and x a t-list of packed maps as long as rows[0].
 
     One integer run at one point: a map is one int, u^a v^b z^c x^e at base-2^B
     digit ((a Wv + b) Wz + c) Wx + e, with u on top and the fields of v, z and x as
@@ -637,9 +649,12 @@ def _substitute(rows, x) -> TSeries:
     len(rows) - 1 times its largest in x; only a sum past _MAX_EXP takes the exact
     exponent with no cancellation, from the run on degrees, and refuses one past it
     before any large int is built.  B is one bit above the run on l1 norms, which
-    bounds every coefficient; a result with no variable needs no B.  Fields that
-    would span more than _DENSE digits (a few terms with large exponents in several
-    variables can ask for millions) take the same Horner rule in series products."""
+    bounds every coefficient; a result with no variable needs no B.  One Horner
+    step (rows of u-degree 1, or order 1), and fields that would span more than
+    _DENSE digits (a few terms with large exponents in several variables can ask
+    for millions), take the same Horner rule in series products, _by_products."""
+    if len(rows) < 3:  # one product: cheaper as a series product than the run's set-up
+        return _by_products(rows, x)
     own, carried, tops = set().union(*chain.from_iterable(rows)), set().union(*x), []
     for shift in (24, 16, 8, 0):
         def most(keys, shift=shift):
@@ -651,10 +666,7 @@ def _substitute(rows, x) -> TSeries:
                 raise ValueError(_OVERFLOW)
         tops.append(max(top, 0))
     if prod(top + 1 for top in tops) > _DENSE:
-        acc, step = TSeries(list(map(MultiPoly, rows[-1]))), TSeries(list(map(MultiPoly, x)))
-        for row in reversed(rows[:-1]):
-            acc = TSeries(list(map(MultiPoly, row))) + TSeries([*acc.coeffs, _P_ZERO]) * step
-        return acc
+        return _by_products(rows, x)
     while x and not x[-1]:
         x.pop()
     if not any(tops):
@@ -670,7 +682,7 @@ def _substitute(rows, x) -> TSeries:
     half, mask, coeffs = 1 << (width - 1), (1 << width) - 1, []
     for value in values:
         poly, at = {}, 0
-        while value:
+        while value:  # a run of zero digits is skipped in one shift
             skip = ((value & -value).bit_length() - 1) // width
             value, at = value >> skip * width, at + skip
             digit = poly[keys[at]] = ((value + half) & mask) - half
