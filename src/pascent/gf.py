@@ -8,10 +8,16 @@ two families:
   sum is cut at n = order and every retained coefficient is exact.  Each is
   sum_n w_n prod_{i<=n} t q_i / d, summed by Horner's rule from the last
   term down, with the partial sum from term n on held at order order - n.
-  _int_graded_sum runs the steps on a list of ints at an integer z: t q_n is
-  1 - (1-t)^n (for eval_R, summed at t -> -t, (1-t) - (1-t)^(1-n)), (1-t)^e T
-  is e passes of differences or -e running sums, and 1/(1 - zt) one running
-  sum, so no step multiplies a series.  A symbolic z (eval_A, the product
+  _int_graded_sum runs the steps on a list of ints at an integer z, and no step
+  multiplies a series: (1-t)^e T is e passes of differences or -e running sums,
+  and 1/(1 - zt) one running sum.  eval_R is summed at t -> -t, where its step
+  (1+t)(1 - (1+t)^-n) is (1-t) - (1-t)^(1-n): one difference pass and n - 1
+  running sums.  eval_P and eval_A at an integer z are summed in u = -t/(1-t)
+  (standing in for t, not the ascent variable), its own inverse, and mapped
+  back by _from_u: 1 - t = 1/(1-u) and 1/(1 - zt) = (1-u)/(1 - (1-z)u), so
+  their step (1 - (1-t)^n)/(1 - zt) is eval_R's over 1 - (1-z)u, running sums
+  where the step in t took n passes of differences.  The product form's step
+  keeps its n - 1 passes of differences.  A symbolic z (eval_A, the product
   form) is one run at z = 2^B and one digit decode: every z-coefficient counts
   words, so it is nonnegative and at most the run at z = 1, which sets B.
 
@@ -216,15 +222,27 @@ def _over_one_minus_zt(values: Iterable[int], z: int) -> Iterable[int]:
     return accumulate(values, lambda acc, c: acc * z + c) if z else values
 
 
-def _zeros_step(z: int) -> Callable:
-    """The step of eval_A at an integer z (eval_P: z = 0), (T - (1-t)^n T) / (1 - zt)."""
-    return lambda n, total: _over_one_minus_zt(map(sub, total, _times_one_minus_t(total, n)), z)
-
-
 def _primitive_step(n: int, total: list[int]) -> Iterable[int]:
     """The step of eval_R, (1+t)(1 - (1+t)^-n) T, for S(t) = T(-t): (1-t) S -
     (1-t)^(1-n) S, one difference pass and n - 1 running sums."""
     return map(sub, _times_one_minus_t(total, 1), _times_one_minus_t(total, 1 - n))
+
+
+def _zeros_step(z: int) -> Callable:
+    """The step of eval_A at an integer z (eval_P: z = 0), (T - (1-t)^n T) / (1 - zt),
+    for S(u) = T(t) at u = -t/(1-t): 1 - t = 1/(1-u) and 1/(1 - zt) = (1-u)/(1 - (1-z)u),
+    so it is eval_R's step over 1 - (1-z)u, which is no pass at z = 1."""
+    return lambda n, total: _over_one_minus_zt(_primitive_step(n, total), 1 - z)
+
+
+def _from_u(values: list[int]) -> list[int]:
+    """The t-list of S(-t/(1-t)), S the series with coefficients values, which is also the
+    u-list of a t-list, as the substitution is its own inverse: by Horner's rule from the
+    top, R <- (-1)^k c_k + t R/(1-t), one running sum per coefficient."""
+    total: list[int] = []
+    for k in range(len(values) - 1, -1, -1):
+        total = [-values[k] if k & 1 else values[k], *accumulate(total)]
+    return total
 
 
 def eval_G1_u(p: int, order: int, u_bound: int | None = None) -> TSeries:
@@ -330,11 +348,12 @@ def eval_A(p: int, order: int, z: MultiPoly = _Z) -> TSeries:
 
 
 def _zeros_at(p: int, order: int, z: int) -> list[int]:
-    """eval_A at an integer z, as ints."""
+    """eval_A at an integer z, as ints, summed in u = -t/(1-t): zt/(1 - zt) is
+    -zu/(1 - (1-z)u) there."""
     if order == 0:
         return [1]
     total = _int_graded_sum(order - 1, p, _zeros_step(z))
-    return [1, *(z * v for v in _over_one_minus_zt(total, z))]
+    return _from_u([1, *(-z * v for v in _over_one_minus_zt(total, 1 - z))])
 
 
 def _by_evaluation(at: Callable[[int], list[list[int]]], order: int) -> TSeries:
@@ -357,7 +376,7 @@ def _by_evaluation(at: Callable[[int], list[list[int]]], order: int) -> TSeries:
 def eval_P(order: int) -> TSeries:
     """Series counting 1-ascent sequences by length: sum of prod_{i=1..n}(1-(1-t)^i)."""
     _check_at_least("order", order)
-    return _from_scalars(_int_graded_sum(order, 1, _zeros_step(0)))
+    return _from_scalars(_from_u(_int_graded_sum(order, 1, _zeros_step(0))))  # summed in u
 
 
 def eval_R(p: int, order: int) -> TSeries:

@@ -758,6 +758,21 @@ def test_substitution_outputs_keep_their_digest(capsys, argv, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("bfile --gf P --order 300",
+     "aac2530d4f54b9ab64f0b846aaa1b72c04eb7444247adaf1c6280f94a100f94a"),
+    ("bfile --gf A --p 4 --order 150 --set z=-3",
+     "74ab6b7b1d5d64b97487b2e02e81ff4838116a4a014a508328711c4bd6cf07ee"),
+    ("series --gf A --p 3 --order 60",
+     "8790ca2b494e8a77a7b0389c39fbcc366475fc093fa3638a5138bca2aac56427"),
+], ids=["bfile_P_300", "bfile_A4_z-3", "series_A3_60"])
+def test_zeros_sums_keep_their_digest(capsys, argv, digest):
+    """P, A at an integer z and symbolic A, summed by Horner's rule on lists of
+    ints and mapped back to t, print these bytes."""
+    code, out = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 @pytest.mark.parametrize("workload", ["kernel_series", "scalar_series", "enumerate"])
 def test_kernel_series_workload_outputs(capsys, workload):
     """The kernel_series, scalar_series and enumerate commands print the bytes

@@ -6,11 +6,13 @@ import math
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden_data as gold
 from pascent import gf
 from pascent.core import oracle_table
-from pascent.series import MultiPoly, TSeries, scalar_coefficients
+from pascent.series import MultiPoly, TSeries, _from_scalars, scalar_coefficients
 
 U = MultiPoly.variable("u")
 Z = MultiPoly.variable("z")
@@ -557,6 +559,34 @@ def test_t_graded_sums_match_the_forward_products():
         expected = 1 + primitive.shift(1)
         for order in range(top + 1):
             assert gf.eval_R(p, order) == expected.truncate(order), (order, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-(2**300), 2**300), max_size=40))
+def test_from_u_is_the_substitution_and_its_own_inverse(values):
+    """_from_u, Horner's rule in t/(1-t), is compose_t with -t/(1-t), and that
+    substitution is its own inverse."""
+    assert gf._from_u(gf._from_u(values)) == values
+    if values:
+        inner = _from_scalars([0, *[-1] * (len(values) - 1)])
+        assert gf._from_u(values) == scalar_coefficients(_from_scalars(values).compose_t(inner))
+
+
+def test_A_at_a_large_integer_z_matches_the_forward_products():
+    """eval_A at z = +-2^70, where 1 - z and z take several limbs, is the forward
+    sum of full-order products at every order up to 12."""
+    top = 12
+    one, onemt = TSeries.one(top), gf.one_minus_t(top)
+    vanishing = [None, *(one - onemt**i for i in range(1, top + 1))]
+    for c in (2**70, -(2**70)):
+        z = MultiPoly.const(c)
+        inv = gf.one_minus_zt(top, z).invert()
+        for p in range(1, 5):
+            weight = lambda n, p=p: math.comb(p - 1 + n, n)  # noqa: E731
+            zeros = _forward_sum(top, weight, inv, vanishing.__getitem__)
+            expected = 1 + TSeries.from_poly(top, z, 1) * inv * zeros
+            for order in range(top + 1):
+                assert gf.eval_A(p, order, z) == expected.truncate(order), (order, p, c)
 
 
 # SHA-256 prefixes of to_json(), as the sparse series product summed them
