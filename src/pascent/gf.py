@@ -34,15 +34,17 @@ coefficient, and no step divides: _delta_rows writes (1-t)^(ek) / delta_k^p
 in closed form, and _gamma_rows sums u^k a_k over growing products of gammas
 by Horner's rule, solving each gamma along u at an integer z.  Each caller
 applies its remaining factor to those rows (eval_G1_u zt, eval_H zt(1-u), psi
-its prefactor) and _decode reads them back from one run at z = 2^B.  Every cut
-is exact: it is reduction modulo a power of u, every factor is a polynomial
-in u and each kernel factor has constant term 1.
+its prefactor) and series._decode reads them back from one run at z = 2^B.
+Every cut is exact: it is reduction modulo a power of u, every factor is a
+polynomial in u and each kernel factor has constant term 1.
 
+Every integer run here is read back by that one checked decode, against its
+rows at z = 1 and a bound on each cell's l1 norm, so it is exact or raises.
 Every z-coefficient of eval_G1_u, eval_H and symbolic eval_A counts words, so
-all three are read back through _by_evaluation: the run at z = 1 sets B, and
-the decode checks every digit against it, so a series that counts words
-decodes exactly or raises.  psi's two sides are signed: the left side takes B
-from a majorant pass and the right side from its l1 norm.
+all three are read back through _by_evaluation: the run at z = 1 is both
+bound and check, and no digit may be negative.  psi's two sides are signed:
+the left side is bounded by a majorant pass, the right side by the l1 norm
+of its closed polynomial, and each is checked against its rows at z = 1.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Callable, Iterable
 
 from .core import _check_p
 from .series import (
-    _MAX_EXP, _OVERFLOW, _SHIFT, MultiPoly, TSeries, _check_at_least, _from_scalars,
+    _MAX_EXP, _OVERFLOW, MultiPoly, TSeries, _check_at_least, _decode, _from_scalars, _z_digits,
 )
 
 _U = MultiPoly.variable("u")
@@ -124,42 +126,13 @@ def _delta_rows(p: int, e: int, k: int, top: int, order: int) -> list[list[int]]
     return rows
 
 
-def _decode(rows: list[list[int]], width: int, sizes: list[list[int]] | None = None) -> TSeries:
-    """The series whose u^k t^n coefficient, a z-polynomial, is rows[k][n] at z = 2^width:
-    balanced digits, z^0 first, exact if every z-coefficient is below 2^(width-1) in size.
-
-    z^n comes with t^n, so a digit past z^n, which a width too narrow for the
-    coefficients can give, raises ArithmeticError instead of decoding wrongly.  sizes,
-    given for a series that counts words, are its rows at z = 1: a negative digit, or a
-    cell whose digits do not sum to its size, raises too.  A carry between digits moves
-    that sum by a multiple of 2^width - 1, so such a series decodes exactly or raises."""
-    half, mask, z = 1 << (width - 1), (1 << width) - 1, 1 << _SHIFT["z"]
-    coeffs: list[dict[int, int]] = [{} for _ in rows[0]]
-    for k, row in enumerate(rows):
-        for n, (poly, value) in enumerate(zip(coeffs, row)):
-            key = first = k << _SHIFT["u"]
-            top, total, spread = key + n * z, 0, 0
-            while value:
-                if key > top:
-                    raise ArithmeticError(f"u^{k} t^{n} has a digit past z^{n} at width {width}")
-                digit = ((value + half) & mask) - half
-                if digit:
-                    poly[key] = digit
-                    total, spread = total + digit, spread + abs(digit)
-                value = (value - digit) >> width
-                key += z
-            if sizes and not total == spread == sizes[k][n]:
-                cell = MultiPoly({e: poly[e] for e in range(first, key, z) if e in poly})
-                at = f"u^{k} t^{n}" if k else f"t^{n}"  # eval_A, with no u, names t^n alone
-                raise ArithmeticError(f"z-polynomial at {at} is not a count of words: {cell}")
-    return TSeries(list(map(MultiPoly, coeffs)))
-
-
-def _times_uz(rows: list[list[int]], z: int) -> list[list[int]]:
-    """rows times (u-1)(1-zt) at an integer z, as many rows: row k of the product
+def _times_uz(rows: list[list[int]], z: int, e: int = 1) -> list[list[int]]:
+    """rows times ((u-1)(1-zt))^e at an integer z, as many rows: row k of each product
     reads rows k-1 and k only, so the cut stays exact."""
-    rows = [list(map(sub, row, [0, *(c * z for c in row[:-1])])) for row in rows]
-    return [list(map(sub, low, row)) for low, row in zip([[0] * len(rows[0]), *rows], rows)]
+    for _ in range(e):
+        rows = [list(map(sub, row, [0, *map(z.__mul__, row[:-1])])) for row in rows]
+        rows = [list(map(sub, low, row)) for low, row in zip([[0] * len(rows[0]), *rows], rows)]
+    return rows
 
 
 def _gamma_rows(terms: list, first: int, bound: int, order: int, z: int, op: Callable) -> list:
@@ -360,17 +333,16 @@ def _by_evaluation(at: Callable[[int], list[list[int]]], order: int) -> TSeries:
     """The series whose u^k t^n coefficient is the z-polynomial that at(z)[k][n] is at
     each integer z, given that its coefficients are nonnegative (they count words).
 
-    Each coefficient is then at most the value at z = 1, so one run at z = 2^B, B one
-    bit above the largest such value, holds every coefficient in its own balanced
-    digit, and _decode checks every cell's digits against that value: a negative digit,
-    or digits that do not sum to it, raise ArithmeticError.  z^n comes with t^n, and
-    no caller has more rows than t-orders: an order past _MAX_EXP is refused before
-    any run."""
+    Each coefficient is then at most the value at z = 1, which is both the check sum
+    and the l1 norm of its cell, so the run at z = 2^B read back by _decode holds
+    every coefficient in its own balanced digit, and a negative digit, or digits that
+    do not sum to that value, raise ArithmeticError.  z^n comes with t^n, and no
+    caller has more rows than t-orders: an order past _MAX_EXP is refused before any
+    run."""
     if order > _MAX_EXP:
         raise ValueError(_OVERFLOW)
     sizes = at(1)
-    width = max(chain(*sizes)).bit_length() + 1
-    return _decode(at(1 << width), width, sizes)
+    return _decode(lambda width: at(1 << width), sizes, sizes, _z_digits)
 
 
 def eval_P(order: int) -> TSeries:
@@ -438,19 +410,20 @@ def psi(m: int, order: int, u_bound: int | None = None) -> tuple[TSeries, TSerie
     if bound > _MAX_EXP:  # u^bound, refused before any row as z^order is
         raise ValueError(_OVERFLOW)
     terms = [[[(-1) ** n * comb((m + 1) * k, n) for n in range(order + 1)]] for k in range(bound + 1)]
+
+    def lhs(width):
+        return _times_uz(_gamma_rows(terms, 0, bound, order, 1 << width, sub), 1 << width, m + 1)
     # the majorant: the pass at z = 1 on |terms| with subtraction made addition bounds
-    # the sum of |coefficients| over z at each u^k t^n (1/g has nonnegative coefficients);
-    # B is 2 bits above it, and the prefactor, of l1 norm 4^(m+1), takes 2(m + 1) more
+    # the sum of |coefficients| over z at each u^k t^n (1/g has nonnegative coefficients),
+    # and the prefactor, of l1 norm 4^(m+1), raises the largest at most that many times
     magnitudes = [[[*map(abs, row)] for row in rows] for rows in terms]
-    width = max(chain(*_gamma_rows(magnitudes, 0, bound, order, 1, add))).bit_length() + 2 * m + 4
-    rows = _gamma_rows(terms, 0, bound, order, 1 << width, sub)
-    for _ in range(m + 1):
-        rows = _times_uz(rows, 1 << width)
+    most = max(chain(*_gamma_rows(magnitudes, 0, bound, order, 1, add))) << 2 * (m + 1)
     # |c| <= the l1 norm of R_m, submultiplicative and never raised by a cut: N_0 = 1,
     # N_j = 2^j N_(j-1) + 4^j, so N_m = sum_j 4^j 2^(m(m+1)/2 - j(j+1)/2) < 2^(m(m+1)/2 + 3)
-    rhs_width = m * (m + 1) // 2 + 4
-    rhs = _psi_rhs_rows(m, min(m, bound), order, 1 << rhs_width)
-    return _decode(rows, width), _decode(rhs, rhs_width)
+    top, rhs_most = min(m, bound), (1 << m * (m + 1) // 2 + 3) - 1
+    return (_decode(lhs, lhs(0), [[most] * (order + 1)] * (bound + 1), _z_digits),
+            _decode(lambda width: _psi_rhs_rows(m, top, order, 1 << width),
+                    _psi_rhs_rows(m, top, order, 1), [[rhs_most] * (order + 1)] * (top + 1), _z_digits))
 
 
 def _psi_rhs_rows(m: int, top: int, order: int, z: int) -> list[list[int]]:

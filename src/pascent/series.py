@@ -12,12 +12,22 @@ int (8 bits per variable) so that monomial products reduce to integer
 addition, in the one loop that every product of two term maps runs through,
 ``_scatter``.  Composition in t and substitution for u are one Horner run,
 ``_run``, on t-lists of ints (``_substitute``): each term map is one int at
-a single point, u^a v^b z^c x^e at one base-2^B digit, and each coefficient
-of the result is read back once in balanced digits.  Composition holds the
+a single point, u^a v^b z^c x^e at one base-2^B digit.  Composition holds the
 partial sum for coefficient j at order N - j, since it is multiplied by the
 j-th power of a series without constant term.  A single Horner step, and a
 result whose fields span more than _DENSE digits, run the same Horner rule
 on the term maps, whose products go through ``_scatter``.
+
+Every integer run, here and in ``gf``, is read back by one checked decode,
+``_decode``.  B is ``_width`` of the largest bound N on a cell's l1 norm (a
+cell: one result coefficient, or a z-polynomial of one), and a cell whose
+sum S (the same run where every packed variable is 1) and bound leave no
+coefficient below -L, L = floor((N - S)/2), is read in digits base 2^B from
+-L - 2^(B-1) on.  Its digits must lie in its layout of packed keys, be at
+least -L and sum to S: a carry between digits, which a B too narrow gives,
+can only lower that sum, so every decode is exact or raises
+ArithmeticError.  A series that counts words has N = S: no negative digit.
+
 One bound holds for every exponent: 127, the largest a field holds.
 Exponent vectors from outside are checked against it, and every product's
 output (and u -> uv's) is checked once for an exponent that reached 128; a
@@ -171,10 +181,6 @@ class MultiPoly:
         if self.is_const():
             return self._t[0]
         raise ValueError(f"not a constant polynomial: {self}")
-
-    def max_degree(self, var: str) -> int:
-        shift = _SHIFT[var]
-        return max(((k >> shift) & _MASK for k in self._t), default=0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
@@ -644,15 +650,15 @@ def _substitute(rows, x) -> TSeries:
 
     One integer run at one point: a map is one int, u^a v^b z^c x^e at base-2^B
     digit ((a Wv + b) Wz + c) Wx + e, with u on top and the fields of v, z and x as
-    wide as their exponents in the result, and each result int is read back once in
-    balanced digits.  A field's exponent is at most its largest in rows plus
-    len(rows) - 1 times its largest in x; only a sum past _MAX_EXP takes the exact
-    exponent with no cancellation, from the run on degrees, and refuses one past it
-    before any large int is built.  B is one bit above the run on l1 norms, which
-    bounds every coefficient; a result with no variable needs no B.  One Horner
-    step (rows of u-degree 1, or order 1), and fields that would span more than
-    _DENSE digits (a few terms with large exponents in several variables can ask
-    for millions), take the same Horner rule in series products, _by_products."""
+    wide as their exponents in the result, read back by _decode against the run on
+    sums and bounded by the run on l1 norms.  A field's exponent is at most its
+    largest in rows plus len(rows) - 1 times its largest in x; only a sum past
+    _MAX_EXP takes the exact exponent with no cancellation, from the run on degrees,
+    and refuses one past it before any large int is built.  A result with no
+    variable needs no B.  One Horner step (rows of u-degree 1, or order 1), and
+    fields that would span more than _DENSE digits (a few terms with large exponents
+    in several variables can ask for millions), take the same Horner rule in series
+    products, _by_products."""
     if len(rows) < 3:  # one product: cheaper as a series product than the run's set-up
         return _by_products(rows, x)
     own, carried, tops = set().union(*chain.from_iterable(rows)), set().union(*x), []
@@ -671,24 +677,73 @@ def _substitute(rows, x) -> TSeries:
         x.pop()
     if not any(tops):
         return _from_scalars(_run(rows, x, lambda d: d.get(0, 0)))
-    width = max(_run(rows, x, lambda d: sum(map(abs, d.values())))).bit_length() + 1
     wv, wz, wx = (top + 1 for top in tops[1:])
-    place = {k: width * ((((k >> 24) * wv + (k >> 16 & _MASK)) * wz + (k >> 8 & _MASK)) * wx
-                         + (k & _MASK)) for k in own | carried}
-    values = _run(rows, x, lambda d: sum(map(lshift, d.values(), map(place.__getitem__, d))))
-    keys = [(a << 24) | (b << 16) | (c << 8) | e
-            for a in range(max(map(int.bit_length, values)) // width // (wv * wz * wx) + 1)
+    keys = [(a << 24) | (b << 16) | (c << 8) | e for a in range(tops[0] + 1)
             for b in range(wv) for c in range(wz) for e in range(wx)]
-    half, mask, coeffs = 1 << (width - 1), (1 << width) - 1, []
-    for value in values:
-        poly, at = {}, 0
-        while value:  # a run of zero digits is skipped in one shift
-            skip = ((value & -value).bit_length() - 1) // width
-            value, at = value >> skip * width, at + skip
-            digit = poly[keys[at]] = ((value + half) & mask) - half
-            value, at = (value - digit) >> width, at + 1
-        coeffs.append(MultiPoly(poly))
-    return TSeries(coeffs)
+
+    def at(width):
+        place = {k: width * ((((k >> 24) * wv + (k >> 16 & _MASK)) * wz + (k >> 8 & _MASK)) * wx
+                             + (k & _MASK)) for k in own | carried}
+        return [_run(rows, x, lambda d: sum(map(lshift, d.values(), map(place.__getitem__, d))))]
+    return _decode(at, [_run(rows, x, lambda d: sum(d.values()))],
+                   [_run(rows, x, lambda d: sum(map(abs, d.values())))], lambda k, n: keys)
+
+
+def _width(bound: int) -> int:
+    """The digit width B of every integer run whose result coefficients are at most
+    bound in size: one bit above it, so each is one balanced digit."""
+    return bound.bit_length() + 1
+
+
+def _z_digits(k: int, n: int) -> range:
+    """The packed keys u^k z^0 .. u^k z^n, the layout of the u^k t^n coefficient of a
+    run at z = 2^B: z^n comes with t^n."""
+    return range(k << 24, (k << 24) + ((n + 1) << 8), 1 << 8)
+
+
+def _monomial(key: int, *rest: str) -> str:
+    """A packed monomial as a decode names it, u^2 z^3 (1 if constant), rest after it."""
+    return " ".join([*(f"{v}^{e}" for v, e in zip(VARS, _unpack(key)) if e), *rest]) or "1"
+
+
+def _decode(at, sums, norms, keys) -> TSeries:
+    """The series of an integer run, read back once in digits base 2^B and checked.
+
+    at(B) is the run at one point 2^B, rows of ints: rows[k][n] goes into the t^n
+    coefficient, its digit i, lowest first, the coefficient of the packed key
+    keys(k, n)[i].  sums is the same run where every packed variable is 1, and norms
+    bound each cell's l1 norm; B is _width of the largest norm.  A cell with sum S
+    and norm N has no coefficient below -L, L = floor((N - S)/2), the most its
+    negative ones can add up to, so its digits are read in [-L - 2^(B-1), 2^(B-1) - L)
+    and each must be at least -L and all must sum to S.  Then a carry between digits,
+    which a B too narrow for the cell gives, raises ArithmeticError: the true digits
+    plus L are nonnegative, the read ones plus L are too and below 2^(B-1), so a
+    carry can only lower the sum (by a multiple of 2^B - 1).  A window that does not
+    hold 0 (L >= 2^(B-1)), and a digit past a cell's last key, raise too.  A series
+    that counts words has N = S, L = 0: no negative digit."""
+    width = _width(max(chain.from_iterable(norms)))
+    half, mask, coeffs = 1 << (width - 1), (1 << width) - 1, [{} for _ in sums[0]]
+    for k, cells in enumerate(zip(at(width), sums, norms)):
+        for n, (poly, value, total, norm) in enumerate(zip(coeffs, *cells)):
+            cell, place, digits, least = keys(k, n), 0, 0, -((norm - total) // 2)
+            size, shift, fits = len(cell), half - least, least > -half  # the window holds 0
+            while value:
+                digit = ((value + shift) & mask) - shift
+                if not digit:  # a run of zero digits is skipped in one shift
+                    skip = ((value & -value).bit_length() - 1) // width
+                    value, place = value >> skip * width, place + skip
+                    continue
+                if place >= size:
+                    raise ArithmeticError(f"{_monomial(cell[0], f't^{n}')} has a digit past "
+                                          f"{_monomial(cell[-1] - cell[0])} at width {width}")
+                poly[cell[place]] = digit
+                digits, fits = digits + digit, fits and digit >= least
+                value, place = (value - digit) >> width, place + 1
+            if not fits or digits != total:
+                got = MultiPoly({key: poly[key] for key in cell[:place] if key in poly})
+                raise ArithmeticError(f"{_monomial(cell[0], f't^{n}')} decodes to {got} at width "
+                                      f"{width}, not to digits of at least {least} that sum to {total}")
+    return TSeries(list(map(MultiPoly, coeffs)))
 
 
 def scalar_coefficients(series: TSeries) -> list[int]:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -12,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from pascent import gf, patterns, verify
+from pascent import gf, patterns, series, verify
 from pascent.cli import main
 from pascent.core import PAscentSequence, enumerate_sequences, stats
 from pascent.patterns import Pattern, occurs
 from pascent.series import MultiPoly, TSeries
-from test_gf import narrowed_by_evaluation
+from test_series import narrowed_width
 
 
 def run(capsys, *argv):
@@ -552,18 +553,18 @@ def test_symbolic_A_guards_its_decode(capsys, monkeypatch, fault):
             values[1] += fault
         return values
     monkeypatch.setattr(gf, "_zeros_at", corrupted)
-    with pytest.raises(ArithmeticError, match="at t\\^1 is not a count of words"):
+    with pytest.raises(ArithmeticError, match=r"^t\^1 decodes to .* not to digits of at least 0 "):
         gf.eval_A(2, 5)
     code = main(["series", "--gf", "A", "--p", "2", "--order", "5"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("pascent: z-polynomial at t^1")
+    assert captured.err.startswith("pascent: t^1 decodes to")
 
 
 def test_series_refuses_a_decode_past_its_width(capsys, monkeypatch):
     """A width too narrow for the rows of eval_H, or of eval_G1_u under G1u, G1
     and G, is refused by the decode: exit 1, one message, no series."""
-    monkeypatch.setattr(gf, "_by_evaluation", narrowed_by_evaluation(16))
+    monkeypatch.setattr(series, "_width", narrowed_width(16))
     for name in ("H", "G1u", "G1", "G"):
         code = main(["series", "--gf", name, "--p", "1", "--order", "4"])
         captured = capsys.readouterr()
@@ -676,6 +677,35 @@ def test_verify_failed_cancellation_exits_1(capsys, monkeypatch):
         "error": "ArithmeticError: kernel cancellation failed at t^4: "
                  "nonzero remainder in exact division by (v - 1)"
     }
+
+
+def test_a_refused_decode_fails_its_suite(capsys, monkeypatch):
+    """One integer run value off by one is refused by the decode: verify --suite psi
+    and delta_gamma_calculus each exit 1 with the one-key error record, as a failed
+    kernel cancellation does, and gf.psi and TSeries.subst_u raise."""
+    h, delta = gf.eval_H(2, 6), gf.delta(2, 6)
+    real = series._decode
+
+    def corrupted(at, sums, norms, keys):
+        def bumped(width):
+            rows = at(width)
+            return [*rows[:-1], [*rows[-1][:-1], rows[-1][-1] + 1]]
+        return real(bumped, sums, norms, keys)
+    monkeypatch.setattr(series, "_decode", corrupted)
+    monkeypatch.setattr(gf, "_decode", corrupted)
+    for suite in ("psi", "delta_gamma_calculus"):
+        code = main(["verify", "--suite", suite, "--order", "8"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, ""), suite
+        report = json.loads(captured.out)
+        assert report["status"] == "fail", suite
+        assert list(report["first_discrepancy"]) == ["error"], suite
+        error = report["first_discrepancy"]["error"]
+        assert re.match(r"ArithmeticError: (u\^\d+ )?t\^\d+ decodes to ", error), suite
+    with pytest.raises(ArithmeticError, match="decodes to"):
+        gf.psi(2, 6)
+    with pytest.raises(ArithmeticError, match="decodes to"):
+        h.subst_u(delta)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_data as gold
-from pascent import gf
+from pascent import gf, series
 from pascent.core import oracle_table
 from pascent.series import MultiPoly, TSeries, _from_scalars, scalar_coefficients
+from test_series import narrowed_width
 
 U = MultiPoly.variable("u")
 Z = MultiPoly.variable("z")
@@ -302,8 +303,8 @@ def _series(rows, order):
 
 def _rows(series):
     """rows[k][n] is the u^k t^n coefficient of a z-free series."""
-    top = max(poly.max_degree("u") for poly in series.coeffs)
     terms = series.terms()
+    top = max((exp[1] for exp in terms), default=0)
     return [[terms.get((n, k, 0, 0, 0), 0) for n in range(series.order + 1)]
             for k in range(top + 1)]
 
@@ -325,12 +326,14 @@ def test_delta_rows_match_generic_quotients():
 
 
 def _majorant_decode(terms, first, bound, order):
-    """_gamma_rows read back as psi reads its left side: at the width that the
-    majorant pass, on |terms| with subtraction made addition, bounds."""
+    """_gamma_rows read back through the one decode as psi reads its left side before
+    the prefactor: checked against the pass at z = 1, with each cell bounded by the
+    majorant pass, on |terms| with subtraction made addition."""
     magnitudes = [[[*map(abs, row)] for row in rows] for rows in terms]
-    total = gf._gamma_rows(magnitudes, first, bound, order, 1, operator.add)
-    width = max(itertools.chain(*total)).bit_length() + 2
-    return gf._decode(gf._gamma_rows(terms, first, bound, order, 1 << width, operator.sub), width)
+    return series._decode(
+        lambda width: gf._gamma_rows(terms, first, bound, order, 1 << width, operator.sub),
+        gf._gamma_rows(terms, first, bound, order, 1, operator.sub),
+        gf._gamma_rows(magnitudes, first, bound, order, 1, operator.add), series._z_digits)
 
 
 def test_gamma_sum_refuses_exponents_before_packing(monkeypatch):
@@ -359,28 +362,26 @@ def test_gamma_sum_refuses_exponents_before_packing(monkeypatch):
 
 def test_decode_refuses_a_digit_past_z_to_the_n():
     """z^n comes with t^n, so a value at t^1 that needs a z^2 digit is refused
-    (it decoded to 4 z^2 t), while z^n itself is kept."""
-    with pytest.raises(ArithmeticError, match=r"u\^0 t\^1 has a digit past z\^1 at width 4"):
-        gf._decode([[0, 1 << 10]], 4)
-    assert gf._decode([[0, 3 << 4]], 4) == TSeries.from_poly(1, 3 * Z, 1)
-
-
-def narrowed_by_evaluation(cut):
-    """gf._by_evaluation with its width cut by cut bits (to no less than 1), the
-    rows recomputed at the narrower z and checked against the run at z = 1."""
-    def by_evaluation(at, order):
-        sizes = at(1)
-        width = max(1, max(itertools.chain(*sizes)).bit_length() + 1 - cut)
-        return gf._decode(at(1 << width), width, sizes)
-    return by_evaluation
+    (it decoded to 4 z^2 t), while z^n itself is kept; in _substitute's layout, a
+    digit past its last key is refused too (it decoded to 4 u^2 t)."""
+    def decode(value, total, keys):
+        # the t^1 cell's digits sum to total, and its norm of 4 gives width 4
+        return series._decode(lambda width: [[0, value]], [[0, total]], [[0, 4]], keys)
+    with pytest.raises(ArithmeticError, match=r"t\^1 has a digit past z\^1 at width 4"):
+        decode(1 << 10, 4, series._z_digits)
+    assert decode(3 << 4, 3, series._z_digits) == TSeries.from_poly(1, 3 * Z, 1)
+    layout = [0, 1 << 8, 1 << 24, (1 << 24) | (1 << 8)]  # 1, z, u, u z: u and z of degree 1
+    with pytest.raises(ArithmeticError, match=r"t\^1 has a digit past u\^1 z\^1 at width 4"):
+        decode(1 << 18, 4, lambda k, n: layout)
+    assert decode(3 << 12, 3, lambda k, n: layout) == TSeries.from_poly(1, 3 * U * Z, 1)
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
 @pytest.mark.parametrize("p", [1, 2])
 def test_eval_H_refuses_a_width_too_narrow(monkeypatch, p, order):
-    """With _by_evaluation's width 16 bits too narrow, eval_H's digits spill
-    past z^n: the decode raises where it would return a wrong series."""
-    monkeypatch.setattr(gf, "_by_evaluation", narrowed_by_evaluation(16))
+    """With the width 16 bits too narrow, eval_H's digits spill past z^n: the
+    decode raises where it would return a wrong series."""
+    monkeypatch.setattr(series, "_width", narrowed_width(16))
     with pytest.raises(ArithmeticError, match="has a digit past z"):
         gf.eval_H(p, order)
 
@@ -393,11 +394,34 @@ def test_counting_series_decode_exactly_or_raise_at_any_narrower_width(monkeypat
     cases = [(f, p, order) for f in (gf.eval_G1_u, gf.eval_H) for p in range(1, 5)
              for order in range(1, 17)]
     exact = [f(p, order) for f, p, order in cases]
-    monkeypatch.setattr(gf, "_by_evaluation", narrowed_by_evaluation(cut))
+    monkeypatch.setattr(series, "_width", narrowed_width(cut))
     raised = 0
     for (f, p, order), expected in zip(cases, exact):
         try:
             assert f(p, order) == expected, (f.__name__, p, order)
+        except ArithmeticError:
+            raised += 1
+    assert raised, "no narrowed width was refused"
+
+
+@pytest.mark.parametrize("cut", [3, 6, 10])
+def test_integer_runs_decode_exactly_or_raise_at_any_narrower_width(monkeypatch, cut):
+    """With the one width rule cut, compose_t (eval_G(2, 6) composed with t + t^2),
+    subst_u (eval_H(2, o) with u -> delta_2) and both sides of psi (m <= 6, N <= 14),
+    each one integer run, return the exact series or raise ArithmeticError, never
+    another series: signed digits are read in a window that the cell's check sum
+    and l1 bound place, where a carry always lowers the digit sum."""
+    g, inner = gf.eval_G(2, 6), _from_scalars([0, 1, 1, 0, 0, 0, 0])
+    h = {o: (gf.eval_H(2, o), gf.delta(2, o)) for o in (6, 8, 10, 12)}
+    runs = [lambda: g.compose_t(inner),
+            *(lambda o=o: h[o][0].subst_u(h[o][1]) for o in h),
+            *(lambda m=m, n=n: gf.psi(m, n) for m in range(7) for n in range(15))]
+    exact = [run() for run in runs]
+    monkeypatch.setattr(series, "_width", narrowed_width(cut))
+    raised = 0
+    for i, (run, expected) in enumerate(zip(runs, exact)):
+        try:
+            assert run() == expected, i
         except ArithmeticError:
             raised += 1
     assert raised, "no narrowed width was refused"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pascent import series as series_module  # the name series is a strategy here
 from pascent.series import MultiPoly, TSeries, scalar_coefficients
 
 U = MultiPoly.variable("u")
@@ -510,6 +511,13 @@ def naive_invert(terms, order):
     return total
 
 
+def narrowed_width(cut):
+    """series._width, the width rule of every integer run, cut by cut bits (to no
+    less than 1): runs are made at the narrower point and checked as before."""
+    real = series_module._width
+    return lambda bound: max(1, real(bound) - cut)
+
+
 def naive_subst_u(terms, repl, order):
     out = {}
     for (n, eu, ev, ez, ex), c in terms.items():
@@ -641,16 +649,25 @@ def layout_cases(draw):
             series(st.integers(0, 2) | st.integers(8, 40), 1))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(layout_cases(), st.booleans())
-@example((TSeries([U, V ** 67, V ** 7]), TSeries([U, V ** 60, X])), True)   # v^127 t, v^127 t^2
-@example((TSeries([U, V ** 67, V ** 7]), TSeries([U, V ** 61, X])), True)   # v^128 t
-@example((TSeries([U ** 2 * Z ** 7, Z]), TSeries([Z ** 60, X])), False)     # z^127
-@example((TSeries([U ** 2 * Z ** 8, Z]), TSeries([Z ** 60, X])), False)     # z^128
-@example((TSeries([U ** 2 * X, X]), TSeries([U ** 63, U])), False)          # u^126 x
-@example((TSeries([U ** 2 * X, X]), TSeries([U ** 64, U])), False)          # u^128 x
-@example((TSeries([U * Z ** 70, Z]), TSeries([Z ** 57, X])), False)         # z^127, one step
-@example((TSeries([U * Z ** 70, Z]), TSeries([Z ** 58, X])), False)         # z^128, one step
+def substitution_draws(test):
+    """test(case, compose) on the substitutions that layout_cases draws, and on eight
+    whose exponents meet the 127 edge."""
+    for case in [
+        ((TSeries([U, V ** 67, V ** 7]), TSeries([U, V ** 60, X])), True),   # v^127 t, v^127 t^2
+        ((TSeries([U, V ** 67, V ** 7]), TSeries([U, V ** 61, X])), True),   # v^128 t
+        ((TSeries([U ** 2 * Z ** 7, Z]), TSeries([Z ** 60, X])), False),     # z^127
+        ((TSeries([U ** 2 * Z ** 8, Z]), TSeries([Z ** 60, X])), False),     # z^128
+        ((TSeries([U ** 2 * X, X]), TSeries([U ** 63, U])), False),          # u^126 x
+        ((TSeries([U ** 2 * X, X]), TSeries([U ** 64, U])), False),          # u^128 x
+        ((TSeries([U * Z ** 70, Z]), TSeries([Z ** 57, X])), False),         # z^127, one step
+        ((TSeries([U * Z ** 70, Z]), TSeries([Z ** 58, X])), False),         # z^128, one step
+    ]:
+        test = example(*case)(test)
+    return settings(max_examples=100, deadline=None, derandomize=True)(
+        given(layout_cases(), st.booleans())(test))
+
+
+@substitution_draws
 def test_substitutions_match_naive_or_refuse_an_exponent_past_127(case, compose):
     """subst_u and compose_t either return the naive terms or refuse, and refuse
     only where the naive evaluation on |c| forms an exponent of 128 or more."""
@@ -670,6 +687,27 @@ def test_substitutions_match_naive_or_refuse_an_exponent_past_127(case, compose)
         assert naive_forms_128(a.terms(), x.terms(), order, split)
     else:
         assert got == naive(a.terms(), x.terms(), order)
+
+
+@pytest.mark.parametrize("cut", [3, 6, 10])
+@substitution_draws
+def test_substitutions_decode_exactly_or_raise_at_a_narrower_width(cut, case, compose):
+    """With the one width rule cut, subst_u and compose_t on the drawn cases return
+    what they return at the full width or raise ArithmeticError."""
+    a, x = case
+    if compose:
+        x = TSeries([MultiPoly()] + x.coeffs[1:])
+    run = a.compose_t if compose else a.subst_u
+    try:
+        expected = run(x)
+    except ValueError:  # an exponent past 127, refused at every width
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_width", narrowed_width(cut))
+        try:
+            assert run(x) == expected
+        except ArithmeticError:
+            pass
 
 
 @settings(max_examples=100, deadline=None)
